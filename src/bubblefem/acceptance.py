@@ -35,20 +35,26 @@ from .model import (
     BoundaryCondition,
     CUBIC_BUBBLE,
     LINEAR,
+    Mesh1D,
     QUADRATIC_BUBBLE,
     SteadyProblem,
     TransportCoefficients,
     uniform_mesh,
 )
 from .linalg import tridiagonal_matvec
-from .steady import element_stiffness_quadrature, shape_functions, solve_steady
+from .steady import (
+    element_basis,
+    element_integrals,
+    element_shapes,
+    element_stiffness_closed,
+    solve_steady,
+)
 from .transient import (
     assemble_transient,
     semi_analytic_two_element,
     slowest_decay_rate,
     step_trapezoidal,
     transient_element_matrices,
-    transient_element_matrices_quadrature,
 )
 
 SEED = 20240811
@@ -158,17 +164,23 @@ def criterion_tables() -> CriterionResult:
     )
 
 
-def criterion_element_matrix_oracle(draws: int = 1000) -> CriterionResult:
-    """Closed-form element matrices match quadrature to 1e-12 relative."""
-    from .steady import element_stiffness_closed
+def _quadratic_element(coeffs: TransportCoefficients, l: float):
+    """Lengths and left/right bubble coefficients of a one-element quadratic mesh."""
+    mesh = Mesh1D([0.0, l])
+    return (mesh.lengths, *element_shapes(coeffs, mesh, QUADRATIC_BUBBLE))
 
+
+def criterion_element_matrix_oracle(draws: int = 1000) -> CriterionResult:
+    """Closed-form element matrices match the quadrature kernel to 1e-12 relative."""
     rng = np.random.default_rng(SEED + 5)
     worst_steady = worst_transient = 0.0
     for _ in range(draws):
         coeffs, l, _, _ = _random_coefficients(rng)
-        shapes = shape_functions(coeffs, l, QUADRATIC_BUBBLE)
-        closed = element_stiffness_closed(coeffs, l, shapes.a_coef, shapes.b_coef).entries
-        quad = element_stiffness_quadrature(coeffs, shapes).entries
+        lengths, left, right = _quadratic_element(coeffs, l)
+        a_coef, b_coef = 0.5 * (left[0, 0] + right[0, 0]), 0.5 * (right[0, 0] - left[0, 0])
+        closed = element_stiffness_closed(coeffs, l, a_coef, b_coef)
+        dd, cd, mm = element_integrals(lengths, left, right)
+        quad = (-coeffs.epsilon * dd + coeffs.kappa * cd + coeffs.lambda_ * mm)[0]
         scale = max(np.abs(closed).max(), np.abs(quad).max())
         worst_steady = max(worst_steady, np.abs(closed - quad).max() / scale)
 
@@ -176,9 +188,9 @@ def criterion_element_matrix_oracle(draws: int = 1000) -> CriterionResult:
         l2 = rng.uniform(0.01, 5.0)
         c = rng.uniform(-5.0, 5.0)
         cf = transient_element_matrices(eps, l2, c)
-        qf = transient_element_matrices_quadrature(eps, l2, c)
+        dd, _, mm = element_integrals(np.array([l2]), np.array([[c]]), np.array([[c]]))
         a = np.array([cf.mass_diag, cf.mass_off, cf.stiff_diag, cf.stiff_off])
-        b = np.array([qf.mass_diag, qf.mass_off, qf.stiff_diag, qf.stiff_off])
+        b = np.array([mm[0, 0, 0], mm[0, 0, 1], -eps * dd[0, 0, 0], -eps * dd[0, 0, 1]])
         worst_transient = max(
             worst_transient, np.abs(a - b).max() / max(np.abs(a).max(), np.abs(b).max())
         )
@@ -250,14 +262,9 @@ def criterion_property_suite() -> CriterionResult:
     # bubble term vanishes at element endpoints, exactly
     for _ in range(20):
         coeffs, l, _, _ = _random_coefficients(rng)
-        shapes = shape_functions(coeffs, l, QUADRATIC_BUBBLE)
-        ends = np.array([0.0, l])
-        if not (
-            shapes.left(ends)[0] == 1.0
-            and shapes.left(ends)[1] == 0.0
-            and shapes.right(ends)[0] == 0.0
-            and shapes.right(ends)[1] == 1.0
-        ):
+        lengths, left, right = _quadratic_element(coeffs, l)
+        n, _ = element_basis(lengths, left, right, np.array([[0.0, l]]))
+        if n[0].tolist() != [[1.0, 0.0], [0.0, 1.0]]:
             failures.append(f"shape endpoint values not exact at l={l}")
             break
 

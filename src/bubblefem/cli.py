@@ -74,8 +74,7 @@ _DEFAULTS = {
     "tables": {},
     "convergence": {"counts": "30,50", "enrichments": "linear,quadratic"},
     "selftest": {},
-    "common": {"config": None, "format": "table", "out": None,
-               "quad_points": None, "sign_compat": None},
+    "common": {"config": None, "format": "table", "out": None, "sign_compat": None},
 }
 
 
@@ -242,7 +241,7 @@ def _cmd_steady(args) -> int:
     )
     mesh = uniform_mesh(args.a, args.b, int(args.elements))
     enrichment = _parse_enrichment(args.enrichment)
-    field = solve_steady(problem, mesh, enrichment, n_quad=args.quad_points)
+    field = solve_steady(problem, mesh, enrichment)
     exact = _steady_exact(problem)
     xs = mesh.nodes if int(args.samples) < 1 else np.linspace(args.a, args.b, int(args.samples) + 1)
     rows = []
@@ -361,8 +360,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("table", "csv", "json"),
                         help="output format (default table)")
     common.add_argument("--out", help="write output to this path instead of stdout")
-    common.add_argument("--quad-points", dest="quad_points", type=int,
-                        help="Gauss points for element assembly (default: automatic)")
     common.add_argument("--sign-compat", dest="sign_compat", type=_parse_bool,
                         help="flip the transient bubble coefficient sign to match "
                              "the published tables (default: on for transient runs)")

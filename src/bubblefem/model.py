@@ -111,14 +111,12 @@ class Mesh1D:
             raise ValueError("mesh nodes must be strictly increasing")
         arr.setflags(write=False)
         self.nodes = arr
+        self.lengths = np.diff(arr)
+        self.lengths.setflags(write=False)
 
     @property
     def n_elements(self) -> int:
         return self.nodes.size - 1
-
-    @property
-    def lengths(self) -> np.ndarray:
-        return np.diff(self.nodes)
 
     @property
     def a(self) -> float:
@@ -192,6 +190,20 @@ class TransientProblem:
                 )
 
 
+def bubble_poly(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """p(t) = c_1 + c_2 t + ... by Horner's rule, the polynomial that
+    multiplies the bubble factor t (l - t).
+
+    ``coeffs`` carries the polynomial coefficients on its last axis; its
+    leading axes broadcast against ``t`` without the last one, so one call
+    serves a single element or all of them.
+    """
+    poly = np.zeros_like(t)
+    for k in range(coeffs.shape[-1] - 1, -1, -1):
+        poly = poly * t + coeffs[..., k, None]
+    return poly
+
+
 class SolutionField:
     """Nodal values plus per-element bubble coefficients, evaluable anywhere.
 
@@ -237,11 +249,7 @@ class SolutionField:
         out = u0 * (1.0 - local / l) + u1 * (local / l)
         coeffs = self.bubble_coeffs[j]
         if coeffs.size:
-            # c_1 + c_2 t + ... evaluated by Horner, times the vanishing factor
-            poly = np.zeros_like(local)
-            for c in coeffs[::-1]:
-                poly = poly * local + c
-            out = out + local * (l - local) * poly
+            out = out + local * (l - local) * bubble_poly(coeffs, local)
         return out
 
     def value(self, x: float) -> float:
@@ -258,7 +266,3 @@ class SolutionField:
     def __call__(self, x: float) -> float:
         return self.value(x)
 
-
-def eval_field(field: SolutionField, x: float) -> float:
-    """Evaluate a solution field at a point of its domain."""
-    return field.value(x)

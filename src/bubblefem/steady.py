@@ -1,24 +1,24 @@
-"""Enriched shape functions, element stiffness matrices, global assembly,
-boundary conditions, and the steady solve.
+"""Batched element kernel, global assembly, boundary conditions, and the
+steady solve.
 
 The weak form of epsilon*u'' + kappa*u' + lambda*u = 0 on one element reads
 
     -eps int w' u' + kap int w u' + lam int w u  =  -eps {w u'}_0^l
 
-with Bubnov-Galerkin weights equal to the enriched trial basis.  Entries
-are integrated by Gauss quadrature at runtime; the closed-form element
-matrix exists for cross-checking only.
+with Bubnov-Galerkin weights equal to the enriched trial basis.  One
+kernel integrates the three weight-trial products over all elements at
+once by Gauss quadrature; steady and transient assembly both combine its
+blocks.  The closed-form element matrix is a test oracle only.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .enrichment import ls_bubble, quadratic_ab
-from .errors import DegenerateOperatorError, IllPosedProblemError
+from .errors import DegenerateOperatorError
 from .linalg import TridiagonalSystem, solve_tridiagonal
 from .model import (
     EnrichmentKind,
@@ -27,105 +27,43 @@ from .model import (
     SolutionField,
     SteadyProblem,
     TransportCoefficients,
+    bubble_poly,
 )
 from .quadrature import gauss_rule
 
 _DOMAIN_MATCH_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ShapeFunctions:
-    """Enriched nodal shape functions on one element of length l.
+def element_shapes(
+    coeffs: TransportCoefficients, mesh: Mesh1D, enrichment: EnrichmentKind
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bubble coefficients of the left and right nodal shape functions,
+    each of shape (n_elements, order - 1): the least-squares bubble applied
+    to unit nodal values, computed once per distinct element length.
 
-    N_left  = (l - x)/l + x (l - x) * poly(coeff_left)
-    N_right = x/l       + x (l - x) * poly(coeff_right)
-
-    where poly(c) = c_1 + c_2 x + ...; empty coefficient arrays give the
-    plain hat functions.  The bubble factor is evaluated in product form,
-    so N_left(0) = 1, N_left(l) = 0 (and mirrored) hold exactly.
+    A degenerate operator on some length falls back to plain hats (a zero
+    row) for the elements of that length and emits a warning.
     """
-
-    length: float
-    coeff_left: np.ndarray
-    coeff_right: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return self.coeff_left.size + 1
-
-    @property
-    def a_coef(self) -> float:
-        """Quadratic-part A of the nodal-to-bubble map c = (A-B)u0 + (A+B)ul."""
-        s = self.coeff_left[0] if self.coeff_left.size else 0.0
-        t = self.coeff_right[0] if self.coeff_right.size else 0.0
-        return float(0.5 * (s + t))
-
-    @property
-    def b_coef(self) -> float:
-        s = self.coeff_left[0] if self.coeff_left.size else 0.0
-        t = self.coeff_right[0] if self.coeff_right.size else 0.0
-        return float(0.5 * (t - s))
-
-    def _bubble(self, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-        if not coeffs.size:
-            return np.zeros_like(x)
-        poly = np.zeros_like(x)
-        for c in coeffs[::-1]:
-            poly = poly * x + c
-        return x * (self.length - x) * poly
-
-    def _bubble_deriv(self, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-        # d/dx [x^k (l - x)] = k l x^(k-1) - (k+1) x^k
-        out = np.zeros_like(x)
-        for k, c in enumerate(coeffs, start=1):
-            out = out + c * (k * self.length * x ** (k - 1) - (k + 1) * x**k)
-        return out
-
-    def left(self, x):
-        x = np.asarray(x, dtype=float)
-        return (self.length - x) / self.length + self._bubble(self.coeff_left, x)
-
-    def right(self, x):
-        x = np.asarray(x, dtype=float)
-        return x / self.length + self._bubble(self.coeff_right, x)
-
-    def left_deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        return -1.0 / self.length + self._bubble_deriv(self.coeff_left, x)
-
-    def right_deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        return 1.0 / self.length + self._bubble_deriv(self.coeff_right, x)
-
-
-@dataclass(frozen=True)
-class ElementStiffness:
-    """2x2 element matrix and the boundary-flux placeholders of its rhs."""
-
-    entries: np.ndarray
-    rhs_flux: np.ndarray
-
-
-def shape_functions(
-    coeffs: TransportCoefficients, l: float, enrichment: EnrichmentKind
-) -> ShapeFunctions:
-    """Shape functions for one element; hats for LINEAR, otherwise the
-    least-squares bubble applied to unit nodal values."""
-    if not l > 0:
-        raise ValueError(f"element length must be positive, got {l}")
-    if enrichment.order == 1:
-        empty = np.zeros(0)
-        return ShapeFunctions(length=l, coeff_left=empty, coeff_right=empty)
-    if enrichment.order == 2:
-        ab = quadratic_ab(coeffs, l)
-        return ShapeFunctions(
-            length=l,
-            coeff_left=np.array([ab.a_coef - ab.b_coef]),
-            coeff_right=np.array([ab.a_coef + ab.b_coef]),
-        )
-    left = ls_bubble(coeffs, l, 1.0, 0.0, order=enrichment.order).coeffs
-    right = ls_bubble(coeffs, l, 0.0, 1.0, order=enrichment.order).coeffs
-    return ShapeFunctions(length=l, coeff_left=left, coeff_right=right)
+    lengths, index = np.unique(mesh.lengths, return_inverse=True)
+    left = np.zeros((lengths.size, enrichment.bubble_count))
+    right = np.zeros_like(left)
+    if enrichment.order > 1:
+        for i, l in enumerate(lengths.tolist()):
+            try:
+                if enrichment.order == 2:
+                    ab = quadratic_ab(coeffs, l)
+                    left[i], right[i] = ab.a_coef - ab.b_coef, ab.a_coef + ab.b_coef
+                else:
+                    left[i] = ls_bubble(coeffs, l, 1.0, 0.0, order=enrichment.order).coeffs
+                    right[i] = ls_bubble(coeffs, l, 0.0, 1.0, order=enrichment.order).coeffs
+            except DegenerateOperatorError:
+                warnings.warn(
+                    f"bubble coefficients degenerate for l={l}; "
+                    "falling back to linear elements",
+                    stacklevel=2,
+                )
+                left[i] = right[i] = 0.0
+    return left[index], right[index]
 
 
 def default_quad_points(order: int) -> int:
@@ -137,38 +75,51 @@ def default_quad_points(order: int) -> int:
     return min(max(4, order + 2), 10)
 
 
-def element_stiffness_quadrature(
-    coeffs: TransportCoefficients, shapes: ShapeFunctions, n_quad: int | None = None
-) -> ElementStiffness:
-    """Element matrix by Gauss quadrature of the weak-form integrals."""
-    if n_quad is None:
-        n_quad = default_quad_points(shapes.order)
-    rule = gauss_rule(n_quad)
-    l = shapes.length
-    xs = 0.5 * l * (rule.points + 1.0)
-    w = 0.5 * l * rule.weights
-    n = [shapes.left(xs), shapes.right(xs)]
-    dn = [shapes.left_deriv(xs), shapes.right_deriv(xs)]
-    k = np.empty((2, 2))
-    for i in range(2):
-        for j in range(2):
-            k[i, j] = np.sum(
-                w
-                * (
-                    -coeffs.epsilon * dn[i] * dn[j]
-                    + coeffs.kappa * n[i] * dn[j]
-                    + coeffs.lambda_ * n[i] * n[j]
-                )
-            )
-    return ElementStiffness(entries=k, rhs_flux=np.zeros(2))
+def element_basis(
+    lengths: np.ndarray, coeff_left: np.ndarray, coeff_right: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Enriched nodal shape functions and their derivatives on every element.
+
+    N_left  = (l - x)/l + x (l - x) * poly(coeff_left)
+    N_right = x/l       + x (l - x) * poly(coeff_right)
+
+    with poly(c) = c_1 + c_2 x + ...; zero coefficients give the plain hats.
+    ``x`` holds local coordinates in [0, l] of shape (n_elements, n_points);
+    both results have shape (n_elements, 2, n_points).  The bubble factor is
+    kept in product form, so N_left(0) = 1, N_left(l) = 0 (and mirrored)
+    hold exactly.
+    """
+    l = lengths[:, None, None]
+    x = x[:, None, :]
+    coeffs = np.stack([coeff_left, coeff_right], axis=1)
+    factor = x * (l - x)
+    p = bubble_poly(coeffs, x)
+    dp = bubble_poly(coeffs[..., 1:] * np.arange(1, coeffs.shape[-1]), x)
+    n = np.concatenate([(l - x) / l, x / l], axis=1) + factor * p
+    dn = np.concatenate([-1.0 / l, 1.0 / l], axis=1) + ((l - 2.0 * x) * p + factor * dp)
+    return n, dn
+
+
+def element_integrals(
+    lengths: np.ndarray, coeff_left: np.ndarray, coeff_right: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The integrals int N_i' N_j', int N_i N_j' and int N_i N_j over every
+    element, each of shape (n_elements, 2, 2), by the Gauss rule that is
+    exact for the enrichment order."""
+    rule = gauss_rule(default_quad_points(coeff_left.shape[1] + 1))
+    l = lengths[:, None]
+    n, dn = element_basis(lengths, coeff_left, coeff_right, 0.5 * l * (rule.points + 1.0))
+    w = (0.5 * l * rule.weights)[:, None, :]
+    wn, dn_t = w * n, dn.swapaxes(1, 2)
+    return (w * dn) @ dn_t, wn @ dn_t, wn @ n.swapaxes(1, 2)
 
 
 def element_stiffness_closed(
     coeffs: TransportCoefficients, l: float, a: float, b: float
-) -> ElementStiffness:
-    """Closed-form element matrix for quadratic enrichment (A, B) = (a, b).
+) -> np.ndarray:
+    """Closed-form 2x2 element matrix for quadratic enrichment (A, B) = (a, b).
 
-    Cross-check path only; assembly always integrates numerically.
+    Test oracle only; assembly always integrates numerically.
     """
     if not l > 0:
         raise ValueError(f"element length must be positive, got {l}")
@@ -192,33 +143,7 @@ def element_stiffness_closed(
         -30 * eps + 10 * lam * l**2 + 15 * kap * l
         + lam * l**6 * ap**2 + 5 * lam * l**4 * ap - 10 * eps * l**4 * ap**2
     ) / (30 * l)
-    return ElementStiffness(entries=np.array([[e, f], [g, h]]), rhs_flux=np.zeros(2))
-
-
-def element_shapes(
-    coeffs: TransportCoefficients, mesh: Mesh1D, enrichment: EnrichmentKind
-) -> list[ShapeFunctions]:
-    """Per-element shape functions, memoised by element length.
-
-    A degenerate operator on some element falls back to plain hats for
-    that element and emits a warning.
-    """
-    cache: dict[float, ShapeFunctions] = {}
-    out = []
-    for l in mesh.lengths:
-        l = float(l)
-        if l not in cache:
-            try:
-                cache[l] = shape_functions(coeffs, l, enrichment)
-            except DegenerateOperatorError:
-                warnings.warn(
-                    f"bubble coefficients degenerate for l={l}; "
-                    "falling back to linear elements",
-                    stacklevel=2,
-                )
-                cache[l] = shape_functions(coeffs, l, LINEAR)
-        out.append(cache[l])
-    return out
+    return np.array([[e, f], [g, h]])
 
 
 def _check_mesh_covers(problem_domain: tuple[float, float], mesh: Mesh1D) -> None:
@@ -230,30 +155,24 @@ def _check_mesh_covers(problem_domain: tuple[float, float], mesh: Mesh1D) -> Non
         )
 
 
-def _assemble_from_shapes(
-    problem: SteadyProblem,
-    mesh: Mesh1D,
-    shapes: list[ShapeFunctions],
-    n_quad: int | None,
+def _assemble(
+    problem: SteadyProblem, mesh: Mesh1D, coeff_left: np.ndarray, coeff_right: np.ndarray
 ) -> TridiagonalSystem:
-    n_nodes = mesh.n_elements + 1
-    sub = np.zeros(n_nodes - 1)
-    diag = np.zeros(n_nodes)
-    sup = np.zeros(n_nodes - 1)
-    rhs = np.zeros(n_nodes)
-    for j, s in enumerate(shapes):
-        k = element_stiffness_quadrature(problem.coefficients, s, n_quad).entries
-        diag[j] += k[0, 0]
-        diag[j + 1] += k[1, 1]
-        sup[j] += k[0, 1]
-        sub[j] += k[1, 0]
+    c = problem.coefficients
+    dd, cd, mm = element_integrals(mesh.lengths, coeff_left, coeff_right)
+    k = -c.epsilon * dd + c.kappa * cd + c.lambda_ * mm
+    diag = np.zeros(mesh.n_elements + 1)
+    diag[:-1] += k[:, 0, 0]
+    diag[1:] += k[:, 1, 1]
+    sub = k[:, 1, 0].copy()
+    sup = k[:, 0, 1].copy()
+    rhs = np.zeros_like(diag)
 
-    eps = problem.coefficients.epsilon
     # natural boundary term -eps {w u'}: +eps*g at the left end, -eps*g at the right
     if not problem.bc_left.is_dirichlet:
-        rhs[0] += eps * problem.bc_left.value
+        rhs[0] += c.epsilon * problem.bc_left.value
     if not problem.bc_right.is_dirichlet:
-        rhs[-1] += -eps * problem.bc_right.value
+        rhs[-1] += -c.epsilon * problem.bc_right.value
 
     # Dirichlet by row replacement and column elimination into neighbour rhs
     if problem.bc_left.is_dirichlet:
@@ -274,35 +193,20 @@ def _assemble_from_shapes(
 
 
 def assemble_steady(
-    problem: SteadyProblem,
-    mesh: Mesh1D,
-    enrichment: EnrichmentKind = LINEAR,
-    n_quad: int | None = None,
+    problem: SteadyProblem, mesh: Mesh1D, enrichment: EnrichmentKind = LINEAR
 ) -> TridiagonalSystem:
     """Assemble the global tridiagonal system with boundary conditions applied."""
     _check_mesh_covers(problem.domain, mesh)
-    if not (problem.bc_left.is_dirichlet or problem.bc_right.is_dirichlet):
-        raise IllPosedProblemError("at least one Dirichlet condition is required")
-    shapes = element_shapes(problem.coefficients, mesh, enrichment)
-    return _assemble_from_shapes(problem, mesh, shapes, n_quad)
+    return _assemble(problem, mesh, *element_shapes(problem.coefficients, mesh, enrichment))
 
 
 def solve_steady(
-    problem: SteadyProblem,
-    mesh: Mesh1D,
-    enrichment: EnrichmentKind = LINEAR,
-    n_quad: int | None = None,
+    problem: SteadyProblem, mesh: Mesh1D, enrichment: EnrichmentKind = LINEAR
 ) -> SolutionField:
     """Solve the steady problem; the field carries per-element bubble
     coefficients reconstructed from the nodal solution."""
     _check_mesh_covers(problem.domain, mesh)
-    shapes = element_shapes(problem.coefficients, mesh, enrichment)
-    system = _assemble_from_shapes(problem, mesh, shapes, n_quad)
-    nodal = solve_tridiagonal(system)
-    n_bub = enrichment.bubble_count
-    bubble = np.zeros((mesh.n_elements, n_bub))
-    for j, s in enumerate(shapes):
-        k = s.coeff_left.size
-        if k:
-            bubble[j, :k] = s.coeff_left * nodal[j] + s.coeff_right * nodal[j + 1]
+    coeff_left, coeff_right = element_shapes(problem.coefficients, mesh, enrichment)
+    nodal = solve_tridiagonal(_assemble(problem, mesh, coeff_left, coeff_right))
+    bubble = coeff_left * nodal[:-1, None] + coeff_right * nodal[1:, None]
     return SolutionField(mesh, nodal, enrichment, bubble)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enrichment import quadratic_ab, transient_coefficient
 from .errors import AssemblyError, LinearSolveError
 from .linalg import (
     TridiagonalSystem,
@@ -37,7 +36,7 @@ from .model import (
     TransportCoefficients,
     uniform_mesh,
 )
-from .quadrature import gauss_rule
+from .steady import _check_mesh_covers, element_integrals, element_shapes
 
 _EIG_TOL = 1e-10
 _MAX_POWER_ITERATIONS = 100_000
@@ -55,7 +54,7 @@ class TransientElementMatrices:
 
 
 def transient_element_matrices(epsilon: float, l: float, c: float) -> TransientElementMatrices:
-    """Closed-form element matrices; cross-checked against quadrature."""
+    """Closed-form element matrices; a test oracle for the element kernel."""
     if not l > 0:
         raise ValueError(f"element length must be positive, got {l}")
     mass_diag = (c**2 * l**6 + 5 * c * l**4 + 10 * l**2) / (30 * l)
@@ -63,28 +62,6 @@ def transient_element_matrices(epsilon: float, l: float, c: float) -> TransientE
     stiff_diag = -epsilon * (10 * c**2 * l**4 + 30) / (30 * l)
     stiff_off = -epsilon * (10 * c**2 * l**4 - 30) / (30 * l)
     return TransientElementMatrices(mass_diag, mass_off, stiff_diag, stiff_off)
-
-
-def transient_element_matrices_quadrature(
-    epsilon: float, l: float, c: float, n_quad: int = 4
-) -> TransientElementMatrices:
-    """Same entries by direct Gauss integration of int w w and -eps int w' w'
-    (the independent oracle for the closed forms)."""
-    if not l > 0:
-        raise ValueError(f"element length must be positive, got {l}")
-    rule = gauss_rule(n_quad)
-    xs = 0.5 * l * (rule.points + 1.0)
-    w = 0.5 * l * rule.weights
-    w0 = (l - xs) / l + c * xs * (l - xs)
-    w1 = xs / l + c * xs * (l - xs)
-    dw0 = -1.0 / l + c * (l - 2 * xs)
-    dw1 = 1.0 / l + c * (l - 2 * xs)
-    return TransientElementMatrices(
-        mass_diag=float(np.sum(w * w0 * w0)),
-        mass_off=float(np.sum(w * w0 * w1)),
-        stiff_diag=float(-epsilon * np.sum(w * dw0 * dw0)),
-        stiff_off=float(-epsilon * np.sum(w * dw0 * dw1)),
-    )
 
 
 @dataclass
@@ -106,14 +83,6 @@ class TransientSystem:
         return self.mass_diag.size
 
 
-def _element_bubble_coefficient(epsilon: float, lambda_: float, l: float) -> float:
-    if lambda_ == 1.0:
-        return transient_coefficient(epsilon, l)
-    # general reaction coefficient: same least-squares map, unit nodal sum
-    coeffs = TransportCoefficients(epsilon=epsilon, kappa=0.0, lambda_=lambda_)
-    return quadratic_ab(coeffs, l).a_coef
-
-
 def assemble_transient(
     problem: TransientProblem,
     mesh: Mesh1D,
@@ -122,15 +91,12 @@ def assemble_transient(
 ) -> TransientSystem:
     """Assemble mass and stiffness over interior nodes.
 
-    ``sign_compat`` negates the least-squares bubble coefficient, matching
-    the sign convention of the published two-element transient solution.
+    The bubble coefficient c of each element is the least-squares one of
+    the operator with kappa = 0, shared by both nodal weights.
+    ``sign_compat`` negates it, matching the sign convention of the
+    published two-element transient solution.
     """
-    a, b = problem.domain
-    span = b - a
-    if abs(mesh.a - a) > 1e-12 * span or abs(mesh.b - b) > 1e-12 * span:
-        raise ValueError(
-            f"mesh [{mesh.a}, {mesh.b}] does not cover problem domain [{a}, {b}]"
-        )
+    _check_mesh_covers(problem.domain, mesh)
     if enrichment.order > 2:
         raise ValueError(
             "transient model supports linear or quadratic-bubble elements only"
@@ -138,36 +104,21 @@ def assemble_transient(
     if mesh.n_elements < 2:
         raise ValueError("transient mesh needs at least one interior node")
 
-    n_nodes = mesh.n_elements + 1
-    mass_diag = np.zeros(n_nodes)
-    mass_off = np.zeros(n_nodes - 1)
-    stiff_diag = np.zeros(n_nodes)
-    stiff_off = np.zeros(n_nodes - 1)
     bubble_c = np.zeros(mesh.n_elements)
-    cache: dict[float, float] = {}
-    for j, l in enumerate(mesh.lengths):
-        l = float(l)
-        if enrichment.order == 2:
-            if l not in cache:
-                cache[l] = _element_bubble_coefficient(problem.epsilon, problem.lambda_, l)
-            c = -cache[l] if sign_compat else cache[l]
-        else:
-            c = 0.0
-        bubble_c[j] = c
-        em = transient_element_matrices(problem.epsilon, l, c)
-        mass_diag[j] += em.mass_diag
-        mass_diag[j + 1] += em.mass_diag
-        mass_off[j] += em.mass_off
-        stiff_diag[j] += em.stiff_diag
-        stiff_diag[j + 1] += em.stiff_diag
-        stiff_off[j] += em.stiff_off
+    if enrichment.order == 2:
+        coeffs = TransportCoefficients(epsilon=problem.epsilon, kappa=0.0, lambda_=problem.lambda_)
+        sign = -1.0 if sign_compat else 1.0
+        bubble_c = sign * element_shapes(coeffs, mesh, enrichment)[0][:, 0]
+    # a zero bubble column integrates to exactly the hat-function matrices
+    stiff, _, mass = element_integrals(mesh.lengths, bubble_c[:, None], bubble_c[:, None])
+    stiff *= -problem.epsilon
 
     # homogeneous Dirichlet ends: drop the boundary rows and columns
     return TransientSystem(
-        mass_diag=mass_diag[1:-1],
-        mass_off=mass_off[1:-1],
-        stiff_diag=stiff_diag[1:-1],
-        stiff_off=stiff_off[1:-1],
+        mass_diag=mass[:-1, 1, 1] + mass[1:, 0, 0],
+        mass_off=mass[1:-1, 0, 1],
+        stiff_diag=stiff[:-1, 1, 1] + stiff[1:, 0, 0],
+        stiff_off=stiff[1:-1, 0, 1],
         mesh=mesh,
         lambda_=problem.lambda_,
         enrichment=enrichment,

@@ -14,7 +14,6 @@ from bubblefem import (
     SteadyProblem,
     TransientProblem,
     TransportCoefficients,
-    eval_field,
     polynomial_bubble,
     uniform_mesh,
 )
@@ -88,6 +87,12 @@ class TestMesh1D:
         with pytest.raises(ValueError):
             Mesh1D([1.0])
 
+    def test_lengths_read_only(self):
+        mesh = uniform_mesh(0.0, 1.0, 4)
+        assert not mesh.lengths.flags.writeable
+        with pytest.raises(ValueError):
+            mesh.lengths[0] = 1.0
+
     def test_nonuniform_lengths(self):
         mesh = Mesh1D([0.0, 0.1, 0.5, 2.0])
         assert mesh.lengths == pytest.approx([0.1, 0.4, 1.5])
@@ -135,31 +140,31 @@ def two_element_field(bubble_value=None):
 class TestEvalField:
     def test_linear_interpolant(self):
         field = two_element_field()
-        assert eval_field(field, math.pi / 16) == pytest.approx(0.125)
+        assert field.value(math.pi / 16) == pytest.approx(0.125)
 
     def test_quadratic_bubble_profile(self):
         field = two_element_field(bubble_value=0.206)
-        assert eval_field(field, math.pi / 16) == pytest.approx(0.180, abs=1e-3)
+        assert field.value(math.pi / 16) == pytest.approx(0.180, abs=1e-3)
 
     def test_nodal_values_exact(self):
         field = two_element_field(bubble_value=0.73)
         for x, expected in zip(field.mesh.nodes, field.nodal_values):
-            assert eval_field(field, float(x)) == expected
+            assert field.value(float(x)) == expected
 
     def test_continuity_at_interior_nodes(self):
         field = two_element_field(bubble_value=-1.4)
         x = math.pi / 2
-        left = eval_field(field, np.nextafter(x, 0.0))
-        right = eval_field(field, np.nextafter(x, math.pi))
+        left = field.value(np.nextafter(x, 0.0))
+        right = field.value(np.nextafter(x, math.pi))
         assert left == pytest.approx(right, abs=1e-13)
         assert left == pytest.approx(field.nodal_values[1], abs=1e-13)
 
     def test_domain_error(self):
         field = two_element_field()
         with pytest.raises(ValueError):
-            eval_field(field, -0.01)
+            field.value(-0.01)
         with pytest.raises(ValueError):
-            eval_field(field, math.pi + 0.01)
+            field.value(math.pi + 0.01)
 
     def test_shape_validation(self):
         mesh = uniform_mesh(0.0, 1.0, 2)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from bubblefem import (
     BoundaryCondition,
     CUBIC_BUBBLE,
+    DegenerateOperatorError,
     LINEAR,
     LinearSolveError,
     Mesh1D,
@@ -15,16 +17,16 @@ from bubblefem import (
     TridiagonalSystem,
     assemble_steady,
     element_stiffness_closed,
-    element_stiffness_quadrature,
     exact_steady_benchmark,
     ls_bubble,
     quadratic_ab,
-    shape_functions,
     solve_steady,
     solve_tridiagonal,
     steady_benchmark_problem,
     uniform_mesh,
 )
+from bubblefem import steady
+from bubblefem.steady import element_basis, element_integrals, element_shapes
 
 RNG_SEED = 55441
 
@@ -38,82 +40,116 @@ def diffusion_problem(alpha, beta, epsilon=-1.0, domain=(0.0, 1.0)):
     )
 
 
+def one_element(coeffs, l, enrichment):
+    """Lengths and left/right bubble coefficients of a one-element mesh [0, l]."""
+    mesh = Mesh1D([0.0, l])
+    return (mesh.lengths, *element_shapes(coeffs, mesh, enrichment))
+
+
+def basis_at(coeffs, l, enrichment, x):
+    """Left and right shape function values at the points x of [0, l]."""
+    n, _ = element_basis(*one_element(coeffs, l, enrichment), np.atleast_2d(x))
+    return n[0, 0], n[0, 1]
+
+
+def element_matrix(coeffs, l, enrichment):
+    """The steady 2x2 element matrix -eps D + kap C + lam M from the kernel."""
+    dd, cd, mm = element_integrals(*one_element(coeffs, l, enrichment))
+    return (-coeffs.epsilon * dd + coeffs.kappa * cd + coeffs.lambda_ * mm)[0]
+
+
+def quadratic_ab_of(coeffs, l):
+    """The nodal map (A, B) of the kernel's quadratic shape coefficients."""
+    _, left, right = one_element(coeffs, l, QUADRATIC_BUBBLE)
+    return 0.5 * (left[0, 0] + right[0, 0]), 0.5 * (right[0, 0] - left[0, 0])
+
+
 class TestShapeFunctions:
     def test_linear_hats(self):
-        shapes = shape_functions(TransportCoefficients(-1, 0, 1), 2.0, LINEAR)
-        assert shapes.left(1.0) == 0.5
-        assert shapes.right(1.0) == 0.5
-        assert shapes.a_coef == 0.0 and shapes.b_coef == 0.0
+        _, left, right = one_element(TransportCoefficients(-1, 0, 1), 2.0, LINEAR)
+        assert left.shape == right.shape == (1, 0)
+        n_left, n_right = basis_at(TransportCoefficients(-1, 0, 1), 2.0, LINEAR, [1.0])
+        assert n_left[0] == 0.5
+        assert n_right[0] == 0.5
 
     def test_endpoint_values_exact(self):
-        shapes = shape_functions(TransportCoefficients(-0.01, 3.0, 1.0), 0.7, QUADRATIC_BUBBLE)
-        assert shapes.left(0.0) == 1.0
-        assert shapes.left(0.7) == 0.0
-        assert shapes.right(0.0) == 0.0
-        assert shapes.right(0.7) == 1.0
+        n_left, n_right = basis_at(
+            TransportCoefficients(-0.01, 3.0, 1.0), 0.7, QUADRATIC_BUBBLE, [0.0, 0.7]
+        )
+        assert n_left.tolist() == [1.0, 0.0]
+        assert n_right.tolist() == [0.0, 1.0]
 
     def test_midpoint_partition_defect(self):
         # N_left + N_right at l/2 equals 1 + 2A l^2/4: partition of unity
         # holds only for A = 0
         coeffs = TransportCoefficients(-0.01, 0.0, 1.0)
         l = 0.2
-        shapes = shape_functions(coeffs, l, QUADRATIC_BUBBLE)
-        total = shapes.left(l / 2) + shapes.right(l / 2)
-        assert total == pytest.approx(1.0 + 2 * shapes.a_coef * l**2 / 4, rel=1e-13)
+        n_left, n_right = basis_at(coeffs, l, QUADRATIC_BUBBLE, [l / 2])
+        a_coef, _ = quadratic_ab_of(coeffs, l)
+        assert n_left[0] + n_right[0] == pytest.approx(1.0 + 2 * a_coef * l**2 / 4, rel=1e-13)
 
     def test_benchmark_element_midpoint(self):
         coeffs = TransportCoefficients(-0.01, 0.0, 1.0)
         ab = quadratic_ab(coeffs, 0.2)
-        shapes = shape_functions(coeffs, 0.2, QUADRATIC_BUBBLE)
-        assert shapes.left(0.1) == pytest.approx(0.5 + ab.a_coef * 0.01, rel=1e-13)
+        n_left, _ = basis_at(coeffs, 0.2, QUADRATIC_BUBBLE, [0.1])
+        assert n_left[0] == pytest.approx(0.5 + ab.a_coef * 0.01, rel=1e-13)
 
     def test_cubic_coefficients_from_unit_solves(self):
         coeffs = TransportCoefficients(-1.0, 1.0, 1.0)
-        shapes = shape_functions(coeffs, 0.5, CUBIC_BUBBLE)
+        _, coeff_left, coeff_right = one_element(coeffs, 0.5, CUBIC_BUBBLE)
         left = ls_bubble(coeffs, 0.5, 1.0, 0.0, order=3).coeffs
         right = ls_bubble(coeffs, 0.5, 0.0, 1.0, order=3).coeffs
-        assert shapes.coeff_left == pytest.approx(left)
-        assert shapes.coeff_right == pytest.approx(right)
+        assert coeff_left[0] == pytest.approx(left)
+        assert coeff_right[0] == pytest.approx(right)
 
-    def test_length_validation(self):
-        with pytest.raises(ValueError):
-            shape_functions(TransportCoefficients(-1, 0, 1), 0.0, LINEAR)
+    def test_cubic_derivatives_match_finite_differences(self):
+        coeffs = TransportCoefficients(-1.0, 1.0, 1.0)
+        l, h = 0.5, 1e-6
+        x = np.array([[0.1, 0.27, 0.4]])
+        args = one_element(coeffs, l, CUBIC_BUBBLE)
+        _, dn = element_basis(*args, x)
+        n_up, _ = element_basis(*args, x + h)
+        n_dn, _ = element_basis(*args, x - h)
+        assert dn == pytest.approx((n_up - n_dn) / (2 * h), rel=1e-7)
+
+    def test_shapes_follow_lengths(self):
+        # equal lengths share coefficients; rows follow the element order
+        coeffs = TransportCoefficients(-1.0, 1.0, 1.0)
+        mesh = Mesh1D([0.0, 0.5, 0.75, 1.25])
+        left, right = element_shapes(coeffs, mesh, CUBIC_BUBBLE)
+        assert left.shape == right.shape == (3, 2)
+        assert left[0].tolist() == left[2].tolist()
+        assert left[1] == pytest.approx(ls_bubble(coeffs, 0.25, 1.0, 0.0, order=3).coeffs)
 
 
 class TestElementStiffness:
     def test_pure_diffusion_hats(self):
-        shapes = shape_functions(TransportCoefficients(-1.0, 0.0, 0.0), 1.0, LINEAR)
-        k = element_stiffness_quadrature(TransportCoefficients(-1.0, 0.0, 0.0), shapes)
-        assert k.entries == pytest.approx(np.array([[1.0, -1.0], [-1.0, 1.0]]), abs=1e-14)
-        assert k.rhs_flux.tolist() == [0.0, 0.0]
+        k = element_matrix(TransportCoefficients(-1.0, 0.0, 0.0), 1.0, LINEAR)
+        assert k == pytest.approx(np.array([[1.0, -1.0], [-1.0, 1.0]]), abs=1e-14)
 
     def test_pure_convection_hats(self):
-        coeffs = TransportCoefficients(0.0, 1.0, 0.0)
-        shapes = shape_functions(coeffs, 1.0, LINEAR)
-        k = element_stiffness_quadrature(coeffs, shapes)
-        assert k.entries == pytest.approx(np.array([[-0.5, 0.5], [-0.5, 0.5]]), abs=1e-14)
+        k = element_matrix(TransportCoefficients(0.0, 1.0, 0.0), 1.0, LINEAR)
+        assert k == pytest.approx(np.array([[-0.5, 0.5], [-0.5, 0.5]]), abs=1e-14)
 
     def test_closed_form_hat_pattern(self):
         # with A = B = 0 the first diagonal entry is -eps/l + lam*l/3 - kap/2
         for eps, kap, lam, l in [(-1, 0, 0, 1), (-0.3, 1.7, 2.0, 0.4), (-2, -3, 5, 1.3)]:
             closed = element_stiffness_closed(TransportCoefficients(eps, kap, lam), l, 0.0, 0.0)
-            assert closed.entries[0, 0] == pytest.approx(-eps / l + lam * l / 3 - kap / 2, rel=1e-13)
+            assert closed[0, 0] == pytest.approx(-eps / l + lam * l / 3 - kap / 2, rel=1e-13)
         unit = element_stiffness_closed(TransportCoefficients(-1, 0, 0), 1.0, 0.0, 0.0)
-        assert unit.entries == pytest.approx(np.array([[1.0, -1.0], [-1.0, 1.0]]), abs=1e-14)
+        assert unit == pytest.approx(np.array([[1.0, -1.0], [-1.0, 1.0]]), abs=1e-14)
 
     def test_benchmark_element_closed_vs_quadrature(self):
         coeffs = TransportCoefficients(-0.01, 0.0, 1.0)
-        shapes = shape_functions(coeffs, 0.2, QUADRATIC_BUBBLE)
-        quad = element_stiffness_quadrature(coeffs, shapes).entries
-        closed = element_stiffness_closed(coeffs, 0.2, shapes.a_coef, shapes.b_coef).entries
+        quad = element_matrix(coeffs, 0.2, QUADRATIC_BUBBLE)
+        closed = element_stiffness_closed(coeffs, 0.2, *quadratic_ab_of(coeffs, 0.2))
         assert np.abs(closed - quad).max() <= 1e-12 * np.abs(quad).max()
 
     def test_transient_element_closed_vs_quadrature(self):
         coeffs = TransportCoefficients(-1.0, 0.0, 1.0)
         l = math.pi / 2
-        shapes = shape_functions(coeffs, l, QUADRATIC_BUBBLE)
-        quad = element_stiffness_quadrature(coeffs, shapes).entries
-        closed = element_stiffness_closed(coeffs, l, shapes.a_coef, shapes.b_coef).entries
+        quad = element_matrix(coeffs, l, QUADRATIC_BUBBLE)
+        closed = element_stiffness_closed(coeffs, l, *quadratic_ab_of(coeffs, l))
         assert np.abs(closed - quad).max() <= 1e-12 * np.abs(quad).max()
 
     def test_closed_vs_quadrature_randomized(self):
@@ -125,9 +161,8 @@ class TestElementStiffness:
                 lambda_=rng.uniform(0.0, 10.0),
             )
             l = rng.uniform(0.01, 5.0)
-            shapes = shape_functions(coeffs, l, QUADRATIC_BUBBLE)
-            quad = element_stiffness_quadrature(coeffs, shapes).entries
-            closed = element_stiffness_closed(coeffs, l, shapes.a_coef, shapes.b_coef).entries
+            quad = element_matrix(coeffs, l, QUADRATIC_BUBBLE)
+            closed = element_stiffness_closed(coeffs, l, *quadratic_ab_of(coeffs, l))
             scale = max(np.abs(quad).max(), np.abs(closed).max())
             assert np.abs(closed - quad).max() <= 1e-12 * scale
 
@@ -280,3 +315,73 @@ class TestSolveSteady:
         u = field.nodal_values
         expected = ab.coefficient(u[3], u[4])
         assert field.bubble_coeffs[3, 0] == pytest.approx(expected, rel=1e-12)
+
+
+class TestKernelAssembly:
+    def test_mixed_fallback_on_cubic_mesh(self, monkeypatch):
+        coeffs = TransportCoefficients(-0.3, 1.2, 2.0)
+        mesh = Mesh1D([0.0, 0.25, 0.75, 1.0, 1.5, 2.0])
+        degenerate = 0.5
+        real = steady.ls_bubble
+
+        def ls_bubble_degenerate_at(c, l, u0, ul, order):
+            # the right unit solve fails after the left one succeeded
+            if l == degenerate and (u0, ul) == (0.0, 1.0):
+                raise DegenerateOperatorError("forced")
+            return real(c, l, u0, ul, order=order)
+
+        monkeypatch.setattr(steady, "ls_bubble", ls_bubble_degenerate_at)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            left, right = element_shapes(coeffs, mesh, CUBIC_BUBBLE)
+        assert sum("falling back to linear elements" in str(w.message) for w in caught) == 1
+        fallback = mesh.lengths == degenerate
+        assert fallback.sum() == 3
+        assert not left[fallback].any() and not right[fallback].any()
+        assert left[~fallback].all() and right[~fallback].all()
+
+        dd, cd, mm = element_integrals(mesh.lengths, left, right)
+        k = -coeffs.epsilon * dd + coeffs.kappa * cd + coeffs.lambda_ * mm
+        hats = element_stiffness_closed(coeffs, degenerate, 0.0, 0.0)
+        for block in k[fallback]:
+            assert np.abs(block - hats).max() <= 1e-12 * np.abs(hats).max()
+
+        problem = SteadyProblem(
+            coefficients=coeffs,
+            domain=(0.0, 2.0),
+            bc_left=BoundaryCondition.dirichlet(1.0),
+            bc_right=BoundaryCondition.neumann_flux(0.5),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            field = solve_steady(problem, mesh, CUBIC_BUBBLE)
+        assert np.all(np.isfinite(field.nodal_values))
+        assert not field.bubble_coeffs[fallback].any()
+
+    def test_global_assembly_matches_closed_form_scatter(self):
+        rng = np.random.default_rng(RNG_SEED + 2)
+        coeffs = TransportCoefficients(-0.2, 1.5, 3.0)
+        nodes = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 2.0, 24)), [2.0]))
+        mesh = Mesh1D(nodes)
+        assert np.unique(mesh.lengths).size == mesh.n_elements
+        problem = SteadyProblem(
+            coefficients=coeffs,
+            domain=(0.0, 2.0),
+            bc_left=BoundaryCondition.dirichlet(1.0),
+            bc_right=BoundaryCondition.dirichlet(-0.5),
+        )
+        system = assemble_steady(problem, mesh, QUADRATIC_BUBBLE)
+
+        n_nodes = mesh.n_elements + 1
+        diag, sub, sup = np.zeros(n_nodes), np.zeros(n_nodes - 1), np.zeros(n_nodes - 1)
+        for j, l in enumerate(mesh.lengths):
+            ab = quadratic_ab(coeffs, float(l))
+            k = element_stiffness_closed(coeffs, float(l), ab.a_coef, ab.b_coef)
+            diag[j] += k[0, 0]
+            diag[j + 1] += k[1, 1]
+            sup[j] += k[0, 1]
+            sub[j] += k[1, 0]
+        # rows 1..N-1 keep their couplings except the eliminated boundary columns
+        got = np.concatenate((system.diag[1:-1], system.sub[1:-1], system.sup[1:-1]))
+        want = np.concatenate((diag[1:-1], sub[1:-1], sup[1:-1]))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

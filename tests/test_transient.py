@@ -18,16 +18,28 @@ from bubblefem import (
     transient_benchmark_problem,
     transient_coefficient,
     transient_element_matrices,
-    transient_element_matrices_quadrature,
     uniform_mesh,
 )
 from bubblefem.linalg import symmetric_tridiagonal_is_spd, tridiagonal_matvec
+from bubblefem.model import Mesh1D
+from bubblefem.steady import element_integrals
 
 RNG_SEED = 777002
 
 
 def two_element_mesh():
     return uniform_mesh(0.0, math.pi, 2)
+
+
+def kernel_entries(epsilon, l, c):
+    """Mass and stiffness entries (L, M, N, P) of one element from the kernel."""
+    dd, _, mm = element_integrals(np.array([l]), np.array([[c]]), np.array([[c]]))
+    return np.array([mm[0, 0, 0], mm[0, 0, 1], -epsilon * dd[0, 0, 0], -epsilon * dd[0, 0, 1]])
+
+
+def closed_entries(epsilon, l, c):
+    em = transient_element_matrices(epsilon, l, c)
+    return np.array([em.mass_diag, em.mass_off, em.stiff_diag, em.stiff_off])
 
 
 class TestElementMatrices:
@@ -42,10 +54,9 @@ class TestElementMatrices:
         assert em.stiff_off == pytest.approx(-1.0, rel=1e-15)
 
     def test_matches_quadrature_at_reference_element(self):
-        closed = transient_element_matrices(-1.0, math.pi / 2, 0.206)
-        quad = transient_element_matrices_quadrature(-1.0, math.pi / 2, 0.206)
-        for name in ("mass_diag", "mass_off", "stiff_diag", "stiff_off"):
-            a, b = getattr(closed, name), getattr(quad, name)
+        closed = closed_entries(-1.0, math.pi / 2, 0.206)
+        quad = kernel_entries(-1.0, math.pi / 2, 0.206)
+        for a, b in zip(closed, quad):
             assert abs(a - b) <= 1e-12 * max(abs(a), abs(b))
 
     def test_matches_quadrature_randomized(self):
@@ -54,10 +65,8 @@ class TestElementMatrices:
             eps = -rng.uniform(1e-3, 10.0)
             l = rng.uniform(0.01, 5.0)
             c = rng.uniform(-5.0, 5.0)
-            closed = transient_element_matrices(eps, l, c)
-            quad = transient_element_matrices_quadrature(eps, l, c)
-            vals = np.array([closed.mass_diag, closed.mass_off, closed.stiff_diag, closed.stiff_off])
-            refs = np.array([quad.mass_diag, quad.mass_off, quad.stiff_diag, quad.stiff_off])
+            vals = closed_entries(eps, l, c)
+            refs = kernel_entries(eps, l, c)
             assert np.abs(vals - refs).max() <= 1e-12 * np.abs(refs).max()
 
     def test_mass_eigenvalues_positive(self):
@@ -115,6 +124,40 @@ class TestAssembleTransient:
     def test_mesh_domain_mismatch(self):
         with pytest.raises(ValueError):
             assemble_transient(transient_benchmark_problem(), uniform_mesh(0.0, 1.0, 4), LINEAR)
+
+    def test_linear_without_diffusion_or_reaction(self):
+        problem = TransientProblem(
+            epsilon=0.0, domain=(0.0, math.pi), initial_profile=math.sin, lambda_=0.0
+        )
+        system = assemble_transient(problem, uniform_mesh(0.0, math.pi, 4), LINEAR)
+        assert not system.stiff_diag.any() and not system.stiff_off.any()
+        assert system.mass_diag == pytest.approx(np.full(3, 2 * math.pi / 12), rel=1e-14)
+
+    @pytest.mark.parametrize("sign_compat", [False, True])
+    def test_matches_closed_form_scatter(self, sign_compat):
+        rng = np.random.default_rng(RNG_SEED + 3)
+        epsilon = -0.7
+        problem = TransientProblem(epsilon=epsilon, domain=(0.0, math.pi), initial_profile=math.sin)
+        nodes = np.concatenate(([0.0], np.sort(rng.uniform(0.0, math.pi, 20)), [math.pi]))
+        mesh = Mesh1D(nodes)
+        assert np.unique(mesh.lengths).size == mesh.n_elements
+        system = assemble_transient(problem, mesh, QUADRATIC_BUBBLE, sign_compat=sign_compat)
+
+        sign = -1.0 if sign_compat else 1.0
+        c = np.array([sign * transient_coefficient(epsilon, float(l)) for l in mesh.lengths])
+        assert np.abs(system.bubble_c - c).max() <= 1e-12 * np.abs(c).max()
+        n_nodes = mesh.n_elements + 1
+        diag = {"mass": np.zeros(n_nodes), "stiff": np.zeros(n_nodes)}
+        off = {"mass": np.zeros(n_nodes - 1), "stiff": np.zeros(n_nodes - 1)}
+        for j, l in enumerate(mesh.lengths):
+            em = transient_element_matrices(epsilon, float(l), c[j])
+            for name in ("mass", "stiff"):
+                diag[name][j : j + 2] += getattr(em, f"{name}_diag")
+                off[name][j] += getattr(em, f"{name}_off")
+        for name in ("mass", "stiff"):
+            got = np.concatenate((getattr(system, f"{name}_diag"), getattr(system, f"{name}_off")))
+            want = np.concatenate((diag[name][1:-1], off[name][1:-1]))
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestDecayRates:

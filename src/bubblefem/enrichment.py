@@ -6,15 +6,19 @@ The enriched trial on a master element [0, l] is
 
 Inserting it into the operator L = epsilon d2/dx2 + kappa d/dx + lambda
 leaves a polynomial residual R(x); the coefficients c_k are chosen to
-minimise J = int_0^l R^2 dx.  J is a convex quadratic in the c_k, so the
-minimiser solves the normal equations assembled here from exact monomial
-antiderivatives.  That numeric minimiser (``ls_bubble``) is the canonical
-coefficient source; the closed-form expressions in this module exist as
-cross-checks of it.
+minimise J = int_0^l R^2 dx.  J is a convex quadratic in the c_k.  With
+x = l s the minimiser depends only on the weight row
+(epsilon/l^2, kappa/l, lambda) of the operator on the unit element, so the
+normal equations are solved there for all elements at once
+(``unit_bubble_coefficients``) and scaled back.  That numeric minimiser is
+the canonical coefficient source; the closed-form expressions in this
+module exist as cross-checks of it.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,8 +30,9 @@ from .errors import DegenerateOperatorError
 from .model import TransportCoefficients
 from .quadrature import gauss_rule
 
-# A denominator or Gram entry is degenerate when it is this small relative
-# to the magnitudes of the terms that formed it (catastrophic cancellation).
+# A closed-form denominator is degenerate when it is this small relative to
+# the magnitudes of the terms that formed it (catastrophic cancellation); a
+# unit-element Gram matrix is degenerate beyond the reciprocal condition.
 DEGENERACY_TOL = 1e-12
 _MAX_CONDITION = 1.0 / DEGENERACY_TOL
 
@@ -61,17 +66,6 @@ def _integral(coeffs: np.ndarray, l: float) -> float:
     """Exact integral of a coefficient polynomial over [0, l]."""
     k = np.arange(coeffs.size)
     return float(np.sum(coeffs * l ** (k + 1) / (k + 1)))
-
-
-def _product_integral(p: np.ndarray, q: np.ndarray, l: float) -> tuple[float, float]:
-    """Integral of p*q over [0, l] and a cancellation scale for it.
-
-    The scale is the same sum with every product coefficient replaced by
-    its magnitude: if |integral| is tiny against the scale, the value is
-    pure cancellation.
-    """
-    prod = npoly.polymul(p, q)
-    return _integral(prod, l), _integral(np.abs(prod), l)
 
 
 def apply_operator(coeffs: TransportCoefficients, poly: ElementPolynomial) -> ElementPolynomial:
@@ -132,35 +126,102 @@ def residual_functional(
     return _integral(npoly.polymul(residual, residual), l)
 
 
-def ls_bubble(
-    coeffs: TransportCoefficients, l: float, u0: float, ul: float, order: int = 2
-) -> BubbleSolution:
-    """Solve the normal equations for the bubble coefficients.
+@functools.cache
+def _unit_tensor(order: int) -> np.ndarray:
+    """T[a, b, i, j] = int_0^1 D_a f_i D_b f_j ds on the unit element, with
+    D = (d2/ds2, d/ds, 1) and f = (1 - s, s, s (1 - s), ..., s^(order-1) (1 - s)).
 
-    This is the canonical coefficient source for the whole package; every
-    closed form below is checked against it, never the other way round.
+    Integrated exactly in integers over the common denominator
+    lcm(1, ..., 2 order + 1) and rounded once, so entries that are equal in
+    exact arithmetic are equal floats.  Memoised per order and read-only.
     """
+    funcs = np.zeros((order + 1, order + 1), dtype=int)  # row i: f_i in powers s^0..s^order
+    funcs[0, :2] = (1, -1)
+    funcs[1, 1] = 1
+    for k in range(1, order):
+        funcs[k + 1, k : k + 2] = (1, -1)
+
+    def derivative(p: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(p)
+        out[:, :-1] = p[:, 1:] * np.arange(1, p.shape[1])
+        return out
+
+    d1 = derivative(funcs)
+    ops = np.stack([derivative(d1), d1, funcs]).astype(object)
+    denominator = math.lcm(*range(1, 2 * order + 2))
+    hankel = np.array(
+        [[denominator // (p + q + 1) for q in range(order + 1)] for p in range(order + 1)],
+        dtype=object,
+    )
+    tensor = (((ops @ hankel)[:, None] @ ops.swapaxes(1, 2)[None]) / denominator).astype(float)
+    tensor.setflags(write=False)
+    return tensor
+
+
+def unit_bubble_coefficients(
+    coeffs: TransportCoefficients, lengths: np.ndarray, order: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares bubble coefficients of the unit nodal values on every
+    element length at once (order >= 2).
+
+    With x = l s the operator becomes (eps/l^2) d2/ds2 + (kappa/l) d/ds +
+    lambda on the unit basis s^k (1 - s), so each Gram matrix and both
+    unit-nodal right-hand sides are quadratic forms in the weight row
+    w = (eps/l^2, kappa/l, lambda) against the constant tensors of
+    ``_unit_tensor``.  Each row of w is divided by its largest magnitude,
+    which leaves the minimiser unchanged and prevents overflow; one stacked
+    solve gives the unit-element coefficients d_k, and c_k = d_k / l^(k+1).
+
+    Returns ``(unit, degenerate)``.  ``unit`` has shape (n, order - 1, 2):
+    ``unit[e, :, 0]`` is the minimiser for (u0, ul) = (1, 0) and
+    ``unit[e, :, 1]`` for (0, 1), so by linearity ``unit[e] @ (u0, ul)``
+    serves any nodal pair.  ``degenerate[e]`` flags a non-finite weight row
+    or result, or a unit Gram matrix with condition number above 1e12;
+    those rows hold no usable values.
+    """
+    l = np.asarray(lengths, dtype=float)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        w = np.stack(
+            [coeffs.epsilon / l**2, coeffs.kappa / l, np.full_like(l, coeffs.lambda_)], axis=1
+        )
+        scale = np.abs(w).max(axis=1)
+        ok = np.isfinite(scale) & (scale > 0.0)
+        # a bad row gets a harmless stand-in so that the stacked solve runs
+        w = np.where(ok[:, None], w / scale[:, None], 1.0)
+        q = np.einsum("ea,eb,abij->eij", w, w, _unit_tensor(order))
+        gram, rhs = q[:, 2:, 2:], -q[:, 2:, :2]
+        ok &= np.linalg.cond(gram) <= _MAX_CONDITION
+        unit = np.linalg.solve(gram, rhs) / l[:, None, None] ** np.arange(2, order + 1)[:, None]
+    ok &= np.isfinite(unit).all(axis=(1, 2))
+    return unit, ~ok
+
+
+def _unit_bubble(coeffs: TransportCoefficients, l: float, order: int) -> np.ndarray:
+    """One-element view of :func:`unit_bubble_coefficients`: the
+    (order - 1, 2) unit-nodal coefficients, raising on a degenerate operator."""
     if not l > 0:
         raise ValueError(f"element length must be positive, got {l}")
     if order < 2:
         raise ValueError(f"bubble order must be >= 2, got {order}")
-    op_basis = [apply_operator(coeffs, b).coefficients for b in bubble_basis(l, order)]
-    op_linear = apply_operator(coeffs, _linear_part(l, u0, ul)).coefficients
-    m = order - 1
-    gram = np.empty((m, m))
-    scale = np.empty((m, m))
-    rhs = np.empty(m)
-    for i in range(m):
-        for j in range(i, m):
-            gram[i, j], scale[i, j] = _product_integral(op_basis[i], op_basis[j], l)
-            gram[j, i], scale[j, i] = gram[i, j], scale[i, j]
-        rhs[i] = -_product_integral(op_basis[i], op_linear, l)[0]
-    diag_bad = np.abs(np.diagonal(gram)) <= DEGENERACY_TOL * np.diagonal(scale)
-    if np.any(diag_bad) or np.linalg.cond(gram) > _MAX_CONDITION:
+    unit, degenerate = unit_bubble_coefficients(coeffs, np.array([l], dtype=float), order)
+    if degenerate[0]:
         raise DegenerateOperatorError(
             f"normal equations are singular for coefficients {coeffs} and l={l}"
         )
-    solution = np.linalg.solve(gram, rhs)
+    return unit[0]
+
+
+def ls_bubble(
+    coeffs: TransportCoefficients, l: float, u0: float, ul: float, order: int = 2
+) -> BubbleSolution:
+    """Minimise the residual functional for the bubble coefficients.
+
+    The one-element view of the batched unit-element minimiser
+    :func:`unit_bubble_coefficients`, applied to the nodal pair (u0, ul).
+    This is the canonical coefficient source for the whole package; every
+    closed form below is checked against it, never the other way round.
+    """
+    solution = _unit_bubble(coeffs, l, order) @ np.array([u0, ul], dtype=float)
     value = residual_functional(coeffs, l, u0, ul, solution)
     return BubbleSolution(order=order, coeffs=solution, residual_value=value)
 
@@ -179,15 +240,14 @@ class QuadraticEnrichment:
 
 
 def quadratic_ab(coeffs: TransportCoefficients, l: float) -> QuadraticEnrichment:
-    """Nodal-to-bubble coefficient map from unit-nodal-value minimisations.
+    """Nodal-to-bubble coefficient map from the two unit-nodal-value
+    minimisations of the one-element view of the batched minimiser.
 
-    For a symmetric operator (kappa = 0) the two unit solves coincide, so
-    B is pinned to zero exactly.
+    For a symmetric operator (kappa = 0) the two unit solves agree to the
+    last bit, because the unit-element tensors are exact, so B is exactly
+    zero.
     """
-    right = ls_bubble(coeffs, l, 0.0, 1.0, order=2).coeffs[0]
-    if coeffs.kappa == 0.0:
-        return QuadraticEnrichment(a_coef=float(right), b_coef=0.0, length=l)
-    left = ls_bubble(coeffs, l, 1.0, 0.0, order=2).coeffs[0]
+    left, right = _unit_bubble(coeffs, l, 2)[0]
     return QuadraticEnrichment(
         a_coef=float(0.5 * (left + right)), b_coef=float(0.5 * (right - left)), length=l
     )

@@ -8,6 +8,7 @@ tables), so every order up to MAX_POINTS is available.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -19,7 +20,8 @@ _NEWTON_TOL = 1e-15
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Points and weights of an n-point Gauss-Legendre rule on [-1, 1]."""
+    """Points and weights of an n-point Gauss-Legendre rule on [-1, 1];
+    both arrays are read-only, since one rule object serves every caller."""
 
     points: np.ndarray
     weights: np.ndarray
@@ -36,9 +38,16 @@ def _legendre_and_derivative(n: int, x: float) -> tuple[float, float]:
 
 
 def gauss_rule(n: int) -> QuadratureRule:
-    """Return the n-point Gauss-Legendre rule on [-1, 1], 1 <= n <= 10."""
+    """Return the n-point Gauss-Legendre rule on [-1, 1], 1 <= n <= 10.
+
+    Each rule is computed once per process and shared."""
     if not isinstance(n, (int, np.integer)) or not 1 <= n <= MAX_POINTS:
         raise ValueError(f"rule size must be an integer in [1, {MAX_POINTS}], got {n!r}")
+    return _gauss_rule(int(n))
+
+
+@functools.cache
+def _gauss_rule(n: int) -> QuadratureRule:
     points = np.zeros(n)
     weights = np.zeros(n)
     # Roots come in +/- pairs; compute one half and mirror for exact symmetry.
@@ -57,7 +66,10 @@ def gauss_rule(n: int) -> QuadratureRule:
     if n % 2 == 1:
         points[n // 2] = 0.0
     order = np.argsort(points)
-    return QuadratureRule(points=points[order], weights=weights[order], order=n)
+    points, weights = points[order], weights[order]
+    points.setflags(write=False)
+    weights.setflags(write=False)
+    return QuadratureRule(points=points, weights=weights, order=n)
 
 
 def integrate(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int) -> float:

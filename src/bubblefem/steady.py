@@ -17,8 +17,7 @@ import warnings
 
 import numpy as np
 
-from .enrichment import ls_bubble, quadratic_ab
-from .errors import DegenerateOperatorError
+from .enrichment import unit_bubble_coefficients
 from .linalg import TridiagonalSystem, solve_tridiagonal
 from .model import (
     EnrichmentKind,
@@ -39,31 +38,27 @@ def element_shapes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bubble coefficients of the left and right nodal shape functions,
     each of shape (n_elements, order - 1): the least-squares bubble applied
-    to unit nodal values, computed once per distinct element length.
+    to unit nodal values.  One batched minimiser on the unit element
+    (:func:`~bubblefem.enrichment.unit_bubble_coefficients`) serves every
+    distinct element length and every order at once.
 
     A degenerate operator on some length falls back to plain hats (a zero
-    row) for the elements of that length and emits a warning.
+    row) for the elements of that length and emits one warning per such
+    length.
     """
+    if enrichment.order == 1:
+        empty = np.zeros((mesh.n_elements, 0))
+        return empty, empty
     lengths, index = np.unique(mesh.lengths, return_inverse=True)
-    left = np.zeros((lengths.size, enrichment.bubble_count))
-    right = np.zeros_like(left)
-    if enrichment.order > 1:
-        for i, l in enumerate(lengths.tolist()):
-            try:
-                if enrichment.order == 2:
-                    ab = quadratic_ab(coeffs, l)
-                    left[i], right[i] = ab.a_coef - ab.b_coef, ab.a_coef + ab.b_coef
-                else:
-                    left[i] = ls_bubble(coeffs, l, 1.0, 0.0, order=enrichment.order).coeffs
-                    right[i] = ls_bubble(coeffs, l, 0.0, 1.0, order=enrichment.order).coeffs
-            except DegenerateOperatorError:
-                warnings.warn(
-                    f"bubble coefficients degenerate for l={l}; "
-                    "falling back to linear elements",
-                    stacklevel=2,
-                )
-                left[i] = right[i] = 0.0
-    return left[index], right[index]
+    unit, degenerate = unit_bubble_coefficients(coeffs, lengths, enrichment.order)
+    unit[degenerate] = 0.0
+    for l in lengths[degenerate].tolist():
+        warnings.warn(
+            f"bubble coefficients degenerate for l={l}; falling back to linear elements",
+            stacklevel=2,
+        )
+    unit = unit[index]
+    return unit[..., 0], unit[..., 1]
 
 
 def default_quad_points(order: int) -> int:

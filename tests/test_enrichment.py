@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bubblefem import (
     DegenerateOperatorError,
@@ -21,6 +22,7 @@ from bubblefem import (
     steady_benchmark_bubble_coefficient,
     transient_coefficient,
 )
+from bubblefem.enrichment import unit_bubble_coefficients
 
 RNG_SEED = 987123
 
@@ -48,6 +50,41 @@ def _trapezoid_once(coeffs, l, u0, ul, bubble_coeffs, n):
         d2 = d2 + c * curv
     r = coeffs.epsilon * d2 + coeffs.kappa * d1 + coeffs.lambda_ * u_lin
     return float(np.trapezoid(r * r, xs))
+
+
+LOG_UNIFORM = st.floats(-3.0, 2.0).map(lambda e: 10.0**e)
+
+
+def assert_gradient_vanishes(
+    coeffs, l, u0, ul, bubble_coeffs, rel_step=1e-6, unit_element=False
+):
+    """Central differences of the residual functional vanish at the
+    minimiser, relative to its curvature along each coefficient.
+
+    J is exactly quadratic in the coefficients, so a central difference is
+    exact at any step; ``rel_step=1`` keeps rounding in J below the
+    curvature term across the whole coefficient space.  With
+    ``unit_element`` the coordinates are the unit-element amplitudes
+    d_k = c_k l^(k+1), in which the check does not depend on the length.
+    """
+    bubble_coeffs = np.asarray(bubble_coeffs, dtype=float)
+    scale = l ** np.arange(2, bubble_coeffs.size + 2) if unit_element else 1.0
+    coords = bubble_coeffs * scale
+
+    def functional(y):
+        return residual_functional(coeffs, l, u0, ul, y / scale)
+
+    value = functional(coords)
+    for k in range(coords.size):
+        step = rel_step * max(1.0, abs(coords[k]))
+        up, dn = coords.copy(), coords.copy()
+        up[k] += step
+        dn[k] -= step
+        j_up, j_dn = functional(up), functional(dn)
+        grad = (j_up - j_dn) / (2 * step)
+        curvature = (j_up - 2 * value + j_dn) / step**2
+        scale_k = max(curvature * max(1.0, abs(coords[k])), abs(grad), 1e-300)
+        assert abs(grad) / scale_k <= 1e-8
 
 
 def trapezoid_residual_integral(coeffs, l, u0, ul, bubble_coeffs, n=10_000):
@@ -149,17 +186,36 @@ class TestLsBubble:
             l = rng.uniform(0.01, 10.0)
             order = int(rng.integers(2, 5))
             sol = ls_bubble(coeffs, l, u0, ul, order=order)
-            for k in range(sol.coeffs.size):
-                step = 1e-6 * max(1.0, abs(sol.coeffs[k]))
-                up, dn = sol.coeffs.copy(), sol.coeffs.copy()
-                up[k] += step
-                dn[k] -= step
-                j_up = residual_functional(coeffs, l, u0, ul, up)
-                j_dn = residual_functional(coeffs, l, u0, ul, dn)
-                grad = (j_up - j_dn) / (2 * step)
-                curvature = (j_up - 2 * sol.residual_value + j_dn) / step**2
-                scale = max(curvature * max(1.0, abs(sol.coeffs[k])), abs(grad), 1e-300)
-                assert abs(grad) / scale <= 1e-8
+            assert_gradient_vanishes(coeffs, l, u0, ul, sol.coeffs)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        eps=LOG_UNIFORM,
+        kap=LOG_UNIFORM,
+        kap_sign=st.sampled_from((-1.0, 1.0)),
+        lam=LOG_UNIFORM,
+        lengths=st.lists(LOG_UNIFORM, min_size=1, max_size=6),
+        order=st.integers(2, 5),
+        u0=st.floats(-2.0, 2.0),
+        ul=st.floats(-2.0, 2.0),
+    )
+    def test_batched_minimiser_across_coefficient_space(
+        self, eps, kap, kap_sign, lam, lengths, order, u0, ul
+    ):
+        coeffs = TransportCoefficients(-eps, kap_sign * kap, lam)
+        unit, degenerate = unit_bubble_coefficients(coeffs, np.array(lengths), order)
+        assert not degenerate.any()
+        for l, row in zip(lengths, unit):
+            if order == 2:
+                closed = quadratic_ab_closed(coeffs, l)
+                left, right = row[0]
+                scale = max(abs(closed.a_coef), abs(closed.b_coef))
+                assert abs(0.5 * (left + right) - closed.a_coef) <= 1e-10 * scale
+                assert abs(0.5 * (right - left) - closed.b_coef) <= 1e-10 * scale
+            else:
+                assert_gradient_vanishes(
+                    coeffs, l, u0, ul, row @ (u0, ul), rel_step=1.0, unit_element=True
+                )
 
     def test_residual_orthogonal_to_basis_response(self):
         # the minimiser makes int R * L(b_k) dx vanish for every basis bubble

@@ -77,6 +77,21 @@ def test_rule_size_out_of_range(n):
         gauss_rule(n)
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_rule_is_shared_and_read_only(n):
+    first = gauss_rule(n)
+    again = gauss_rule(np.int64(n))
+    assert again.points.tolist() == first.points.tolist()
+    assert again.weights.tolist() == first.weights.tolist()
+    assert not first.points.flags.writeable and not first.weights.flags.writeable
+    with pytest.raises(ValueError):
+        first.points[0] = 0.5
+    # validation still runs in front of the memoised rules
+    for bad in (0, 11, 2.0, "3", None):
+        with pytest.raises(ValueError):
+            gauss_rule(bad)
+
+
 def test_integrate_constant():
     assert integrate(lambda x: np.ones_like(x), 0.0, 2.5, 3) == pytest.approx(2.5)
 

@@ -19,7 +19,9 @@ from bubblefem import (
     element_stiffness_closed,
     exact_steady_benchmark,
     ls_bubble,
+    polynomial_bubble,
     quadratic_ab,
+    quadratic_ab_closed,
     solve_steady,
     solve_tridiagonal,
     steady_benchmark_problem,
@@ -322,15 +324,15 @@ class TestKernelAssembly:
         coeffs = TransportCoefficients(-0.3, 1.2, 2.0)
         mesh = Mesh1D([0.0, 0.25, 0.75, 1.0, 1.5, 2.0])
         degenerate = 0.5
-        real = steady.ls_bubble
+        real = steady.unit_bubble_coefficients
 
-        def ls_bubble_degenerate_at(c, l, u0, ul, order):
-            # the right unit solve fails after the left one succeeded
-            if l == degenerate and (u0, ul) == (0.0, 1.0):
-                raise DegenerateOperatorError("forced")
-            return real(c, l, u0, ul, order=order)
+        def unit_bubble_degenerate_at(c, lengths, order):
+            # the batched layer flags the length but leaves finite values in its row
+            unit, flags = real(c, lengths, order)
+            assert np.isfinite(unit[lengths == degenerate]).all()
+            return unit, flags | (lengths == degenerate)
 
-        monkeypatch.setattr(steady, "ls_bubble", ls_bubble_degenerate_at)
+        monkeypatch.setattr(steady, "unit_bubble_coefficients", unit_bubble_degenerate_at)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             left, right = element_shapes(coeffs, mesh, CUBIC_BUBBLE)
@@ -385,3 +387,53 @@ class TestKernelAssembly:
         got = np.concatenate((system.diag[1:-1], system.sub[1:-1], system.sup[1:-1]))
         want = np.concatenate((diag[1:-1], sub[1:-1], sup[1:-1]))
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestFineElements:
+    """Element lengths near 1e-6 are well posed; only a non-finite operator
+    weight may fall back to linear elements."""
+
+    COEFFS = TransportCoefficients(-1.0, 20.0, 0.0)
+    MESH = Mesh1D([0.0, 2e-7, 2e-7 + 1e-6, 0.5, 1.0])
+
+    @staticmethod
+    def shapes_and_fallbacks(coeffs, mesh, enrichment):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            left, right = element_shapes(coeffs, mesh, enrichment)
+        return left, right, [w for w in caught if "falling back to linear" in str(w.message)]
+
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_no_spurious_fallback(self, order):
+        left, right, fallbacks = self.shapes_and_fallbacks(
+            self.COEFFS, self.MESH, polynomial_bubble(order)
+        )
+        assert fallbacks == []
+        assert np.isfinite(left).all() and np.isfinite(right).all()
+        assert left.any(axis=1).all() and right.any(axis=1).all()
+        for l in self.MESH.lengths[:2]:
+            assert np.isfinite(ls_bubble(self.COEFFS, l, 1.0, 0.0, order=order).coeffs).all()
+
+    def test_quadratic_matches_closed_form(self):
+        left, right, fallbacks = self.shapes_and_fallbacks(
+            self.COEFFS, self.MESH, QUADRATIC_BUBBLE
+        )
+        assert fallbacks == []
+        for j, l in enumerate(self.MESH.lengths):
+            closed = quadratic_ab_closed(self.COEFFS, float(l))
+            for got, want in ((left, closed.a_coef - closed.b_coef),
+                              (right, closed.a_coef + closed.b_coef)):
+                assert abs(got[j, 0] - want) <= 1e-10 * abs(want)
+
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_overflowing_operator_weight_falls_back(self, order):
+        # eps / l^2 overflows for l = 1e-160
+        mesh = Mesh1D([0.0, 1e-160, 1.0])
+        left, right, fallbacks = self.shapes_and_fallbacks(
+            self.COEFFS, mesh, polynomial_bubble(order)
+        )
+        assert len(fallbacks) == 1 and "l=1e-160" in str(fallbacks[0].message)
+        assert not left[0].any() and not right[0].any()
+        assert left[1].all() and right[1].all()
+        with pytest.raises(DegenerateOperatorError):
+            ls_bubble(self.COEFFS, 1e-160, 1.0, 0.0, order=order)

@@ -1,15 +1,14 @@
-"""Tridiagonal system storage and direct solvers."""
+"""Tridiagonal system storage and the pivoted tridiagonal LU solver."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import LinearSolveError
 
-# A Thomas pivot below this fraction of its row scale triggers the dense
-# partial-pivoting fallback.
 _PIVOT_TOL = 1e-14
 
 
@@ -40,12 +39,6 @@ class TridiagonalSystem:
     def size(self) -> int:
         return self.diag.size
 
-    def dense(self) -> np.ndarray:
-        m = np.diag(self.diag)
-        if self.size > 1:
-            m += np.diag(self.sub, -1) + np.diag(self.sup, 1)
-        return m
-
 
 def tridiagonal_matvec(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, v: np.ndarray) -> np.ndarray:
     out = diag * v
@@ -55,53 +48,57 @@ def tridiagonal_matvec(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, v: np
     return out
 
 
-def _thomas(sub, diag, sup, rhs):
-    """Forward elimination / back substitution; None when a pivot is unsafe.
+def factor_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """LU factorisation with partial pivoting of a tridiagonal matrix, as in
+    LAPACK ``dgttrf``: a row interchange fills one second superdiagonal of U.
+    Returns ``solve(rhs)``, which applies the factors as ``dgttrs`` does.
+    O(N) time and memory; with no interchange this is the Thomas algorithm.
 
-    Pivots are measured against the overall matrix magnitude: a row whose
-    entries all cancelled to round-off must not be treated as regular.
+    A pivot of U at most ``_PIVOT_TOL`` times the largest matrix entry raises
+    LinearSolveError; this pivot rule replaces the SVD condition gate of a
+    dense fallback.  ``solve`` raises it for non-finite results.
     """
-    n = diag.size
-    d = diag.copy()
-    r = rhs.copy()
-    scale = np.abs(diag).max()
-    if n > 1:
-        scale = max(scale, np.abs(sub).max(), np.abs(sup).max())
+    n = len(diag)
+    # a trailing zero on each diagonal spares the last row its special cases
+    d, low, u1 = (np.append(np.asarray(a, dtype=float), 0.0).tolist() for a in (diag, sub, sup))
+    u2 = [0.0] * n  # the second superdiagonal, filled by interchanges
+    swap = [False] * n
+    # the whole matrix sets the scale: a row cancelled to round-off is not regular
+    limit = _PIVOT_TOL * max(map(abs, d + low + u1))
     for i in range(n):
-        if abs(d[i]) <= _PIVOT_TOL * scale:
-            return None
-        if i < n - 1:
-            w = sub[i] / d[i]
-            d[i + 1] -= w * sup[i]
-            r[i + 1] -= w * r[i]
-    x = np.empty(n)
-    x[-1] = r[-1] / d[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = (r[i] - sup[i] * x[i + 1]) / d[i]
-    return x
+        if abs(low[i]) > abs(d[i]):
+            swap[i] = True
+            d[i], low[i] = low[i], d[i]
+            u1[i], d[i + 1] = d[i + 1], u1[i]
+            u2[i], u1[i + 1] = u1[i + 1], 0.0
+        if not abs(d[i]) > limit:
+            raise LinearSolveError("tridiagonal system is singular or near-singular")
+        low[i] /= d[i]
+        d[i + 1] -= low[i] * u1[i]
+        if swap[i]:
+            u1[i + 1] -= low[i] * u2[i]
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        b = np.asarray(rhs, dtype=float).tolist() + [0.0, 0.0]
+        for i in range(n - 1):
+            if swap[i]:
+                b[i], b[i + 1] = b[i + 1], b[i] - low[i] * b[i + 1]
+            else:
+                b[i + 1] -= low[i] * b[i]
+        for i in range(n - 1, -1, -1):
+            b[i] = (b[i] - u1[i] * b[i + 1] - u2[i] * b[i + 2]) / d[i]
+        x = np.array(b[:n])
+        if not np.all(np.isfinite(x)):
+            raise LinearSolveError("linear solve produced non-finite values")
+        return x
+
+    return solve
 
 
 def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
-    """Solve the system by the Thomas algorithm.
-
-    Pivots that vanish relative to their row scale trigger a dense
-    partial-pivoting solve; a singular matrix raises LinearSolveError.
-    """
-    x = _thomas(system.sub, system.diag, system.sup, system.rhs)
-    if x is None:
-        dense = system.dense()
-        # backward-stable solvers return innocuous residuals even for
-        # numerically singular matrices, so gate on the condition number
-        condition = np.linalg.cond(dense)
-        if not np.isfinite(condition) or condition > 1 / _PIVOT_TOL:
-            raise LinearSolveError("tridiagonal system is singular or near-singular")
-        try:
-            x = np.linalg.solve(dense, system.rhs)
-        except np.linalg.LinAlgError as exc:
-            raise LinearSolveError(f"singular tridiagonal system: {exc}") from exc
-    if not np.all(np.isfinite(x)):
-        raise LinearSolveError("linear solve produced non-finite values")
-    return x
+    """Solve the system by one pivoted factorisation (``factor_tridiagonal``);
+    a singular matrix raises LinearSolveError."""
+    return factor_tridiagonal(system.sub, system.diag, system.sup)(system.rhs)
 
 
 def symmetric_tridiagonal_is_spd(diag: np.ndarray, off: np.ndarray) -> bool:

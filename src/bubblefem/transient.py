@@ -7,25 +7,21 @@ time stays continuous, giving the ODE system
 
 over the interior nodal values, with Mg the consistent mass matrix and
 Kg = -eps * int w' w' the diffusion stiffness.  Homogeneous Dirichlet rows
-are eliminated.  A trapezoidal one-step scheme integrates the system; the
-two-element benchmark case is also solved in closed form through its
-single decaying mode.
+are eliminated.  A trapezoidal one-step scheme integrates the system with
+its step matrix factorised once per march; the two-element benchmark case
+is also solved in closed form through its single decaying mode.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import AssemblyError, LinearSolveError
-from .linalg import (
-    TridiagonalSystem,
-    solve_tridiagonal,
-    symmetric_tridiagonal_is_spd,
-    tridiagonal_matvec,
-)
+from .linalg import factor_tridiagonal, symmetric_tridiagonal_is_spd, tridiagonal_matvec
 from .model import (
     EnrichmentKind,
     LINEAR,
@@ -140,12 +136,13 @@ def slowest_decay_rate(system: TransientSystem) -> float:
     a_diag, a_off = _reaction_plus_stiffness(system)
     if system.size == 1:
         return float(system.lambda_ + system.stiff_diag[0] / system.mass_diag[0])
+    solve_a = factor_tridiagonal(a_off, a_diag, a_off)
     v = np.ones(system.size)
     v /= math.sqrt(float(v @ (tridiagonal_matvec(system.mass_off, system.mass_diag, system.mass_off, v))))
     omega_old = math.inf
     for _ in range(_MAX_POWER_ITERATIONS):
         bv = tridiagonal_matvec(system.mass_off, system.mass_diag, system.mass_off, v)
-        y = solve_tridiagonal(TridiagonalSystem(sub=a_off, diag=a_diag, sup=a_off, rhs=bv))
+        y = solve_a(bv)
         y /= np.linalg.norm(y)
         ay = tridiagonal_matvec(a_off, a_diag, a_off, y)
         by = tridiagonal_matvec(system.mass_off, system.mass_diag, system.mass_off, y)
@@ -157,6 +154,17 @@ def slowest_decay_rate(system: TransientSystem) -> float:
     raise LinearSolveError("inverse power iteration did not converge")
 
 
+def _trapezoidal_stepper(system: TransientSystem, dt: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Factorise Mg + dt/2 A once; return the step a0 -> a1 with
+    (Mg + dt/2 A) a1 = (Mg - dt/2 A) a0 and A = lambda Mg + Kg."""
+    a_diag, a_off = _reaction_plus_stiffness(system)
+    lhs_off = system.mass_off + 0.5 * dt * a_off
+    solve_lhs = factor_tridiagonal(lhs_off, system.mass_diag + 0.5 * dt * a_diag, lhs_off)
+    rhs_diag = system.mass_diag - 0.5 * dt * a_diag
+    rhs_off = system.mass_off - 0.5 * dt * a_off
+    return lambda state: solve_lhs(tridiagonal_matvec(rhs_off, rhs_diag, rhs_off, state))
+
+
 def step_trapezoidal(system: TransientSystem, state: np.ndarray, dt: float) -> np.ndarray:
     """One trapezoidal step: (Mg + dt/2 A) a1 = (Mg - dt/2 A) a0 with
     A = lambda Mg + Kg.  Second order, unconditionally stable here."""
@@ -165,13 +173,7 @@ def step_trapezoidal(system: TransientSystem, state: np.ndarray, dt: float) -> n
     state = np.asarray(state, dtype=float)
     if state.size != system.size:
         raise ValueError(f"state size {state.size} does not match system {system.size}")
-    a_diag, a_off = _reaction_plus_stiffness(system)
-    lhs_diag = system.mass_diag + 0.5 * dt * a_diag
-    lhs_off = system.mass_off + 0.5 * dt * a_off
-    rhs_diag = system.mass_diag - 0.5 * dt * a_diag
-    rhs_off = system.mass_off - 0.5 * dt * a_off
-    rhs = tridiagonal_matvec(rhs_off, rhs_diag, rhs_off, state)
-    return solve_tridiagonal(TridiagonalSystem(sub=lhs_off, diag=lhs_diag, sup=lhs_off, rhs=rhs))
+    return _trapezoidal_stepper(system, dt)(state)
 
 
 class Trajectory:
@@ -236,10 +238,11 @@ def solve_transient(
     system = assemble_transient(problem, mesh, enrichment, sign_compat)
     state = np.array([problem.initial_profile(x) for x in mesh.nodes[1:-1]], dtype=float)
     n_steps = max(0, int(math.ceil(t_end / dt - 1e-12)))
+    step = _trapezoidal_stepper(system, dt)
     times = [0.0]
     states = [state.copy()]
     for k in range(1, n_steps + 1):
-        state = step_trapezoidal(system, state, dt)
+        state = step(state)
         if k % store_stride == 0 or k == n_steps:
             times.append(k * dt)
             states.append(state.copy())

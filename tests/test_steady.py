@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bubblefem import (
     BoundaryCondition,
@@ -28,6 +30,7 @@ from bubblefem import (
     uniform_mesh,
 )
 from bubblefem import steady
+from bubblefem.linalg import tridiagonal_matvec
 from bubblefem.steady import element_basis, element_integrals, element_shapes
 
 RNG_SEED = 55441
@@ -169,6 +172,22 @@ class TestElementStiffness:
             assert np.abs(closed - quad).max() <= 1e-12 * scale
 
 
+def magnitudes(low, high):
+    return st.floats(low, high) | st.floats(-high, -low)
+
+
+@st.composite
+def pivoting_systems(draw):
+    """Tridiagonals with zero, tiny or small diagonals under larger
+    off-diagonals, so that elimination interchanges rows."""
+    n = draw(st.integers(2, 12))
+    diag = draw(st.lists(st.just(0.0) | magnitudes(1e-18, 1e-9) | magnitudes(0.01, 1.0),
+                         min_size=n, max_size=n))
+    offdiag = st.lists(magnitudes(0.1, 10.0), min_size=n - 1, max_size=n - 1)
+    rhs = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    return draw(offdiag), diag, draw(offdiag), np.array(rhs)
+
+
 class TestSolveTridiagonal:
     def test_identity(self):
         rhs = np.array([3.0, -1.0, 2.0])
@@ -188,17 +207,61 @@ class TestSolveTridiagonal:
         rhs = rng.uniform(-5, 5, n)
         system = TridiagonalSystem(sub, diag, sup, rhs)
         x = solve_tridiagonal(system)
-        residual = system.dense() @ x - rhs
+        residual = tridiagonal_matvec(sub, diag, sup, x) - rhs
         assert np.abs(residual).max() <= 1e-10 * np.abs(rhs).max()
 
-    def test_zero_pivot_falls_back_to_dense(self):
+    def test_zero_diagonal_is_solved_by_pivoting(self):
         system = TridiagonalSystem([1.0], [0.0, 0.0], [1.0], [1.0, 2.0])
         assert solve_tridiagonal(system) == pytest.approx([2.0, 1.0])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(system=pivoting_systems())
+    def test_pivoting_matches_dense_solve(self, system):
+        sub, diag, sup, rhs = system
+        dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+        condition = np.linalg.cond(dense)
+        assume(condition <= 1e12)
+        x = solve_tridiagonal(TridiagonalSystem(sub, diag, sup, rhs))
+        reference = np.linalg.solve(dense, rhs)
+        error = np.linalg.norm(x - reference)
+        assert error <= 1e-15 * len(diag) * condition * np.linalg.norm(reference)
+
+    def test_single_unknown(self):
+        system = TridiagonalSystem([], [4.0], [], [2.0])
+        assert solve_tridiagonal(system).tolist() == [0.5]
 
     def test_singular_matrix_raises(self):
         system = TridiagonalSystem([1.0], [1.0, 1.0], [1.0], [1.0, 2.0])
         with pytest.raises(LinearSolveError):
             solve_tridiagonal(system)
+
+    def test_pivot_tolerance(self):
+        # a pivot of 1e-15 of the largest entry is singular, 1e-13 is not
+        nearly = TridiagonalSystem([1.0], [1.0, 1.0 + 1e-15], [1.0], [1.0, 2.0])
+        with pytest.raises(LinearSolveError):
+            solve_tridiagonal(nearly)
+        regular = TridiagonalSystem([1.0], [1.0, 1.0 + 1e-13], [1.0], [1.0, 2.0])
+        x = solve_tridiagonal(regular)
+        assert x == pytest.approx([1.0 - 1e13, 1e13], rel=1e-3)
+
+    def test_pure_convection_is_solved_in_linear_memory(self):
+        # the interior diagonal vanishes, so elimination must interchange
+        # rows; memory must stay O(N), not that of an N x N matrix
+        problem = SteadyProblem(
+            coefficients=TransportCoefficients(0.0, 1.0, 0.0),
+            domain=(0.0, 1.0),
+            bc_left=BoundaryCondition.dirichlet(1.0),
+            bc_right=BoundaryCondition.neumann_flux(0.0),
+        )
+        mesh = uniform_mesh(0.0, 1.0, 2000)
+        tracemalloc.start()
+        try:
+            field = solve_steady(problem, mesh, LINEAR)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.abs(field.nodal_values - 1.0).max() <= 1e-12
+        assert peak < 8 * 2**20
 
     def test_length_validation(self):
         with pytest.raises(ValueError):

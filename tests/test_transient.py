@@ -315,6 +315,22 @@ class TestSolveTransient:
         x = math.pi / 2
         assert trajectory.value(x, 0.5) == pytest.approx(math.exp(-1.0), abs=2e-3)
 
+    @pytest.mark.parametrize("enrichment", [LINEAR, QUADRATIC_BUBBLE], ids=["linear", "quadratic"])
+    def test_march_equals_repeated_single_steps(self, enrichment):
+        # solve_transient factorises its step matrix once; step_trapezoidal
+        # factorises it on every call
+        problem = transient_benchmark_problem()
+        rng = np.random.default_rng(RNG_SEED + 3)
+        mesh = Mesh1D(np.concatenate(([0.0], np.sort(rng.uniform(0.0, math.pi, 15)), [math.pi])))
+        dt = 0.01
+        trajectory = solve_transient(problem, mesh, enrichment, dt=dt, t_end=0.3)
+        system = assemble_transient(problem, mesh, enrichment)
+        state = trajectory.states[0]
+        for stored in trajectory.states[1:]:
+            state = step_trapezoidal(system, state, dt)
+            assert np.array_equal(state, stored)
+        assert trajectory.states.shape[0] == 31
+
 
 class TestSemiAnalytic:
     def test_linear_center_values(self):

@@ -15,6 +15,7 @@ import numpy as np
 
 from .benchmarks import (
     TABLE_TOL,
+    error_report,
     exact_steady_benchmark,
     history_table,
     profile_table,
@@ -212,8 +213,10 @@ def criterion_steady_benchmark() -> CriterionResult:
     ok = True
     for count in (30, 50):
         mesh = uniform_mesh(0.0, 10.0, count)
-        err_linear = _nodal_linf(solve_steady(problem, mesh, LINEAR))
-        err_bubble = _nodal_linf(solve_steady(problem, mesh, QUADRATIC_BUBBLE))
+        err_linear, err_bubble = (
+            error_report(solve_steady(problem, mesh, kind), exact_steady_benchmark).nodal_linf
+            for kind in (LINEAR, QUADRATIC_BUBBLE)
+        )
         ratios[count] = err_bubble / err_linear
         ok = ok and err_bubble < err_linear
     ok = ok and ratios[50] <= 0.10
@@ -224,11 +227,6 @@ def criterion_steady_benchmark() -> CriterionResult:
         f"bubble/linear nodal-error ratio: 30 elements {ratios[30]:.3f}, "
         f"50 elements {ratios[50]:.3f} (50-element bound 0.10)",
     )
-
-
-def _nodal_linf(field) -> float:
-    exact = exact_steady_benchmark(field.mesh.nodes)
-    return float(np.max(np.abs(field.nodal_values - exact)))
 
 
 def criterion_2d_coefficient(draws: int = 100) -> CriterionResult:

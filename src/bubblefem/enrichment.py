@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -356,34 +355,6 @@ def cubic_closed_forms(
         + 7200 * kap**2 * eps**2 * (-ul + u0)
     )
     return c_num / (l * den), f_num / (l * den)
-
-
-def cubic_coefficients(
-    coeffs: TransportCoefficients,
-    l: float,
-    u0: float,
-    ul: float,
-    check_closed_forms: bool = False,
-) -> BubbleSolution:
-    """Cubic bubble coefficients (c, f) from the 2x2 normal-equation solve.
-
-    With ``check_closed_forms`` the reference closed-form expressions are
-    evaluated alongside and any relative deviation beyond 1e-8 is reported
-    as a warning; the normal-equation result is returned regardless.
-    """
-    solution = ls_bubble(coeffs, l, u0, ul, order=3)
-    if check_closed_forms:
-        closed = cubic_closed_forms(coeffs, l, u0, ul)
-        for name, got, ref in zip(("c", "f"), closed, solution.coeffs):
-            denom = max(abs(got), abs(ref))
-            if denom > 0 and abs(got - ref) / denom > 1e-8:
-                warnings.warn(
-                    f"cubic closed form for {name} deviates from the normal-equation "
-                    f"solution by {abs(got - ref) / denom:.3e} relative "
-                    f"(closed={got:.12g}, solve={ref:.12g})",
-                    stacklevel=2,
-                )
-    return solution
 
 
 def bubble_2d_coefficient(

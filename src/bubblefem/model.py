@@ -128,10 +128,10 @@ class Mesh1D:
 
     def element_index(self, x: float) -> int:
         """Index of the element containing x (right-closed at the last node)."""
-        if x < self.a or x > self.b:
+        if not self.a <= x <= self.b:
             raise ValueError(f"x={x} outside domain [{self.a}, {self.b}]")
         j = int(np.searchsorted(self.nodes, x, side="right")) - 1
-        return min(max(j, 0), self.n_elements - 1)
+        return min(j, self.n_elements - 1)
 
     def __repr__(self):
         return f"Mesh1D({self.n_elements} elements on [{self.a}, {self.b}])"
@@ -240,28 +240,35 @@ class SolutionField:
         self.enrichment = enrichment
         self.bubble_coeffs = coeffs
 
-    def eval_on_element(self, j: int, local: np.ndarray) -> np.ndarray:
-        """Evaluate at local coordinates ``local`` in [0, l_j] of element j."""
+    def eval_on_element(self, j: int | np.ndarray, local: np.ndarray) -> np.ndarray:
+        """Evaluate at local coordinates in [0, l_j] of element ``j``.
+
+        ``j`` is one element index, and ``local`` then holds points of that
+        element in any shape; or ``j`` is a 1-D index array, and row i of
+        ``local`` (a scalar or a 1-D row) lies on element ``j[i]``.  The
+        result has the shape of ``local``.  This is the one evaluation
+        kernel: ``value`` and ``benchmarks.error_report`` both use it.
+        """
         local = np.asarray(local, dtype=float)
-        l = self.mesh.lengths[j]
-        u0 = self.nodal_values[j]
-        u1 = self.nodal_values[j + 1]
-        out = u0 * (1.0 - local / l) + u1 * (local / l)
+        j = np.asarray(j)
+        t = local.reshape(j.shape + (-1,))
+        l = self.mesh.lengths[j][..., None]
+        u0 = self.nodal_values[j][..., None]
+        u1 = self.nodal_values[j + 1][..., None]
+        out = u0 * (1.0 - t / l) + u1 * (t / l)
         coeffs = self.bubble_coeffs[j]
-        if coeffs.size:
-            out = out + local * (l - local) * bubble_poly(coeffs, local)
-        return out
+        if coeffs.shape[-1]:
+            out = out + t * (l - t) * bubble_poly(coeffs, t)
+        return out.reshape(local.shape)
 
     def value(self, x: float) -> float:
         """Field value at x; returns the stored nodal value exactly at nodes."""
-        nodes = self.mesh.nodes
-        if x < nodes[0] or x > nodes[-1]:
-            raise ValueError(f"x={x} outside domain [{nodes[0]}, {nodes[-1]}]")
-        idx = int(np.searchsorted(nodes, x))
-        if idx < nodes.size and nodes[idx] == x:
-            return float(self.nodal_values[idx])
         j = self.mesh.element_index(x)
-        return float(self.eval_on_element(j, np.array([x - nodes[j]]))[0])
+        nodes = self.mesh.nodes
+        for node in (j, j + 1):
+            if x == nodes[node]:
+                return float(self.nodal_values[node])
+        return float(self.eval_on_element(j, x - nodes[j]))
 
     def __call__(self, x: float) -> float:
         return self.value(x)

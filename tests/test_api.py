@@ -3,6 +3,7 @@ import bubblefem
 REMOVED = (
     "ElementStiffness",
     "ShapeFunctions",
+    "cubic_coefficients",
     "element_stiffness_quadrature",
     "eval_field",
     "shape_functions",

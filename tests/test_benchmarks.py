@@ -5,8 +5,10 @@ import pytest
 
 from bubblefem import (
     BoundaryCondition,
+    EnrichmentKind,
     HISTORY_PROBE,
     LINEAR,
+    Mesh1D,
     QUADRATIC_BUBBLE,
     SolutionField,
     SteadyProblem,
@@ -15,6 +17,7 @@ from bubblefem import (
     error_report,
     exact_steady_benchmark,
     exact_transient_benchmark,
+    gauss_rule,
     history_table,
     ls_bubble,
     profile_table,
@@ -120,6 +123,54 @@ class TestErrorReport:
             for n in (10, 20, 40, 80)
         ]
         assert all(errors[i + 1] < errors[i] for i in range(3))
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_matches_per_element_reference_loop(self, order):
+        problem = steady_benchmark_problem()
+        mesh = Mesh1D(10.0 * np.linspace(0.0, 1.0, 41) ** 2)
+        field = solve_steady(problem, mesh, EnrichmentKind(order))
+        report = error_report(field, exact_steady_benchmark)
+        nodal, l2 = per_element_error(field, exact_steady_benchmark)
+        assert report.nodal_linf == nodal
+        assert report.l2 == pytest.approx(l2, rel=1e-14, abs=0.0)
+
+    def test_exact_is_called_twice_on_arrays(self):
+        problem = steady_benchmark_problem()
+        field = solve_steady(problem, uniform_mesh(0.0, 10.0, 30), QUADRATIC_BUBBLE)
+        shapes = []
+
+        def counting_exact(x):
+            shapes.append(np.shape(x))
+            return exact_steady_benchmark(x)
+
+        error_report(field, counting_exact)
+        assert sorted(shapes) == [(30, 8), (31,)]
+
+    def test_constant_exact(self):
+        mesh = uniform_mesh(0.0, 2.0, 6)
+        field = SolutionField(mesh, 1.0 + 0.5 * mesh.nodes, LINEAR)
+        report = error_report(field, lambda x: 1.0)
+        assert report.nodal_linf == pytest.approx(1.0, rel=1e-14)
+        # int_0^2 (x/2)^2 dx = 2/3, integrated exactly by the Gauss rule
+        assert report.l2 == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-14)
+
+
+def per_element_error(field, exact):
+    """Reference for error_report: one scalar exact call per point and one
+    kernel call per element."""
+    mesh = field.mesh
+    nodal_exact = np.array([float(exact(x)) for x in mesh.nodes])
+    nodal_linf = float(np.max(np.abs(field.nodal_values - nodal_exact)))
+    rule = gauss_rule(8)
+    total = 0.0
+    for j in range(mesh.n_elements):
+        l = mesh.lengths[j]
+        local = 0.5 * l * (rule.points + 1.0)
+        w = 0.5 * l * rule.weights
+        num = field.eval_on_element(j, local)
+        ref = np.array([float(exact(mesh.nodes[j] + t)) for t in local])
+        total += float(np.sum(w * (num - ref) ** 2))
+    return nodal_linf, math.sqrt(total)
 
 
 class TestReferenceTables:

@@ -12,7 +12,6 @@ from bubblefem import (
     bubble_2d_coefficient,
     bubble_basis,
     cubic_closed_forms,
-    cubic_coefficients,
     ls_bubble,
     quadratic_ab,
     quadratic_ab_closed,
@@ -344,18 +343,18 @@ def brute_force_two_coefficients(coeffs, l, u0, ul, center=(0.0, 0.0), span=4.0)
 
 class TestCubicCoefficients:
     def test_zero_for_pure_diffusion(self):
-        sol = cubic_coefficients(TransportCoefficients(-1.0, 0.0, 0.0), 1.0, 1.0, -2.0)
+        sol = ls_bubble(TransportCoefficients(-1.0, 0.0, 0.0), 1.0, 1.0, -2.0, order=3)
         assert sol.coeffs == pytest.approx([0.0, 0.0], abs=1e-15)
 
     def test_cubic_never_worse_than_quadratic(self):
         coeffs = TransportCoefficients(-0.01, 0.0, 1.0)
         j2 = ls_bubble(coeffs, 1.0 / 3.0, 1.0, 0.0, order=2).residual_value
-        j3 = cubic_coefficients(coeffs, 1.0 / 3.0, 1.0, 0.0).residual_value
+        j3 = ls_bubble(coeffs, 1.0 / 3.0, 1.0, 0.0, order=3).residual_value
         assert j3 <= j2
 
     def test_matches_brute_force_grid(self):
         coeffs = TransportCoefficients(-1.0, 1.0, 1.0)
-        sol = cubic_coefficients(coeffs, 0.5, 1.0, 2.0)
+        sol = ls_bubble(coeffs, 0.5, 1.0, 2.0, order=3)
         c_ref, f_ref = brute_force_two_coefficients(coeffs, 0.5, 1.0, 2.0)
         assert sol.coeffs[0] == pytest.approx(c_ref, abs=1e-6)
         assert sol.coeffs[1] == pytest.approx(f_ref, abs=1e-6)
@@ -377,12 +376,6 @@ class TestCubicCoefficients:
         closed = cubic_closed_forms(general, 0.5, 1.0, 2.0)
         assert abs(closed[0] - sol.coeffs[0]) / abs(sol.coeffs[0]) > 1e-8
         assert abs(closed[1] - sol.coeffs[1]) / abs(sol.coeffs[1]) > 1e-8
-
-    def test_check_flag_warns_on_deviation(self):
-        general = TransportCoefficients(-1.0, 1.0, 1.0)
-        with pytest.warns(UserWarning, match="deviates"):
-            sol = cubic_coefficients(general, 0.5, 1.0, 2.0, check_closed_forms=True)
-        assert sol.coeffs[0] == pytest.approx(-1.48987894840, abs=1e-9)
 
 
 class TestBubble2D:

@@ -98,8 +98,9 @@ class TestMesh1D:
         assert mesh.lengths == pytest.approx([0.1, 0.4, 1.5])
         assert mesh.element_index(0.05) == 0
         assert mesh.element_index(2.0) == 2
-        with pytest.raises(ValueError):
-            mesh.element_index(-0.1)
+        for outside in (-0.1, math.nan):
+            with pytest.raises(ValueError):
+                mesh.element_index(outside)
 
 
 class TestProblems:
@@ -165,6 +166,24 @@ class TestEvalField:
             field.value(-0.01)
         with pytest.raises(ValueError):
             field.value(math.pi + 0.01)
+        with pytest.raises(ValueError):
+            field.value(math.nan)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 5])
+    def test_index_array_matches_single_element_calls(self, order):
+        rng = np.random.default_rng(100 + order)
+        mesh = Mesh1D(np.cumsum(np.concatenate(([0.0], rng.uniform(0.05, 1.0, 12)))))
+        field = SolutionField(
+            mesh, rng.normal(size=13), EnrichmentKind(order), rng.normal(size=(12, order - 1))
+        )
+        j = rng.integers(0, 12, size=30)
+        local = rng.uniform(0.0, 1.0, size=(30, 4)) * mesh.lengths[j][:, None]
+        single = np.array([field.eval_on_element(k, row) for k, row in zip(j, local)])
+        batched = field.eval_on_element(j, local)
+        assert batched.shape == local.shape
+        assert batched.tobytes() == single.tobytes()
+        one_point = field.eval_on_element(j, local[:, 0])
+        assert one_point.tobytes() == single[:, 0].tobytes()
 
     def test_shape_validation(self):
         mesh = uniform_mesh(0.0, 1.0, 2)

@@ -315,6 +315,14 @@ class TestSolveTransient:
         x = math.pi / 2
         assert trajectory.value(x, 0.5) == pytest.approx(math.exp(-1.0), abs=2e-3)
 
+    def test_value_rejects_nan(self):
+        problem = transient_benchmark_problem()
+        trajectory = solve_transient(
+            problem, two_element_mesh(), QUADRATIC_BUBBLE, dt=0.1, t_end=0.2
+        )
+        with pytest.raises(ValueError):
+            trajectory.value(math.nan, 0.1)
+
     @pytest.mark.parametrize("enrichment", [LINEAR, QUADRATIC_BUBBLE], ids=["linear", "quadratic"])
     def test_march_equals_repeated_single_steps(self, enrichment):
         # solve_transient factorises its step matrix once; step_trapezoidal

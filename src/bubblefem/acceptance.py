@@ -38,13 +38,13 @@ from .model import (
     LINEAR,
     Mesh1D,
     QUADRATIC_BUBBLE,
+    SolutionField,
     SteadyProblem,
     TransportCoefficients,
     uniform_mesh,
 )
 from .linalg import tridiagonal_matvec
 from .steady import (
-    element_basis,
     element_integrals,
     element_shapes,
     element_stiffness_closed,
@@ -165,25 +165,20 @@ def criterion_tables() -> CriterionResult:
     )
 
 
-def _quadratic_element(coeffs: TransportCoefficients, l: float):
-    """Lengths and left/right bubble coefficients of a one-element quadratic mesh."""
-    mesh = Mesh1D([0.0, l])
-    return (mesh.lengths, *element_shapes(coeffs, mesh, QUADRATIC_BUBBLE))
-
-
 def criterion_element_matrix_oracle(draws: int = 1000) -> CriterionResult:
-    """Closed-form element matrices match the quadrature kernel to 1e-12 relative."""
+    """Closed-form element matrices match the tensor kernel to 1e-12 relative."""
     rng = np.random.default_rng(SEED + 5)
     worst_steady = worst_transient = 0.0
     for _ in range(draws):
         coeffs, l, _, _ = _random_coefficients(rng)
-        lengths, left, right = _quadratic_element(coeffs, l)
+        mesh = Mesh1D([0.0, l])
+        left, right = element_shapes(coeffs, mesh, QUADRATIC_BUBBLE)
         a_coef, b_coef = 0.5 * (left[0, 0] + right[0, 0]), 0.5 * (right[0, 0] - left[0, 0])
         closed = element_stiffness_closed(coeffs, l, a_coef, b_coef)
-        dd, cd, mm = element_integrals(lengths, left, right)
-        quad = (-coeffs.epsilon * dd + coeffs.kappa * cd + coeffs.lambda_ * mm)[0]
-        scale = max(np.abs(closed).max(), np.abs(quad).max())
-        worst_steady = max(worst_steady, np.abs(closed - quad).max() / scale)
+        dd, cd, mm = element_integrals(mesh.lengths, left, right)
+        kernel = (-coeffs.epsilon * dd + coeffs.kappa * cd + coeffs.lambda_ * mm)[0]
+        scale = max(np.abs(closed).max(), np.abs(kernel).max())
+        worst_steady = max(worst_steady, np.abs(closed - kernel).max() / scale)
 
         eps = -rng.uniform(1e-3, 10.0)
         l2 = rng.uniform(0.01, 5.0)
@@ -198,7 +193,7 @@ def criterion_element_matrix_oracle(draws: int = 1000) -> CriterionResult:
     passed = worst_steady <= 1e-12 and worst_transient <= 1e-12
     return CriterionResult(
         5,
-        "element matrices vs quadrature oracle",
+        "element matrices vs tensor kernel",
         passed,
         f"max rel dev (matrix scale): steady {worst_steady:.2e}, "
         f"transient {worst_transient:.2e} (tol 1e-12)",
@@ -257,12 +252,15 @@ def criterion_property_suite() -> CriterionResult:
     failures = []
     rng = np.random.default_rng(SEED + 8)
 
-    # bubble term vanishes at element endpoints, exactly
+    # bubble term vanishes at element endpoints, exactly: the left and right
+    # shapes are the fields of unit nodal values
     for _ in range(20):
         coeffs, l, _, _ = _random_coefficients(rng)
-        lengths, left, right = _quadratic_element(coeffs, l)
-        n, _ = element_basis(lengths, left, right, np.array([[0.0, l]]))
-        if n[0].tolist() != [[1.0, 0.0], [0.0, 1.0]]:
+        mesh = Mesh1D([0.0, l])
+        left, right = element_shapes(coeffs, mesh, QUADRATIC_BUBBLE)
+        shapes = (SolutionField(mesh, [1.0, 0.0], QUADRATIC_BUBBLE, left),
+                  SolutionField(mesh, [0.0, 1.0], QUADRATIC_BUBBLE, right))
+        if [n.eval_on_element(0, [0.0, l]).tolist() for n in shapes] != [[1.0, 0.0], [0.0, 1.0]]:
             failures.append(f"shape endpoint values not exact at l={l}")
             break
 

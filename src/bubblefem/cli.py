@@ -401,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float)
     p.add_argument("--b", type=float)
     p.add_argument("--elements", type=int)
-    p.add_argument("--enrichment", help="linear|quadratic")
+    p.add_argument("--enrichment", help="linear|quadratic|cubic|poly:N")
     p.add_argument("--dt", type=float, help="time step")
     p.add_argument("--t-end", dest="t_end", type=float, help="final time")
     p.add_argument("--initial", help="initial profile name (sin)")

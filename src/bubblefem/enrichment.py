@@ -175,8 +175,8 @@ def unit_bubble_coefficients(
     ``unit[e, :, 0]`` is the minimiser for (u0, ul) = (1, 0) and
     ``unit[e, :, 1]`` for (0, 1), so by linearity ``unit[e] @ (u0, ul)``
     serves any nodal pair.  ``degenerate[e]`` flags a non-finite weight row
-    or result, or a unit Gram matrix with condition number above 1e12;
-    those rows hold no usable values.
+    or result, or a unit Gram matrix with a smallest eigenvalue <= 0 or a
+    condition number above 1e12; those rows hold no usable values.
     """
     l = np.asarray(lengths, dtype=float)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -189,7 +189,9 @@ def unit_bubble_coefficients(
         w = np.where(ok[:, None], w / scale[:, None], 1.0)
         q = np.einsum("ea,eb,abij->eij", w, w, _unit_tensor(order))
         gram, rhs = q[:, 2:, 2:], -q[:, 2:, :2]
-        ok &= np.linalg.cond(gram) <= _MAX_CONDITION
+        # the Gram matrices are symmetric positive semi-definite
+        eig = np.linalg.eigvalsh(gram)
+        ok &= (eig[:, 0] > 0.0) & (eig[:, -1] <= _MAX_CONDITION * eig[:, 0])
         unit = np.linalg.solve(gram, rhs) / l[:, None, None] ** np.arange(2, order + 1)[:, None]
     ok &= np.isfinite(unit).all(axis=(1, 2))
     return unit, ~ok

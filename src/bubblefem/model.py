@@ -246,30 +246,48 @@ class SolutionField:
         ``j`` is one element index, and ``local`` then holds points of that
         element in any shape; or ``j`` is a 1-D index array, and row i of
         ``local`` (a scalar or a 1-D row) lies on element ``j[i]``.  The
-        result has the shape of ``local``.  This is the one evaluation
-        kernel: ``value`` and ``benchmarks.error_report`` both use it.
+        result has the shape of ``local``.  ``value``,
+        ``benchmarks.error_report`` and ``Trajectory.value`` all evaluate
+        through :func:`element_values`.
         """
         local = np.asarray(local, dtype=float)
         j = np.asarray(j)
+        if j.size and not (0 <= j.min() and j.max() < self.mesh.n_elements):
+            raise ValueError(f"element index outside 0..{self.mesh.n_elements - 1}")
         t = local.reshape(j.shape + (-1,))
-        l = self.mesh.lengths[j][..., None]
-        u0 = self.nodal_values[j][..., None]
-        u1 = self.nodal_values[j + 1][..., None]
-        out = u0 * (1.0 - t / l) + u1 * (t / l)
-        coeffs = self.bubble_coeffs[j]
-        if coeffs.shape[-1]:
-            out = out + t * (l - t) * bubble_poly(coeffs, t)
+        u, l = self.nodal_values, self.mesh.lengths[j][..., None]
+        out = element_values(l, u[j][..., None], u[j + 1][..., None], self.bubble_coeffs[j], t)
         return out.reshape(local.shape)
 
     def value(self, x: float) -> float:
         """Field value at x; returns the stored nodal value exactly at nodes."""
         j = self.mesh.element_index(x)
-        nodes = self.mesh.nodes
-        for node in (j, j + 1):
-            if x == nodes[node]:
-                return float(self.nodal_values[node])
-        return float(self.eval_on_element(j, x - nodes[j]))
+        return point_value(self.mesh, j, x, self.nodal_values[j : j + 2], self.bubble_coeffs[j])
 
     def __call__(self, x: float) -> float:
         return self.value(x)
 
+
+def element_values(
+    l: np.ndarray, u0: np.ndarray, u1: np.ndarray, coeffs: np.ndarray, t: np.ndarray
+) -> np.ndarray:
+    """The one evaluation kernel: u0 (1 - t/l) + u1 t/l + t (l - t) p(t) at
+    local coordinates ``t``, with p the :func:`bubble_poly` of ``coeffs``.
+    ``l``, ``u0`` and ``u1`` broadcast against ``t``, as ``coeffs`` without
+    its last axis does."""
+    out = u0 * (1.0 - t / l) + u1 * (t / l)
+    if coeffs.shape[-1]:
+        out = out + t * (l - t) * bubble_poly(coeffs, t)
+    return out
+
+
+def point_value(mesh: Mesh1D, j: int, x: float, ends: np.ndarray, coeffs: np.ndarray) -> float:
+    """Value at x on element j of ``mesh`` from the element's two nodal
+    values ``ends`` and its bubble coefficients; exactly the nodal value at
+    either end."""
+    nodes = mesh.nodes
+    for node, end in zip((j, j + 1), ends):
+        if x == nodes[node]:
+            return float(end)
+    t = np.array([x - nodes[j]])
+    return float(element_values(mesh.lengths[j], ends[0], ends[1], coeffs, t)[0])

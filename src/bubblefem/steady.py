@@ -6,9 +6,10 @@ The weak form of epsilon*u'' + kappa*u' + lambda*u = 0 on one element reads
     -eps int w' u' + kap int w u' + lam int w u  =  -eps {w u'}_0^l
 
 with Bubnov-Galerkin weights equal to the enriched trial basis.  One
-kernel integrates the three weight-trial products over all elements at
-once by Gauss quadrature; steady and transient assembly both combine its
-blocks.  The closed-form element matrix is a test oracle only.
+kernel builds the three weight-trial products of every element at once,
+at any enrichment order, from the exact unit-element tensor that the
+bubble coefficients are solved with; steady and transient assembly both
+combine its blocks.  The closed-form element matrix is a test oracle only.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import warnings
 
 import numpy as np
 
-from .enrichment import unit_bubble_coefficients
+from .enrichment import _unit_tensor, unit_bubble_coefficients
 from .linalg import TridiagonalSystem, solve_tridiagonal
 from .model import (
     EnrichmentKind,
@@ -26,9 +27,7 @@ from .model import (
     SolutionField,
     SteadyProblem,
     TransportCoefficients,
-    bubble_poly,
 )
-from .quadrature import gauss_rule
 
 _DOMAIN_MATCH_TOL = 1e-12
 
@@ -61,8 +60,17 @@ def element_shapes(
     return unit[..., 0], unit[..., 1]
 
 
+def element_bubbles(
+    coeff_left: np.ndarray, coeff_right: np.ndarray, nodal: np.ndarray
+) -> np.ndarray:
+    """Bubble coefficients, shape (n_elements, order - 1), of the field with
+    nodal values ``nodal`` in the shape pair of :func:`element_shapes`."""
+    return coeff_left * nodal[:-1, None] + coeff_right * nodal[1:, None]
+
+
 def default_quad_points(order: int) -> int:
-    """Rule size that integrates the element matrix exactly (degree 2*order)."""
+    """Gauss rule size that integrates the element products exactly
+    (degree 2*order): the rule of the oracle for :func:`element_integrals`."""
     if order + 1 > 10:
         raise ValueError(
             f"enrichment order {order} exceeds exact-quadrature reach (order <= 9)"
@@ -70,43 +78,26 @@ def default_quad_points(order: int) -> int:
     return min(max(4, order + 2), 10)
 
 
-def element_basis(
-    lengths: np.ndarray, coeff_left: np.ndarray, coeff_right: np.ndarray, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Enriched nodal shape functions and their derivatives on every element.
-
-    N_left  = (l - x)/l + x (l - x) * poly(coeff_left)
-    N_right = x/l       + x (l - x) * poly(coeff_right)
-
-    with poly(c) = c_1 + c_2 x + ...; zero coefficients give the plain hats.
-    ``x`` holds local coordinates in [0, l] of shape (n_elements, n_points);
-    both results have shape (n_elements, 2, n_points).  The bubble factor is
-    kept in product form, so N_left(0) = 1, N_left(l) = 0 (and mirrored)
-    hold exactly.
-    """
-    l = lengths[:, None, None]
-    x = x[:, None, :]
-    coeffs = np.stack([coeff_left, coeff_right], axis=1)
-    factor = x * (l - x)
-    p = bubble_poly(coeffs, x)
-    dp = bubble_poly(coeffs[..., 1:] * np.arange(1, coeffs.shape[-1]), x)
-    n = np.concatenate([(l - x) / l, x / l], axis=1) + factor * p
-    dn = np.concatenate([-1.0 / l, 1.0 / l], axis=1) + ((l - 2.0 * x) * p + factor * dp)
-    return n, dn
-
-
 def element_integrals(
     lengths: np.ndarray, coeff_left: np.ndarray, coeff_right: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The integrals int N_i' N_j', int N_i N_j' and int N_i N_j over every
-    element, each of shape (n_elements, 2, 2), by the Gauss rule that is
-    exact for the enrichment order."""
-    rule = gauss_rule(default_quad_points(coeff_left.shape[1] + 1))
-    l = lengths[:, None]
-    n, dn = element_basis(lengths, coeff_left, coeff_right, 0.5 * l * (rule.points + 1.0))
-    w = (0.5 * l * rule.weights)[:, None, :]
-    wn, dn_t = w * n, dn.swapaxes(1, 2)
-    return (w * dn) @ dn_t, wn @ dn_t, wn @ n.swapaxes(1, 2)
+    element, each of shape (n_elements, 2, 2), exact at every order.
+
+    With x = l s the shape pair is f E in the unit basis f of
+    :func:`~bubblefem.enrichment._unit_tensor`, with the (order + 1, 2)
+    matrix E = [[1, 0], [0, 1], [c_left l^(k+1), c_right l^(k+1)]], so the
+    blocks are E^T T E / l, E^T T E and l E^T T E for the matching T.
+    """
+    order = coeff_left.shape[1] + 1
+    l = lengths[:, None, None]
+    e = np.zeros((lengths.size, order + 1, 2))
+    e[:, 0, 0] = e[:, 1, 1] = 1.0
+    e[:, 2:] = np.stack([coeff_left, coeff_right], axis=2) * l ** np.arange(2, order + 1)[:, None]
+    # int D_a f_i D_b f_j for (D_a, D_b) = (d/ds, d/ds), (1, d/ds), (1, 1)
+    tensors = _unit_tensor(order)[(1, 2, 2), (1, 1, 2), None]
+    dd, cd, mm = (e.swapaxes(1, 2) @ tensors) @ e
+    return dd / l, cd, mm * l
 
 
 def element_stiffness_closed(
@@ -114,7 +105,7 @@ def element_stiffness_closed(
 ) -> np.ndarray:
     """Closed-form 2x2 element matrix for quadratic enrichment (A, B) = (a, b).
 
-    Test oracle only; assembly always integrates numerically.
+    Test oracle only; assembly always uses :func:`element_integrals`.
     """
     if not l > 0:
         raise ValueError(f"element length must be positive, got {l}")
@@ -203,5 +194,4 @@ def solve_steady(
     _check_mesh_covers(problem.domain, mesh)
     coeff_left, coeff_right = element_shapes(problem.coefficients, mesh, enrichment)
     nodal = solve_tridiagonal(_assemble(problem, mesh, coeff_left, coeff_right))
-    bubble = coeff_left * nodal[:-1, None] + coeff_right * nodal[1:, None]
-    return SolutionField(mesh, nodal, enrichment, bubble)
+    return SolutionField(mesh, nodal, enrichment, element_bubbles(coeff_left, coeff_right, nodal))

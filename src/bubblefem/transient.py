@@ -1,13 +1,15 @@
 """Partial-discretisation transient solver.
 
-Space is discretised by (optionally bubble-enriched) linear elements while
-time stays continuous, giving the ODE system
+Space is discretised by linear elements, optionally enriched with bubbles
+of any order, while time stays continuous, giving the ODE system
 
     Mg a'(t) + (lambda Mg + Kg) a(t) = 0
 
 over the interior nodal values, with Mg the consistent mass matrix and
-Kg = -eps * int w' w' the diffusion stiffness.  Homogeneous Dirichlet rows
-are eliminated.  A trapezoidal one-step scheme integrates the system with
+Kg = -eps * int w' w' the diffusion stiffness.  The nodal shapes are those
+of the steady operator with kappa = 0, and assembly and reconstruction use
+the steady element kernel and shape pair.  Homogeneous Dirichlet rows are
+eliminated.  A trapezoidal one-step scheme integrates the system with
 its step matrix factorised once per march; the two-element benchmark case
 is also solved in closed form through its single decaying mode.
 """
@@ -30,9 +32,10 @@ from .model import (
     SolutionField,
     TransientProblem,
     TransportCoefficients,
+    point_value,
     uniform_mesh,
 )
-from .steady import _check_mesh_covers, element_integrals, element_shapes
+from .steady import _check_mesh_covers, element_bubbles, element_integrals, element_shapes
 
 _EIG_TOL = 1e-10
 _MAX_POWER_ITERATIONS = 100_000
@@ -63,7 +66,8 @@ def transient_element_matrices(epsilon: float, l: float, c: float) -> TransientE
 @dataclass
 class TransientSystem:
     """Assembled interior-node system: symmetric tridiagonal Mg and Kg,
-    the mesh, the reaction coefficient, and the per-element bubble c."""
+    the mesh, the reaction coefficient, and the shape pair of
+    :func:`~bubblefem.steady.element_shapes` it was assembled with."""
 
     mass_diag: np.ndarray
     mass_off: np.ndarray
@@ -72,7 +76,8 @@ class TransientSystem:
     mesh: Mesh1D
     lambda_: float
     enrichment: EnrichmentKind
-    bubble_c: np.ndarray
+    coeff_left: np.ndarray
+    coeff_right: np.ndarray
 
     @property
     def size(self) -> int:
@@ -87,26 +92,23 @@ def assemble_transient(
 ) -> TransientSystem:
     """Assemble mass and stiffness over interior nodes.
 
-    The bubble coefficient c of each element is the least-squares one of
-    the operator with kappa = 0, shared by both nodal weights.
-    ``sign_compat`` negates it, matching the sign convention of the
+    The nodal shapes are the least-squares ones of the operator with
+    kappa = 0 (:func:`~bubblefem.steady.element_shapes`).
+    ``sign_compat`` negates both, matching the sign convention of the
     published two-element transient solution.
     """
     _check_mesh_covers(problem.domain, mesh)
-    if enrichment.order > 2:
-        raise ValueError(
-            "transient model supports linear or quadratic-bubble elements only"
-        )
     if mesh.n_elements < 2:
         raise ValueError("transient mesh needs at least one interior node")
 
-    bubble_c = np.zeros(mesh.n_elements)
-    if enrichment.order == 2:
+    if enrichment.order == 1:
+        coeff_left = coeff_right = np.zeros((mesh.n_elements, 0))
+    else:
         coeffs = TransportCoefficients(epsilon=problem.epsilon, kappa=0.0, lambda_=problem.lambda_)
-        sign = -1.0 if sign_compat else 1.0
-        bubble_c = sign * element_shapes(coeffs, mesh, enrichment)[0][:, 0]
-    # a zero bubble column integrates to exactly the hat-function matrices
-    stiff, _, mass = element_integrals(mesh.lengths, bubble_c[:, None], bubble_c[:, None])
+        coeff_left, coeff_right = element_shapes(coeffs, mesh, enrichment)
+        if sign_compat:
+            coeff_left, coeff_right = -coeff_left, -coeff_right
+    stiff, _, mass = element_integrals(mesh.lengths, coeff_left, coeff_right)
     stiff *= -problem.epsilon
 
     # homogeneous Dirichlet ends: drop the boundary rows and columns
@@ -118,7 +120,8 @@ def assemble_transient(
         mesh=mesh,
         lambda_=problem.lambda_,
         enrichment=enrichment,
-        bubble_c=bubble_c,
+        coeff_left=coeff_left,
+        coeff_right=coeff_right,
     )
 
 
@@ -177,45 +180,40 @@ def step_trapezoidal(system: TransientSystem, state: np.ndarray, dt: float) -> n
 
 
 class Trajectory:
-    """Stored time levels of a transient solve, evaluable at (x, t).
-
-    Spatial reconstruction uses the enriched basis of the solve: each
-    nodal shape carries the same bubble term c x (l - x), so the field on
-    element j has bubble coefficient c_j (u_j + u_{j+1}).
+    """Stored time levels of a transient solve of ``system``, evaluable at
+    (x, t).  Spatial reconstruction uses the system's shape pair, as the
+    steady solve does (:func:`~bubblefem.steady.element_bubbles`).
     """
 
-    def __init__(
-        self,
-        times: np.ndarray,
-        states: np.ndarray,
-        mesh: Mesh1D,
-        enrichment: EnrichmentKind,
-        bubble_c: np.ndarray,
-    ):
+    def __init__(self, times: np.ndarray, states: np.ndarray, system: TransientSystem):
         self.times = np.asarray(times, dtype=float)
         self.states = np.asarray(states, dtype=float)
         if self.states.ndim != 2 or self.states.shape[0] != self.times.size:
             raise ValueError("states must be one interior vector per stored time")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("stored times must be strictly increasing")
-        self.mesh = mesh
-        self.enrichment = enrichment
-        self.bubble_c = np.asarray(bubble_c, dtype=float)
+        self.system = system
+
+    def _state_at(self, t: float) -> np.ndarray:
+        """Interior state at the stored time nearest to t."""
+        if not math.isfinite(t):
+            raise ValueError(f"time must be finite, got {t}")
+        return self.states[int(np.argmin(np.abs(self.times - t)))]
 
     def field_at(self, t: float) -> SolutionField:
         """Solution field at the stored time nearest to t."""
-        if not math.isfinite(t):
-            raise ValueError(f"time must be finite, got {t}")
-        idx = int(np.argmin(np.abs(self.times - t)))
-        nodal = np.concatenate(([0.0], self.states[idx], [0.0]))
-        if self.enrichment.bubble_count:
-            coeffs = (self.bubble_c * (nodal[:-1] + nodal[1:]))[:, None]
-        else:
-            coeffs = None
-        return SolutionField(self.mesh, nodal, self.enrichment, coeffs)
+        s = self.system
+        nodal = np.concatenate(([0.0], self._state_at(t), [0.0]))
+        bubbles = element_bubbles(s.coeff_left, s.coeff_right, nodal)
+        return SolutionField(s.mesh, nodal, s.enrichment, bubbles)
 
     def value(self, x: float, t: float) -> float:
-        return self.field_at(t).value(x)
+        """``field_at(t).value(x)``, evaluated on the element holding x only."""
+        s, state = self.system, self._state_at(t)
+        j = s.mesh.element_index(x)
+        ends = np.array([state[j - 1] if j > 0 else 0.0, state[j] if j < state.size else 0.0])
+        bubbles = element_bubbles(s.coeff_left[j : j + 1], s.coeff_right[j : j + 1], ends)
+        return point_value(s.mesh, j, x, ends, bubbles[0])
 
 
 def solve_transient(
@@ -246,13 +244,7 @@ def solve_transient(
         if k % store_stride == 0 or k == n_steps:
             times.append(k * dt)
             states.append(state.copy())
-    return Trajectory(
-        times=np.array(times),
-        states=np.array(states),
-        mesh=mesh,
-        enrichment=enrichment,
-        bubble_c=system.bubble_c,
-    )
+    return Trajectory(np.array(times), np.array(states), system)
 
 
 def semi_analytic_two_element(
@@ -271,18 +263,12 @@ def semi_analytic_two_element(
     system = assemble_transient(problem, mesh, enrichment, sign_compat)
     omega = slowest_decay_rate(system)
     amplitude = float(problem.initial_profile(mesh.nodes[1]))
-    base = Trajectory(
-        times=np.array([0.0]),
-        states=np.array([[1.0]]),
-        mesh=mesh,
-        enrichment=enrichment,
-        bubble_c=system.bubble_c,
-    ).field_at(0.0)
+    base = Trajectory(np.array([0.0]), np.array([[1.0]]), system)
 
     def evaluate(x: float, t: float) -> float:
         if t < 0:
             raise ValueError(f"time must be nonnegative, got {t}")
-        return amplitude * math.exp(-omega * t) * base.value(x)
+        return amplitude * math.exp(-omega * t) * base.value(x, 0.0)
 
     evaluate.decay_rate = omega
     evaluate.amplitude = amplitude

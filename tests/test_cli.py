@@ -83,6 +83,14 @@ class TestSteady:
         rows = list(csv.reader(io.StringIO(out)))[1:]
         assert all(r[2] == "" and r[3] == "" for r in rows)
 
+    def test_enrichment_order_ten_runs(self, capsys):
+        code, out = run_cli(
+            capsys, "steady", "--enrichment", "poly:10", "--elements", "20", "--format", "csv"
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert max(float(r[3]) for r in rows) < 1e-10
+
     def test_invalid_enrichment_is_validation_error(self, capsys):
         code, _ = run_cli(capsys, "steady", "--enrichment", "septic")
         assert code == 1
@@ -114,6 +122,15 @@ class TestTransient:
         final = [r for r in rows[1:] if float(r[0]) == 0.2]
         for r in final:
             assert float(r[4]) < 0.15
+
+    def test_cubic_run(self, capsys):
+        code, out = run_cli(
+            capsys, "transient", "--enrichment", "cubic", "--elements", "8", "--dt", "0.05",
+            "--t-end", "0.1", "--format", "csv",
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert max(float(r[4]) for r in rows) < 1e-3
 
     def test_probe_value_matches_table(self, capsys):
         code, out = run_cli(

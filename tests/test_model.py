@@ -185,6 +185,13 @@ class TestEvalField:
         one_point = field.eval_on_element(j, local[:, 0])
         assert one_point.tobytes() == single[:, 0].tobytes()
 
+    def test_element_index_out_of_range(self):
+        field = SolutionField(uniform_mesh(0.0, 4.0, 4), np.arange(5.0))
+        for j in (-1, 4, np.array([0, -1]), np.array([3, 4])):
+            with pytest.raises(ValueError):
+                field.eval_on_element(j, np.full(np.shape(j), 0.1))
+        assert field.eval_on_element(3, 0.5) == 3.5
+
     def test_shape_validation(self):
         mesh = uniform_mesh(0.0, 1.0, 2)
         with pytest.raises(ValueError):

@@ -31,7 +31,9 @@ from bubblefem import (
 )
 from bubblefem import steady
 from bubblefem.linalg import tridiagonal_matvec
-from bubblefem.steady import element_basis, element_integrals, element_shapes
+from bubblefem.quadrature import gauss_rule
+from bubblefem.model import SolutionField, bubble_poly
+from bubblefem.steady import default_quad_points, element_integrals, element_shapes
 
 RNG_SEED = 55441
 
@@ -52,15 +54,52 @@ def one_element(coeffs, l, enrichment):
 
 
 def basis_at(coeffs, l, enrichment, x):
-    """Left and right shape function values at the points x of [0, l]."""
-    n, _ = element_basis(*one_element(coeffs, l, enrichment), np.atleast_2d(x))
-    return n[0, 0], n[0, 1]
+    """Left and right shape function values at the points x of [0, l]: the
+    fields of unit nodal values."""
+    mesh = Mesh1D([0.0, l])
+    left, right = element_shapes(coeffs, mesh, enrichment)
+    return tuple(
+        SolutionField(mesh, nodal, enrichment, shape).eval_on_element(0, np.asarray(x, float))
+        for nodal, shape in (([1.0, 0.0], left), ([0.0, 1.0], right))
+    )
+
+
+def element_basis(lengths, coeff_left, coeff_right, x):
+    """Oracle: the enriched nodal shape functions and their derivatives on
+    every element,
+
+        N_left  = (l - x)/l + x (l - x) * poly(coeff_left)
+        N_right = x/l       + x (l - x) * poly(coeff_right)
+
+    with poly(c) = c_1 + c_2 x + ...  ``x`` holds local coordinates in
+    [0, l] of shape (n_elements, n_points); both results have shape
+    (n_elements, 2, n_points).
+    """
+    l = lengths[:, None, None]
+    x = x[:, None, :]
+    coeffs = np.stack([coeff_left, coeff_right], axis=1)
+    factor = x * (l - x)
+    p = bubble_poly(coeffs, x)
+    dp = bubble_poly(coeffs[..., 1:] * np.arange(1, coeffs.shape[-1]), x)
+    n = np.concatenate([(l - x) / l, x / l], axis=1) + factor * p
+    dn = np.concatenate([-1.0 / l, 1.0 / l], axis=1) + ((l - 2.0 * x) * p + factor * dp)
+    return n, dn
 
 
 def element_matrix(coeffs, l, enrichment):
     """The steady 2x2 element matrix -eps D + kap C + lam M from the kernel."""
     dd, cd, mm = element_integrals(*one_element(coeffs, l, enrichment))
     return (-coeffs.epsilon * dd + coeffs.kappa * cd + coeffs.lambda_ * mm)[0]
+
+
+def gauss_integrals(lengths, coeff_left, coeff_right, points, weights):
+    """Oracle for the element kernel: the blocks int N_i' N_j', int N_i N_j'
+    and int N_i N_j integrated by a rule on [-1, 1] through element_basis."""
+    l = lengths[:, None]
+    n, dn = element_basis(lengths, coeff_left, coeff_right, 0.5 * l * (points + 1.0))
+    w = (0.5 * l * weights)[:, None, :]
+    wn, dn_t = w * n, dn.swapaxes(1, 2)
+    return (w * dn) @ dn_t, wn @ dn_t, wn @ n.swapaxes(1, 2)
 
 
 def quadratic_ab_of(coeffs, l):
@@ -450,6 +489,65 @@ class TestKernelAssembly:
         got = np.concatenate((system.diag[1:-1], system.sub[1:-1], system.sup[1:-1]))
         want = np.concatenate((diag[1:-1], sub[1:-1], sup[1:-1]))
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestTensorKernel:
+    @staticmethod
+    def random_elements(order, seed):
+        """A random non-uniform mesh's lengths with bubble coefficients of
+        unit size on the unit element."""
+        rng = np.random.default_rng(seed)
+        lengths = rng.uniform(0.01, 3.0, 40)
+        scale = lengths[:, None] ** np.arange(2, order + 1)
+        left, right = rng.normal(size=(2, 40, order - 1)) / scale
+        return lengths, left, right
+
+    @staticmethod
+    def assert_blocks_match(got, want, rtol):
+        for g, w in zip(got, want):
+            per_element = np.abs(g - w).max(axis=(1, 2)) / np.abs(w).max(axis=(1, 2))
+            assert per_element.max() <= rtol
+
+    @pytest.mark.parametrize("order", range(2, 10))
+    def test_matches_gauss_oracle(self, order):
+        lengths, left, right = self.random_elements(order, RNG_SEED + order)
+        rule = gauss_rule(default_quad_points(order))
+        want = gauss_integrals(lengths, left, right, rule.points, rule.weights)
+        self.assert_blocks_match(element_integrals(lengths, left, right), want, 1e-14)
+
+    @pytest.mark.parametrize("order", [10, 11])
+    def test_beyond_gauss_oracle_reach(self, order):
+        lengths, left, right = self.random_elements(order, RNG_SEED + order)
+        points, weights = np.polynomial.legendre.leggauss(order + 2)
+        want = gauss_integrals(lengths, left, right, points, weights)
+        self.assert_blocks_match(element_integrals(lengths, left, right), want, 1e-14)
+
+    def test_hat_matrices_at_order_one(self):
+        lengths = np.array([0.5, 2.0])
+        empty = np.zeros((2, 0))
+        dd, cd, mm = element_integrals(lengths, empty, empty)
+        assert dd.tolist() == [[[2.0, -2.0], [-2.0, 2.0]], [[0.5, -0.5], [-0.5, 0.5]]]
+        assert cd.tolist() == [[[-0.5, 0.5], [-0.5, 0.5]]] * 2
+        hat_mass = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6
+        assert mm == pytest.approx(lengths[:, None, None] * hat_mass, rel=1e-15)
+
+    @pytest.mark.parametrize("order", [10, 11])
+    def test_high_order_solve(self, order):
+        problem = SteadyProblem(
+            coefficients=TransportCoefficients(-1.0, 2.0, 1.0),
+            domain=(0.0, 1.0),
+            bc_left=BoundaryCondition.dirichlet(1.0),
+            bc_right=BoundaryCondition.dirichlet(0.0),
+        )
+        # u = (exp(r2 x) - exp(r1 x + r2 - r1)) / (1 - exp(r2 - r1)), r = 1 +- sqrt(2)
+        r1, r2 = 1.0 + math.sqrt(2.0), 1.0 - math.sqrt(2.0)
+        mesh = uniform_mesh(0.0, 1.0, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            field = solve_steady(problem, mesh, polynomial_bubble(order))
+        x = mesh.nodes
+        exact = (np.exp(r2 * x) - np.exp(r1 * x + r2 - r1)) / (1 - np.exp(r2 - r1))
+        assert field.nodal_values == pytest.approx(exact, abs=1e-10)
 
 
 class TestFineElements:

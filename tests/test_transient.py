@@ -5,7 +5,7 @@ import pytest
 
 from bubblefem import (
     AssemblyError,
-    CUBIC_BUBBLE,
+    EnrichmentKind,
     LINEAR,
     QUADRATIC_BUBBLE,
     TransientProblem,
@@ -96,7 +96,8 @@ class TestAssembleTransient:
         )
         c = -transient_coefficient(-1.0, math.pi / 2)
         assert c > 0
-        assert system.bubble_c == pytest.approx([c, c])
+        assert system.coeff_left[:, 0] == pytest.approx([c, c])
+        assert np.array_equal(system.coeff_right, system.coeff_left)
         em = transient_element_matrices(-1.0, math.pi / 2, c)
         assert system.mass_diag[0] == pytest.approx(2 * em.mass_diag, rel=1e-14)
         assert system.stiff_diag[0] == pytest.approx(2 * em.stiff_diag, rel=1e-14)
@@ -111,9 +112,14 @@ class TestAssembleTransient:
         assert system.mass_off.size == n - 2
         assert symmetric_tridiagonal_is_spd(system.mass_diag, system.mass_off)
 
-    def test_rejects_higher_enrichment(self):
-        with pytest.raises(ValueError):
-            assemble_transient(transient_benchmark_problem(), two_element_mesh(), CUBIC_BUBBLE)
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_assembles_higher_enrichment(self, order):
+        mesh = uniform_mesh(0.0, math.pi, 8)
+        system = assemble_transient(
+            transient_benchmark_problem(), mesh, EnrichmentKind(order), sign_compat=True
+        )
+        assert system.coeff_left.shape == system.coeff_right.shape == (8, order - 1)
+        assert symmetric_tridiagonal_is_spd(system.mass_diag, system.mass_off)
 
     def test_rejects_single_element(self):
         with pytest.raises(ValueError):
@@ -145,7 +151,8 @@ class TestAssembleTransient:
 
         sign = -1.0 if sign_compat else 1.0
         c = np.array([sign * transient_coefficient(epsilon, float(l)) for l in mesh.lengths])
-        assert np.abs(system.bubble_c - c).max() <= 1e-12 * np.abs(c).max()
+        assert np.abs(system.coeff_left[:, 0] - c).max() <= 1e-12 * np.abs(c).max()
+        assert np.array_equal(system.coeff_right, system.coeff_left)
         n_nodes = mesh.n_elements + 1
         diag = {"mass": np.zeros(n_nodes), "stiff": np.zeros(n_nodes)}
         off = {"mass": np.zeros(n_nodes - 1), "stiff": np.zeros(n_nodes - 1)}
@@ -181,6 +188,21 @@ class TestDecayRates:
         )
         assert abs(bubble - 2.0) < abs(linear - 2.0)
 
+    @pytest.mark.parametrize("order", [3, 4])
+    @pytest.mark.parametrize("sign_compat", [False, True])
+    def test_higher_order_rate_converges(self, order, sign_compat):
+        # exact slowest decay rate of the heat benchmark: 1 + 1 = 2
+        problem = transient_benchmark_problem()
+        systems = [
+            assemble_transient(problem, uniform_mesh(0.0, math.pi, n), EnrichmentKind(order),
+                               sign_compat)
+            for n in (2, 4, 8, 16, 32)
+        ]
+        errors = [abs(slowest_decay_rate(system) - 2.0) for system in systems]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert fine <= coarse / 3.5
+        assert errors[-1] <= (1e-8 if sign_compat else 4e-3)
+
     def test_refined_mesh_against_dense_eigensolver(self):
         problem = transient_benchmark_problem()
         mesh = uniform_mesh(0.0, math.pi, 8)
@@ -210,7 +232,8 @@ class TestDecayRates:
             mesh=two_element_mesh(),
             lambda_=1.0,
             enrichment=LINEAR,
-            bubble_c=np.zeros(2),
+            coeff_left=np.zeros((2, 0)),
+            coeff_right=np.zeros((2, 0)),
         )
         with pytest.raises(AssemblyError):
             slowest_decay_rate(system)
@@ -314,6 +337,18 @@ class TestSolveTransient:
         trajectory = solve_transient(problem, mesh, LINEAR, dt=1e-3, t_end=0.5)
         x = math.pi / 2
         assert trajectory.value(x, 0.5) == pytest.approx(math.exp(-1.0), abs=2e-3)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_value_equals_field_value(self, order):
+        problem = transient_benchmark_problem()
+        rng = np.random.default_rng(RNG_SEED + order)
+        mesh = Mesh1D(np.concatenate(([0.0], np.sort(rng.uniform(0.0, math.pi, 9)), [math.pi])))
+        trajectory = solve_transient(problem, mesh, EnrichmentKind(order), dt=0.05, t_end=0.3)
+        xs = np.concatenate((mesh.nodes, rng.uniform(0.0, math.pi, 40)))
+        for t in (0.0, 0.12, 0.3):
+            field = trajectory.field_at(t)
+            for x in xs.tolist():
+                assert trajectory.value(x, t) == field.value(x)
 
     def test_value_rejects_nan(self):
         problem = transient_benchmark_problem()

@@ -172,10 +172,10 @@ def criterion_element_matrix_oracle(draws: int = 1000) -> CriterionResult:
     for _ in range(draws):
         coeffs, l, _, _ = _random_coefficients(rng)
         mesh = Mesh1D([0.0, l])
-        left, right = element_shapes(coeffs, mesh, QUADRATIC_BUBBLE)
-        a_coef, b_coef = 0.5 * (left[0, 0] + right[0, 0]), 0.5 * (right[0, 0] - left[0, 0])
-        closed = element_stiffness_closed(coeffs, l, a_coef, b_coef)
-        dd, cd, mm = element_integrals(mesh.lengths, left, right)
+        shapes = element_shapes(coeffs, mesh, QUADRATIC_BUBBLE)
+        left, right = shapes[0, 0] / l**2  # the closed form takes x-coordinates
+        closed = element_stiffness_closed(coeffs, l, 0.5 * (left + right), 0.5 * (right - left))
+        dd, cd, mm = element_integrals(mesh.lengths, shapes)
         kernel = (-coeffs.epsilon * dd + coeffs.kappa * cd + coeffs.lambda_ * mm)[0]
         scale = max(np.abs(closed).max(), np.abs(kernel).max())
         worst_steady = max(worst_steady, np.abs(closed - kernel).max() / scale)
@@ -184,7 +184,7 @@ def criterion_element_matrix_oracle(draws: int = 1000) -> CriterionResult:
         l2 = rng.uniform(0.01, 5.0)
         c = rng.uniform(-5.0, 5.0)
         cf = transient_element_matrices(eps, l2, c)
-        dd, _, mm = element_integrals(np.array([l2]), np.array([[c]]), np.array([[c]]))
+        dd, _, mm = element_integrals(np.array([l2]), np.full((1, 1, 2), c * l2**2))
         a = np.array([cf.mass_diag, cf.mass_off, cf.stiff_diag, cf.stiff_off])
         b = np.array([mm[0, 0, 0], mm[0, 0, 1], -eps * dd[0, 0, 0], -eps * dd[0, 0, 1]])
         worst_transient = max(
@@ -257,9 +257,9 @@ def criterion_property_suite() -> CriterionResult:
     for _ in range(20):
         coeffs, l, _, _ = _random_coefficients(rng)
         mesh = Mesh1D([0.0, l])
-        left, right = element_shapes(coeffs, mesh, QUADRATIC_BUBBLE)
-        shapes = (SolutionField(mesh, [1.0, 0.0], QUADRATIC_BUBBLE, left),
-                  SolutionField(mesh, [0.0, 1.0], QUADRATIC_BUBBLE, right))
+        unit = element_shapes(coeffs, mesh, QUADRATIC_BUBBLE)
+        shapes = (SolutionField(mesh, [1.0, 0.0], QUADRATIC_BUBBLE, unit[..., 0]),
+                  SolutionField(mesh, [0.0, 1.0], QUADRATIC_BUBBLE, unit[..., 1]))
         if [n.eval_on_element(0, [0.0, l]).tolist() for n in shapes] != [[1.0, 0.0], [0.0, 1.0]]:
             failures.append(f"shape endpoint values not exact at l={l}")
             break

@@ -10,9 +10,11 @@ minimise J = int_0^l R^2 dx.  J is a convex quadratic in the c_k.  With
 x = l s the minimiser depends only on the weight row
 (epsilon/l^2, kappa/l, lambda) of the operator on the unit element, so the
 normal equations are solved there for all elements at once
-(``unit_bubble_coefficients``) and scaled back.  That numeric minimiser is
-the canonical coefficient source; the closed-form expressions in this
-module exist as cross-checks of it.
+(``unit_bubble_coefficients``).  Assembly and the solution field use those
+unit-element amplitudes d_k = c_k l^(k+1) as they are; only the one-element
+view behind ``ls_bubble`` converts them to the x-coordinates c_k.  That
+numeric minimiser is the canonical coefficient source; the closed-form
+expressions in this module exist as cross-checks of it.
 """
 
 from __future__ import annotations
@@ -169,14 +171,14 @@ def unit_bubble_coefficients(
     w = (eps/l^2, kappa/l, lambda) against the constant tensors of
     ``_unit_tensor``.  Each row of w is divided by its largest magnitude,
     which leaves the minimiser unchanged and prevents overflow; one stacked
-    solve gives the unit-element coefficients d_k, and c_k = d_k / l^(k+1).
+    solve gives the amplitudes d_k of the unit basis s^k (1 - s).
 
     Returns ``(unit, degenerate)``.  ``unit`` has shape (n, order - 1, 2):
     ``unit[e, :, 0]`` is the minimiser for (u0, ul) = (1, 0) and
     ``unit[e, :, 1]`` for (0, 1), so by linearity ``unit[e] @ (u0, ul)``
-    serves any nodal pair.  ``degenerate[e]`` flags a non-finite weight row
-    or result, or a unit Gram matrix with a smallest eigenvalue <= 0 or a
-    condition number above 1e12; those rows hold no usable values.
+    serves any nodal pair.  ``degenerate[e]`` flags a non-finite weight row,
+    or a unit Gram matrix with a smallest eigenvalue <= 0 or a condition
+    number above 1e12; those rows hold no usable values.
     """
     l = np.asarray(lengths, dtype=float)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -192,24 +194,27 @@ def unit_bubble_coefficients(
         # the Gram matrices are symmetric positive semi-definite
         eig = np.linalg.eigvalsh(gram)
         ok &= (eig[:, 0] > 0.0) & (eig[:, -1] <= _MAX_CONDITION * eig[:, 0])
-        unit = np.linalg.solve(gram, rhs) / l[:, None, None] ** np.arange(2, order + 1)[:, None]
-    ok &= np.isfinite(unit).all(axis=(1, 2))
+        unit = np.linalg.solve(gram, rhs)
     return unit, ~ok
 
 
 def _unit_bubble(coeffs: TransportCoefficients, l: float, order: int) -> np.ndarray:
-    """One-element view of :func:`unit_bubble_coefficients`: the
-    (order - 1, 2) unit-nodal coefficients, raising on a degenerate operator."""
+    """One-element x-coordinate view of :func:`unit_bubble_coefficients`:
+    the (order - 1, 2) unit-nodal coefficients c_k = d_k / l^(k+1) of the
+    basis x^k (l - x), raising on a degenerate operator or when the
+    conversion leaves the floating-point range."""
     if not l > 0:
         raise ValueError(f"element length must be positive, got {l}")
     if order < 2:
         raise ValueError(f"bubble order must be >= 2, got {order}")
     unit, degenerate = unit_bubble_coefficients(coeffs, np.array([l], dtype=float), order)
-    if degenerate[0]:
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x_coeffs = unit[0] / l ** np.arange(2, order + 1)[:, None]
+    if degenerate[0] or not np.isfinite(x_coeffs).all():
         raise DegenerateOperatorError(
-            f"normal equations are singular for coefficients {coeffs} and l={l}"
+            f"bubble coefficients degenerate for coefficients {coeffs} and l={l}"
         )
-    return unit[0]
+    return x_coeffs
 
 
 def ls_bubble(

@@ -95,7 +95,7 @@ def polynomial_bubble(order: int) -> EnrichmentKind:
     """Bubble enrichment of polynomial order ``order`` (>= 2)."""
     if order < 2:
         raise ValueError(f"polynomial bubble order must be >= 2, got {order}")
-    return EnrichmentKind(int(order))
+    return EnrichmentKind(order)
 
 
 class Mesh1D:
@@ -190,29 +190,33 @@ class TransientProblem:
                 )
 
 
-def bubble_poly(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """p(t) = c_1 + c_2 t + ... by Horner's rule, the polynomial that
-    multiplies the bubble factor t (l - t).
+def bubble_poly(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """p(s) = d_1 + d_2 s + ... by Horner's rule, the polynomial that
+    multiplies the unit-element bubble factor s (1 - s).
 
     ``coeffs`` carries the polynomial coefficients on its last axis; its
-    leading axes broadcast against ``t`` without the last one, so one call
+    leading axes broadcast against ``s`` without the last one, so one call
     serves a single element or all of them.
     """
-    poly = np.zeros_like(t)
+    poly = np.zeros_like(s)
     for k in range(coeffs.shape[-1] - 1, -1, -1):
-        poly = poly * t + coeffs[..., k, None]
+        poly = poly * s + coeffs[..., k, None]
     return poly
 
 
 class SolutionField:
-    """Nodal values plus per-element bubble coefficients, evaluable anywhere.
+    """Nodal values plus per-element bubble amplitudes, evaluable anywhere.
 
-    Within element j with local coordinate t = x - x_j and length l:
+    Within element j with local coordinate t = x - x_j, length l and
+    s = t / l:
 
-        u(x) = u_j (1 - t/l) + u_{j+1} t/l + t (l - t) sum_k c_{j,k} t^(k-1)
+        u(x) = u_j (1 - s) + u_{j+1} s + s (1 - s) sum_k d_{j,k} s^(k-1)
 
-    The bubble factor t (l - t) is kept in product form so it vanishes
-    exactly at both element endpoints.
+    ``bubble_coeffs[j]`` holds the unit-element amplitudes d_{j,k},
+    k = 1..order-1, as :func:`~bubblefem.steady.element_bubbles` returns
+    them; the coefficients of x^k (l - x) in x are d_{j,k} / l^(k+1).  The
+    bubble factor s (1 - s) is kept in product form so it vanishes exactly
+    at both element endpoints.
     """
 
     def __init__(
@@ -271,20 +275,21 @@ class SolutionField:
 def element_values(
     l: np.ndarray, u0: np.ndarray, u1: np.ndarray, coeffs: np.ndarray, t: np.ndarray
 ) -> np.ndarray:
-    """The one evaluation kernel: u0 (1 - t/l) + u1 t/l + t (l - t) p(t) at
-    local coordinates ``t``, with p the :func:`bubble_poly` of ``coeffs``.
-    ``l``, ``u0`` and ``u1`` broadcast against ``t``, as ``coeffs`` without
-    its last axis does."""
-    out = u0 * (1.0 - t / l) + u1 * (t / l)
+    """The one evaluation kernel: u0 (1 - s) + u1 s + s (1 - s) p(s) with
+    s = t / l at local coordinates ``t``, and p the :func:`bubble_poly` of
+    the unit-element amplitudes ``coeffs``.  ``l``, ``u0`` and ``u1``
+    broadcast against ``t``, as ``coeffs`` without its last axis does."""
+    s = t / l
+    out = u0 * (1.0 - s) + u1 * s
     if coeffs.shape[-1]:
-        out = out + t * (l - t) * bubble_poly(coeffs, t)
+        out = out + s * (1.0 - s) * bubble_poly(coeffs, s)
     return out
 
 
 def point_value(mesh: Mesh1D, j: int, x: float, ends: np.ndarray, coeffs: np.ndarray) -> float:
     """Value at x on element j of ``mesh`` from the element's two nodal
-    values ``ends`` and its bubble coefficients; exactly the nodal value at
-    either end."""
+    values ``ends`` and its unit-element bubble amplitudes; exactly the
+    nodal value at either end."""
     nodes = mesh.nodes
     for node, end in zip((j, j + 1), ends):
         if x == nodes[node]:

@@ -34,10 +34,13 @@ _DOMAIN_MATCH_TOL = 1e-12
 
 def element_shapes(
     coeffs: TransportCoefficients, mesh: Mesh1D, enrichment: EnrichmentKind
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bubble coefficients of the left and right nodal shape functions,
-    each of shape (n_elements, order - 1): the least-squares bubble applied
-    to unit nodal values.  One batched minimiser on the unit element
+) -> np.ndarray:
+    """Bubble amplitudes of the nodal shape functions on the unit element,
+    shape (n_elements, order - 1, 2): ``[..., 0]`` is the least-squares
+    bubble of the unit nodal values (1, 0), the left shape, and ``[..., 1]``
+    that of (0, 1), the right shape.  Row e holds the amplitudes d_k of
+    s^k (1 - s) with s = x / l; the x-coordinate coefficients are
+    d_k / l^(k+1).  One batched minimiser on the unit element
     (:func:`~bubblefem.enrichment.unit_bubble_coefficients`) serves every
     distinct element length and every order at once.
 
@@ -46,8 +49,7 @@ def element_shapes(
     length.
     """
     if enrichment.order == 1:
-        empty = np.zeros((mesh.n_elements, 0))
-        return empty, empty
+        return np.zeros((mesh.n_elements, 0, 2))
     lengths, index = np.unique(mesh.lengths, return_inverse=True)
     unit, degenerate = unit_bubble_coefficients(coeffs, lengths, enrichment.order)
     unit[degenerate] = 0.0
@@ -56,16 +58,13 @@ def element_shapes(
             f"bubble coefficients degenerate for l={l}; falling back to linear elements",
             stacklevel=2,
         )
-    unit = unit[index]
-    return unit[..., 0], unit[..., 1]
+    return unit[index]
 
 
-def element_bubbles(
-    coeff_left: np.ndarray, coeff_right: np.ndarray, nodal: np.ndarray
-) -> np.ndarray:
-    """Bubble coefficients, shape (n_elements, order - 1), of the field with
-    nodal values ``nodal`` in the shape pair of :func:`element_shapes`."""
-    return coeff_left * nodal[:-1, None] + coeff_right * nodal[1:, None]
+def element_bubbles(shapes: np.ndarray, nodal: np.ndarray) -> np.ndarray:
+    """Unit-element bubble amplitudes, shape (n_elements, order - 1), of the
+    field with nodal values ``nodal`` in the shapes of :func:`element_shapes`."""
+    return shapes[..., 0] * nodal[:-1, None] + shapes[..., 1] * nodal[1:, None]
 
 
 def default_quad_points(order: int) -> int:
@@ -79,24 +78,23 @@ def default_quad_points(order: int) -> int:
 
 
 def element_integrals(
-    lengths: np.ndarray, coeff_left: np.ndarray, coeff_right: np.ndarray
+    lengths: np.ndarray, shapes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The integrals int N_i' N_j', int N_i N_j' and int N_i N_j over every
     element, each of shape (n_elements, 2, 2), exact at every order.
 
     With x = l s the shape pair is f E in the unit basis f of
     :func:`~bubblefem.enrichment._unit_tensor`, with the (order + 1, 2)
-    matrix E = [[1, 0], [0, 1], [c_left l^(k+1), c_right l^(k+1)]], so the
-    blocks are E^T T E / l, E^T T E and l E^T T E for the matching T.
+    matrix E = [[1, 0], [0, 1], [shapes]] of the unit-element amplitudes of
+    :func:`element_shapes`, so the blocks are E^T T E / l, E^T T E and
+    l E^T T E for the matching T.
     """
-    order = coeff_left.shape[1] + 1
-    l = lengths[:, None, None]
-    e = np.zeros((lengths.size, order + 1, 2))
-    e[:, 0, 0] = e[:, 1, 1] = 1.0
-    e[:, 2:] = np.stack([coeff_left, coeff_right], axis=2) * l ** np.arange(2, order + 1)[:, None]
+    order = shapes.shape[1] + 1
+    e = np.concatenate([np.broadcast_to(np.eye(2), (lengths.size, 2, 2)), shapes], axis=1)
     # int D_a f_i D_b f_j for (D_a, D_b) = (d/ds, d/ds), (1, d/ds), (1, 1)
     tensors = _unit_tensor(order)[(1, 2, 2), (1, 1, 2), None]
     dd, cd, mm = (e.swapaxes(1, 2) @ tensors) @ e
+    l = lengths[:, None, None]
     return dd / l, cd, mm * l
 
 
@@ -141,11 +139,9 @@ def _check_mesh_covers(problem_domain: tuple[float, float], mesh: Mesh1D) -> Non
         )
 
 
-def _assemble(
-    problem: SteadyProblem, mesh: Mesh1D, coeff_left: np.ndarray, coeff_right: np.ndarray
-) -> TridiagonalSystem:
+def _assemble(problem: SteadyProblem, mesh: Mesh1D, shapes: np.ndarray) -> TridiagonalSystem:
     c = problem.coefficients
-    dd, cd, mm = element_integrals(mesh.lengths, coeff_left, coeff_right)
+    dd, cd, mm = element_integrals(mesh.lengths, shapes)
     k = -c.epsilon * dd + c.kappa * cd + c.lambda_ * mm
     diag = np.zeros(mesh.n_elements + 1)
     diag[:-1] += k[:, 0, 0]
@@ -160,21 +156,26 @@ def _assemble(
     if not problem.bc_right.is_dirichlet:
         rhs[-1] += -c.epsilon * problem.bc_right.value
 
-    # Dirichlet by row replacement and column elimination into neighbour rhs
+    # Dirichlet by row replacement and column elimination into neighbour rhs.
+    # The replaced row reads s u = s g, with s the largest power of two not
+    # above the largest element-matrix entry: on the matrix's own scale, so
+    # the solver's relative pivot test does not take it for singular, and
+    # (s g) / s is exactly g.
+    scale = np.ldexp(1.0, np.frexp(np.abs(k).max())[1] - 1)
     if problem.bc_left.is_dirichlet:
         value = problem.bc_left.value
         rhs[1] -= sub[0] * value
         sub[0] = 0.0
-        diag[0] = 1.0
+        diag[0] = scale
         sup[0] = 0.0
-        rhs[0] = value
+        rhs[0] = scale * value
     if problem.bc_right.is_dirichlet:
         value = problem.bc_right.value
         rhs[-2] -= sup[-1] * value
         sup[-1] = 0.0
-        diag[-1] = 1.0
+        diag[-1] = scale
         sub[-1] = 0.0
-        rhs[-1] = value
+        rhs[-1] = scale * value
     return TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
 
 
@@ -183,15 +184,15 @@ def assemble_steady(
 ) -> TridiagonalSystem:
     """Assemble the global tridiagonal system with boundary conditions applied."""
     _check_mesh_covers(problem.domain, mesh)
-    return _assemble(problem, mesh, *element_shapes(problem.coefficients, mesh, enrichment))
+    return _assemble(problem, mesh, element_shapes(problem.coefficients, mesh, enrichment))
 
 
 def solve_steady(
     problem: SteadyProblem, mesh: Mesh1D, enrichment: EnrichmentKind = LINEAR
 ) -> SolutionField:
     """Solve the steady problem; the field carries per-element bubble
-    coefficients reconstructed from the nodal solution."""
+    amplitudes reconstructed from the nodal solution."""
     _check_mesh_covers(problem.domain, mesh)
-    coeff_left, coeff_right = element_shapes(problem.coefficients, mesh, enrichment)
-    nodal = solve_tridiagonal(_assemble(problem, mesh, coeff_left, coeff_right))
-    return SolutionField(mesh, nodal, enrichment, element_bubbles(coeff_left, coeff_right, nodal))
+    shapes = element_shapes(problem.coefficients, mesh, enrichment)
+    nodal = solve_tridiagonal(_assemble(problem, mesh, shapes))
+    return SolutionField(mesh, nodal, enrichment, element_bubbles(shapes, nodal))

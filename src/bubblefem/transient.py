@@ -8,8 +8,8 @@ of any order, while time stays continuous, giving the ODE system
 over the interior nodal values, with Mg the consistent mass matrix and
 Kg = -eps * int w' w' the diffusion stiffness.  The nodal shapes are those
 of the steady operator with kappa = 0, and assembly and reconstruction use
-the steady element kernel and shape pair.  Homogeneous Dirichlet rows are
-eliminated.  A trapezoidal one-step scheme integrates the system with
+the steady element kernel and element shapes.  Homogeneous Dirichlet rows
+are eliminated.  A trapezoidal one-step scheme integrates the system with
 its step matrix factorised once per march; the two-element benchmark case
 is also solved in closed form through its single decaying mode.
 """
@@ -66,8 +66,9 @@ def transient_element_matrices(epsilon: float, l: float, c: float) -> TransientE
 @dataclass
 class TransientSystem:
     """Assembled interior-node system: symmetric tridiagonal Mg and Kg,
-    the mesh, the reaction coefficient, and the shape pair of
-    :func:`~bubblefem.steady.element_shapes` it was assembled with."""
+    the mesh, the reaction coefficient, and the (n_elements, order - 1, 2)
+    unit-element shapes of :func:`~bubblefem.steady.element_shapes` it was
+    assembled with (negated under ``sign_compat``)."""
 
     mass_diag: np.ndarray
     mass_off: np.ndarray
@@ -76,8 +77,7 @@ class TransientSystem:
     mesh: Mesh1D
     lambda_: float
     enrichment: EnrichmentKind
-    coeff_left: np.ndarray
-    coeff_right: np.ndarray
+    shapes: np.ndarray
 
     @property
     def size(self) -> int:
@@ -94,7 +94,7 @@ def assemble_transient(
 
     The nodal shapes are the least-squares ones of the operator with
     kappa = 0 (:func:`~bubblefem.steady.element_shapes`).
-    ``sign_compat`` negates both, matching the sign convention of the
+    ``sign_compat`` negates them, matching the sign convention of the
     published two-element transient solution.
     """
     _check_mesh_covers(problem.domain, mesh)
@@ -102,13 +102,13 @@ def assemble_transient(
         raise ValueError("transient mesh needs at least one interior node")
 
     if enrichment.order == 1:
-        coeff_left = coeff_right = np.zeros((mesh.n_elements, 0))
+        shapes = np.zeros((mesh.n_elements, 0, 2))
     else:
         coeffs = TransportCoefficients(epsilon=problem.epsilon, kappa=0.0, lambda_=problem.lambda_)
-        coeff_left, coeff_right = element_shapes(coeffs, mesh, enrichment)
+        shapes = element_shapes(coeffs, mesh, enrichment)
         if sign_compat:
-            coeff_left, coeff_right = -coeff_left, -coeff_right
-    stiff, _, mass = element_integrals(mesh.lengths, coeff_left, coeff_right)
+            shapes = -shapes
+    stiff, _, mass = element_integrals(mesh.lengths, shapes)
     stiff *= -problem.epsilon
 
     # homogeneous Dirichlet ends: drop the boundary rows and columns
@@ -120,8 +120,7 @@ def assemble_transient(
         mesh=mesh,
         lambda_=problem.lambda_,
         enrichment=enrichment,
-        coeff_left=coeff_left,
-        coeff_right=coeff_right,
+        shapes=shapes,
     )
 
 
@@ -181,8 +180,8 @@ def step_trapezoidal(system: TransientSystem, state: np.ndarray, dt: float) -> n
 
 class Trajectory:
     """Stored time levels of a transient solve of ``system``, evaluable at
-    (x, t).  Spatial reconstruction uses the system's shape pair, as the
-    steady solve does (:func:`~bubblefem.steady.element_bubbles`).
+    (x, t).  Spatial reconstruction uses the system's element shapes, as
+    the steady solve does (:func:`~bubblefem.steady.element_bubbles`).
     """
 
     def __init__(self, times: np.ndarray, states: np.ndarray, system: TransientSystem):
@@ -192,6 +191,10 @@ class Trajectory:
             raise ValueError("states must be one interior vector per stored time")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("stored times must be strictly increasing")
+        if self.states.shape[1] != system.size:
+            raise ValueError(
+                f"state width {self.states.shape[1]} does not match system {system.size}"
+            )
         self.system = system
 
     def _state_at(self, t: float) -> np.ndarray:
@@ -204,7 +207,7 @@ class Trajectory:
         """Solution field at the stored time nearest to t."""
         s = self.system
         nodal = np.concatenate(([0.0], self._state_at(t), [0.0]))
-        bubbles = element_bubbles(s.coeff_left, s.coeff_right, nodal)
+        bubbles = element_bubbles(s.shapes, nodal)
         return SolutionField(s.mesh, nodal, s.enrichment, bubbles)
 
     def value(self, x: float, t: float) -> float:
@@ -212,7 +215,7 @@ class Trajectory:
         s, state = self.system, self._state_at(t)
         j = s.mesh.element_index(x)
         ends = np.array([state[j - 1] if j > 0 else 0.0, state[j] if j < state.size else 0.0])
-        bubbles = element_bubbles(s.coeff_left[j : j + 1], s.coeff_right[j : j + 1], ends)
+        bubbles = element_bubbles(s.shapes[j : j + 1], ends)
         return point_value(s.mesh, j, x, ends, bubbles[0])
 
 

@@ -99,6 +99,17 @@ class TestSteady:
         code, _ = run_cli(capsys, "steady", "--bc-left", "fixed=1")
         assert code == 1
 
+    def test_dirichlet_rows_far_from_unit_scale(self, capsys):
+        # pure diffusion on [0, 1e16]: element matrices near 1e-14
+        code, out = run_cli(
+            capsys, "steady", "--epsilon=-1", "--lambda", "0", "--bc-right", "dirichlet:0.5",
+            "--b", "1e16", "--elements", "50", "--format", "csv",
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert (float(rows[0][1]), float(rows[-1][1])) == (1.5, 0.5)
+        assert max(float(r[3]) for r in rows) <= 1e-13
+
     def test_singular_system_is_numerical_failure(self, capsys):
         code, _ = run_cli(
             capsys, "steady", "--epsilon", "0", "--kappa", "1", "--lambda", "0",

@@ -63,12 +63,12 @@ def assert_gradient_vanishes(
     J is exactly quadratic in the coefficients, so a central difference is
     exact at any step; ``rel_step=1`` keeps rounding in J below the
     curvature term across the whole coefficient space.  With
-    ``unit_element`` the coordinates are the unit-element amplitudes
-    d_k = c_k l^(k+1), in which the check does not depend on the length.
+    ``unit_element`` the coefficients given, and the coordinates of the
+    check, are the unit-element amplitudes d_k = c_k l^(k+1), in which the
+    check does not depend on the length.
     """
-    bubble_coeffs = np.asarray(bubble_coeffs, dtype=float)
-    scale = l ** np.arange(2, bubble_coeffs.size + 2) if unit_element else 1.0
-    coords = bubble_coeffs * scale
+    coords = np.asarray(bubble_coeffs, dtype=float)
+    scale = l ** np.arange(2, coords.size + 2) if unit_element else 1.0
 
     def functional(y):
         return residual_functional(coeffs, l, u0, ul, y / scale)
@@ -207,7 +207,7 @@ class TestLsBubble:
         for l, row in zip(lengths, unit):
             if order == 2:
                 closed = quadratic_ab_closed(coeffs, l)
-                left, right = row[0]
+                left, right = row[0] / l**2
                 scale = max(abs(closed.a_coef), abs(closed.b_coef))
                 assert abs(0.5 * (left + right) - closed.a_coef) <= 1e-10 * scale
                 assert abs(0.5 * (right - left) - closed.b_coef) <= 1e-10 * scale

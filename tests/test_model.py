@@ -55,6 +55,8 @@ class TestEnrichmentKind:
             EnrichmentKind(0)
         with pytest.raises(ValueError):
             polynomial_bubble(1)
+        with pytest.raises(ValueError):
+            polynomial_bubble(2.7)
 
 
 class TestUniformMesh:
@@ -131,10 +133,12 @@ class TestProblems:
 
 
 def two_element_field(bubble_value=None):
+    """Two elements on [0, pi]; ``bubble_value`` is the x-coordinate
+    coefficient c of x (l - x), held by the field as d = c l^2."""
     mesh = uniform_mesh(0.0, math.pi, 2)
     if bubble_value is None:
         return SolutionField(mesh, [0.0, 1.0, 0.0], LINEAR)
-    coeffs = np.full((2, 1), bubble_value)
+    coeffs = np.full((2, 1), bubble_value * (math.pi / 2) ** 2)
     return SolutionField(mesh, [0.0, 1.0, 0.0], QUADRATIC_BUBBLE, coeffs)
 
 

@@ -10,6 +10,7 @@ from bubblefem import (
     QUADRATIC_BUBBLE,
     TransientProblem,
     TransientSystem,
+    Trajectory,
     assemble_transient,
     semi_analytic_two_element,
     slowest_decay_rate,
@@ -32,8 +33,9 @@ def two_element_mesh():
 
 
 def kernel_entries(epsilon, l, c):
-    """Mass and stiffness entries (L, M, N, P) of one element from the kernel."""
-    dd, _, mm = element_integrals(np.array([l]), np.array([[c]]), np.array([[c]]))
+    """Mass and stiffness entries (L, M, N, P) of one element from the kernel,
+    for the x-coordinate bubble coefficient c of both shapes."""
+    dd, _, mm = element_integrals(np.array([l]), np.full((1, 1, 2), c * l**2))
     return np.array([mm[0, 0, 0], mm[0, 0, 1], -epsilon * dd[0, 0, 0], -epsilon * dd[0, 0, 1]])
 
 
@@ -96,8 +98,8 @@ class TestAssembleTransient:
         )
         c = -transient_coefficient(-1.0, math.pi / 2)
         assert c > 0
-        assert system.coeff_left[:, 0] == pytest.approx([c, c])
-        assert np.array_equal(system.coeff_right, system.coeff_left)
+        assert system.shapes[:, 0, 0] / (math.pi / 2) ** 2 == pytest.approx([c, c])
+        assert np.array_equal(system.shapes[..., 1], system.shapes[..., 0])
         em = transient_element_matrices(-1.0, math.pi / 2, c)
         assert system.mass_diag[0] == pytest.approx(2 * em.mass_diag, rel=1e-14)
         assert system.stiff_diag[0] == pytest.approx(2 * em.stiff_diag, rel=1e-14)
@@ -118,7 +120,7 @@ class TestAssembleTransient:
         system = assemble_transient(
             transient_benchmark_problem(), mesh, EnrichmentKind(order), sign_compat=True
         )
-        assert system.coeff_left.shape == system.coeff_right.shape == (8, order - 1)
+        assert system.shapes.shape == (8, order - 1, 2)
         assert symmetric_tridiagonal_is_spd(system.mass_diag, system.mass_off)
 
     def test_rejects_single_element(self):
@@ -151,8 +153,9 @@ class TestAssembleTransient:
 
         sign = -1.0 if sign_compat else 1.0
         c = np.array([sign * transient_coefficient(epsilon, float(l)) for l in mesh.lengths])
-        assert np.abs(system.coeff_left[:, 0] - c).max() <= 1e-12 * np.abs(c).max()
-        assert np.array_equal(system.coeff_right, system.coeff_left)
+        left = system.shapes[:, 0, 0] / mesh.lengths**2
+        assert np.abs(left - c).max() <= 1e-12 * np.abs(c).max()
+        assert np.array_equal(system.shapes[..., 1], system.shapes[..., 0])
         n_nodes = mesh.n_elements + 1
         diag = {"mass": np.zeros(n_nodes), "stiff": np.zeros(n_nodes)}
         off = {"mass": np.zeros(n_nodes - 1), "stiff": np.zeros(n_nodes - 1)}
@@ -232,8 +235,7 @@ class TestDecayRates:
             mesh=two_element_mesh(),
             lambda_=1.0,
             enrichment=LINEAR,
-            coeff_left=np.zeros((2, 0)),
-            coeff_right=np.zeros((2, 0)),
+            shapes=np.zeros((2, 0, 2)),
         )
         with pytest.raises(AssemblyError):
             slowest_decay_rate(system)
@@ -357,6 +359,16 @@ class TestSolveTransient:
         )
         with pytest.raises(ValueError):
             trajectory.value(math.nan, 0.1)
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_rejects_states_of_the_wrong_width(self, width):
+        # a fourth entry would be read as the value of the zero Dirichlet end
+        system = assemble_transient(
+            transient_benchmark_problem(), uniform_mesh(0.0, math.pi, 4), LINEAR
+        )
+        assert system.size == 3
+        with pytest.raises(ValueError):
+            Trajectory(np.array([0.0]), np.array([[1.0, 1.0, 1.0, 7.0][:width]]), system)
 
     @pytest.mark.parametrize("enrichment", [LINEAR, QUADRATIC_BUBBLE], ids=["linear", "quadratic"])
     def test_march_equals_repeated_single_steps(self, enrichment):

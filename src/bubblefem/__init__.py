@@ -25,16 +25,12 @@ from .benchmarks import (
 )
 from .enrichment import (
     BubbleSolution,
-    ElementPolynomial,
     QuadraticEnrichment,
-    apply_operator,
     bubble_2d_coefficient,
-    bubble_basis,
     cubic_closed_forms,
     ls_bubble,
     quadratic_ab,
     quadratic_ab_closed,
-    quadratic_coefficient_closed,
     residual_functional,
     residual_functional_2d,
     transient_coefficient,
@@ -88,7 +84,6 @@ __all__ = [
     "BubbleSolution",
     "CUBIC_BUBBLE",
     "DegenerateOperatorError",
-    "ElementPolynomial",
     "EnrichmentKind",
     "ErrorReport",
     "HISTORY_PROBE",
@@ -110,11 +105,9 @@ __all__ = [
     "TransientSystem",
     "TransportCoefficients",
     "TridiagonalSystem",
-    "apply_operator",
     "assemble_steady",
     "assemble_transient",
     "bubble_2d_coefficient",
-    "bubble_basis",
     "convergence_study",
     "cubic_closed_forms",
     "element_stiffness_closed",
@@ -129,7 +122,6 @@ __all__ = [
     "profile_table",
     "quadratic_ab",
     "quadratic_ab_closed",
-    "quadratic_coefficient_closed",
     "residual_functional",
     "residual_functional_2d",
     "semi_analytic_two_element",

@@ -74,7 +74,7 @@ _DEFAULTS = {
     "tables": {},
     "convergence": {"counts": "30,50", "enrichments": "linear,quadratic"},
     "selftest": {},
-    "common": {"config": None, "format": "table", "out": None, "sign_compat": None},
+    "common": {"config": None, "format": "table", "out": None},
 }
 
 
@@ -267,10 +267,9 @@ def _cmd_transient(args) -> int:
     )
     mesh = uniform_mesh(args.a, args.b, int(args.elements))
     enrichment = _parse_enrichment(args.enrichment)
-    sign_compat = True if args.sign_compat is None else args.sign_compat
     trajectory = solve_transient(
         problem, mesh, enrichment, dt=args.dt, t_end=args.t_end,
-        sign_compat=sign_compat, store_stride=int(args.t_stride),
+        sign_compat=args.sign_compat, store_stride=int(args.t_stride),
     )
     bench = (args.epsilon == -1.0 and args.lambda_ == 1.0
              and (args.a, args.b) == (0.0, math.pi) and initial is math.sin)
@@ -360,9 +359,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("table", "csv", "json"),
                         help="output format (default table)")
     common.add_argument("--out", help="write output to this path instead of stdout")
-    common.add_argument("--sign-compat", dest="sign_compat", type=_parse_bool,
-                        help="flip the transient bubble coefficient sign to match "
-                             "the published tables (default: on for transient runs)")
 
     parser = argparse.ArgumentParser(
         prog="bubblefem",
@@ -409,6 +405,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="spatial samples per stored time level")
     p.add_argument("--t-stride", dest="t_stride", type=int,
                    help="store every n-th time step")
+    p.add_argument("--sign-compat", dest="sign_compat", type=_parse_bool,
+                   help="flip the bubble coefficient sign to match the published tables")
 
     sub.add_parser("tables", parents=[common], epilog=_defaults_epilog("tables"),
                    help="reproduce the two-element reference tables with a pass column")

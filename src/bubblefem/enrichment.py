@@ -14,7 +14,9 @@ normal equations are solved there for all elements at once
 unit-element amplitudes d_k = c_k l^(k+1) as they are; only the one-element
 view behind ``ls_bubble`` converts them to the x-coordinates c_k.  That
 numeric minimiser is the canonical coefficient source; the closed-form
-expressions in this module exist as cross-checks of it.
+expressions in this module exist as cross-checks of it, and
+``residual_functional`` evaluates J in x on a path of its own, as the
+oracle the minimiser is checked against.
 """
 
 from __future__ import annotations
@@ -36,63 +38,8 @@ from .quadrature import gauss_rule
 # unit-element Gram matrix is degenerate beyond the reciprocal condition.
 DEGENERACY_TOL = 1e-12
 _MAX_CONDITION = 1.0 / DEGENERACY_TOL
-
-
-@dataclass(frozen=True)
-class ElementPolynomial:
-    """Polynomial c_0 + c_1 x + ... on the master interval [0, l]."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("polynomial coefficients must be finite")
-        object.__setattr__(self, "coefficients", arr)
-
-    @property
-    def degree(self) -> int:
-        return self.coefficients.size - 1
-
-    def derivative(self) -> "ElementPolynomial":
-        if self.coefficients.size == 1:
-            return ElementPolynomial(np.zeros(1))
-        return ElementPolynomial(npoly.polyder(self.coefficients))
-
-    def __call__(self, x):
-        return npoly.polyval(x, self.coefficients)
-
-
-def _integral(coeffs: np.ndarray, l: float) -> float:
-    """Exact integral of a coefficient polynomial over [0, l]."""
-    k = np.arange(coeffs.size)
-    return float(np.sum(coeffs * l ** (k + 1) / (k + 1)))
-
-
-def apply_operator(coeffs: TransportCoefficients, poly: ElementPolynomial) -> ElementPolynomial:
-    """Apply epsilon*p'' + kappa*p' + lambda*p to a polynomial."""
-    d1 = poly.derivative()
-    d2 = d1.derivative()
-    out = npoly.polyadd(
-        npoly.polyadd(coeffs.epsilon * d2.coefficients, coeffs.kappa * d1.coefficients),
-        coeffs.lambda_ * poly.coefficients,
-    )
-    return ElementPolynomial(out)
-
-
-def bubble_basis(l: float, order: int) -> list[ElementPolynomial]:
-    """Bubble basis x^k (l - x), k = 1..order-1, on [0, l]."""
-    basis = []
-    for k in range(1, order):
-        c = np.zeros(k + 2)
-        c[k] = l
-        c[k + 1] = -1.0
-        basis.append(ElementPolynomial(c))
-    return basis
-
-
-def _linear_part(l: float, u0: float, ul: float) -> ElementPolynomial:
-    return ElementPolynomial(np.array([u0, (ul - u0) / l]))
+# tensor-product rule size of the 2D functional: exact for its degree-4 integrand
+_QUAD_2D_POINTS = 4
 
 
 @dataclass(frozen=True)
@@ -115,16 +62,30 @@ def residual_functional(
     ul: float,
     bubble: "BubbleSolution | Sequence[float]",
 ) -> float:
-    """Integrated squared residual J = int_0^l R^2 dx, by exact integration."""
-    if not l > 0:
-        raise ValueError(f"element length must be positive, got {l}")
-    bubble_coeffs = np.atleast_1d(
+    """Integrated squared residual J = int_0^l R^2 dx, by exact integration
+    of the residual polynomial in x.
+
+    Independent of the unit-element tensor the minimiser solves with, so it
+    serves as the oracle that minimiser is checked against.
+    """
+    if not (l > 0 and math.isfinite(l)):
+        raise ValueError(f"element length must be positive and finite, got {l}")
+    if not (math.isfinite(u0) and math.isfinite(ul)):
+        raise ValueError(f"nodal values must be finite, got u0={u0}, ul={ul}")
+    c = np.atleast_1d(
         np.asarray(bubble.coeffs if isinstance(bubble, BubbleSolution) else bubble, dtype=float)
     )
-    residual = apply_operator(coeffs, _linear_part(l, u0, ul)).coefficients
-    for c, b in zip(bubble_coeffs, bubble_basis(l, bubble_coeffs.size + 1)):
-        residual = npoly.polyadd(residual, c * apply_operator(coeffs, b).coefficients)
-    return _integral(npoly.polymul(residual, residual), l)
+    # trial u0 + (ul - u0)/l x + sum_k c_k (l x^k - x^(k+1)) in powers of x
+    trial = np.zeros(c.size + 2)
+    trial[:2] = u0, (ul - u0) / l
+    trial[1:-1] += l * c
+    trial[2:] -= c
+    d1 = npoly.polyder(trial)
+    residual = npoly.polyadd(
+        npoly.polyadd(coeffs.epsilon * npoly.polyder(d1), coeffs.kappa * d1),
+        coeffs.lambda_ * trial,
+    )
+    return float(npoly.polyval(l, npoly.polyint(npoly.polymul(residual, residual))))
 
 
 @functools.cache
@@ -289,13 +250,6 @@ def quadratic_ab_closed(coeffs: TransportCoefficients, l: float) -> QuadraticEnr
     return QuadraticEnrichment(a_coef=a, b_coef=b, length=l)
 
 
-def quadratic_coefficient_closed(
-    coeffs: TransportCoefficients, l: float, u0: float, ul: float
-) -> float:
-    """Closed-form quadratic bubble coefficient (cross-check path)."""
-    return quadratic_ab_closed(coeffs, l).coefficient(u0, ul)
-
-
 def transient_coefficient(epsilon: float, l: float) -> float:
     """Quadratic bubble coefficient of the transient operator (kappa = 0,
     lambda = 1, unit nodal sum), in closed form:
@@ -375,14 +329,14 @@ def bubble_2d_coefficient(
 
 
 def residual_functional_2d(
-    l: float, h: float, corners: Sequence[float], c: float, n_quad: int = 4
+    l: float, h: float, corners: Sequence[float], c: float
 ) -> float:
     """Squared-residual functional of the 2D trial, by tensor-product
     Gauss quadrature (exact: the integrand is polynomial of degree 4)."""
     if not (l > 0 and h > 0):
         raise ValueError(f"element sides must be positive, got l={l}, h={h}")
     u00, u0h, ul0, ulh = (float(v) for v in corners)
-    rule = gauss_rule(n_quad)
+    rule = gauss_rule(_QUAD_2D_POINTS)
     xs = 0.5 * l * (rule.points + 1.0)
     ys = 0.5 * h * (rule.points + 1.0)
     wx = 0.5 * l * rule.weights

@@ -264,9 +264,13 @@ class SolutionField:
         return out.reshape(local.shape)
 
     def value(self, x: float) -> float:
-        """Field value at x; returns the stored nodal value exactly at nodes."""
+        """Field value at x; returns the stored nodal value exactly at nodes:
+        ``element_index`` is right-open, so s = 0 exactly at a node, and at b
+        t is the same subtraction as the last length, so s = 1 exactly."""
         j = self.mesh.element_index(x)
-        return point_value(self.mesh, j, x, self.nodal_values[j : j + 2], self.bubble_coeffs[j])
+        u, t = self.nodal_values, np.array([x - self.mesh.nodes[j]])
+        out = element_values(self.mesh.lengths[j], u[j], u[j + 1], self.bubble_coeffs[j], t)
+        return float(out[0])
 
     def __call__(self, x: float) -> float:
         return self.value(x)
@@ -285,14 +289,3 @@ def element_values(
         out = out + s * (1.0 - s) * bubble_poly(coeffs, s)
     return out
 
-
-def point_value(mesh: Mesh1D, j: int, x: float, ends: np.ndarray, coeffs: np.ndarray) -> float:
-    """Value at x on element j of ``mesh`` from the element's two nodal
-    values ``ends`` and its unit-element bubble amplitudes; exactly the
-    nodal value at either end."""
-    nodes = mesh.nodes
-    for node, end in zip((j, j + 1), ends):
-        if x == nodes[node]:
-            return float(end)
-    t = np.array([x - nodes[j]])
-    return float(element_values(mesh.lengths[j], ends[0], ends[1], coeffs, t)[0])

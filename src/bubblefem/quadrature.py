@@ -1,9 +1,8 @@
 """Gauss-Legendre quadrature with exactness-degree guarantees.
 
 An n-point rule integrates polynomials of degree <= 2n - 1 exactly, which
-is what element assembly and the verification norms rely on.  Nodes are
-computed by Newton iteration on the Legendre recurrence (no hard-coded
-tables), so every order up to MAX_POINTS is available.
+is what the verification norms and the 2D functional rely on.  The rules
+are numpy's ``leggauss``, validated, memoised and made read-only here.
 """
 
 from __future__ import annotations
@@ -13,9 +12,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 MAX_POINTS = 10
-_NEWTON_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -26,15 +25,6 @@ class QuadratureRule:
     points: np.ndarray
     weights: np.ndarray
     order: int
-
-
-def _legendre_and_derivative(n: int, x: float) -> tuple[float, float]:
-    """Evaluate P_n(x) and P_n'(x) by the three-term recurrence."""
-    p_prev, p = 1.0, x
-    for k in range(2, n + 1):
-        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-    dp = n * (x * p - p_prev) / (x * x - 1.0)
-    return p, dp
 
 
 def gauss_rule(n: int) -> QuadratureRule:
@@ -48,25 +38,7 @@ def gauss_rule(n: int) -> QuadratureRule:
 
 @functools.cache
 def _gauss_rule(n: int) -> QuadratureRule:
-    points = np.zeros(n)
-    weights = np.zeros(n)
-    # Roots come in +/- pairs; compute one half and mirror for exact symmetry.
-    for i in range((n + 1) // 2):
-        x = np.cos(np.pi * (i + 0.75) / (n + 0.5))
-        for _ in range(100):
-            p, dp = _legendre_and_derivative(n, x)
-            dx = p / dp
-            x -= dx
-            if abs(dx) <= _NEWTON_TOL:
-                break
-        p, dp = _legendre_and_derivative(n, x)
-        w = 2.0 / ((1.0 - x * x) * dp * dp)
-        points[i], weights[i] = x, w
-        points[n - 1 - i], weights[n - 1 - i] = -x, w
-    if n % 2 == 1:
-        points[n // 2] = 0.0
-    order = np.argsort(points)
-    points, weights = points[order], weights[order]
+    points, weights = leggauss(n)
     points.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(points=points, weights=weights, order=n)

@@ -32,7 +32,7 @@ from .model import (
     SolutionField,
     TransientProblem,
     TransportCoefficients,
-    point_value,
+    element_values,
     uniform_mesh,
 )
 from .steady import _check_mesh_covers, element_bubbles, element_integrals, element_shapes
@@ -101,8 +101,10 @@ def assemble_transient(
     if mesh.n_elements < 2:
         raise ValueError("transient mesh needs at least one interior node")
 
-    if enrichment.order == 1:
-        shapes = np.zeros((mesh.n_elements, 0, 2))
+    if problem.epsilon == problem.lambda_ == 0.0:
+        # du/dt = 0: every bubble minimises the null residual, so keep the
+        # zero shapes of a degenerate operator
+        shapes = np.zeros((mesh.n_elements, enrichment.bubble_count, 2))
     else:
         coeffs = TransportCoefficients(epsilon=problem.epsilon, kappa=0.0, lambda_=problem.lambda_)
         shapes = element_shapes(coeffs, mesh, enrichment)
@@ -216,7 +218,8 @@ class Trajectory:
         j = s.mesh.element_index(x)
         ends = np.array([state[j - 1] if j > 0 else 0.0, state[j] if j < state.size else 0.0])
         bubbles = element_bubbles(s.shapes[j : j + 1], ends)
-        return point_value(s.mesh, j, x, ends, bubbles[0])
+        t = np.array([x - s.mesh.nodes[j]])
+        return float(element_values(s.mesh.lengths[j], ends[0], ends[1], bubbles[0], t)[0])
 
 
 def solve_transient(

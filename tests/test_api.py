@@ -1,11 +1,15 @@
 import bubblefem
 
 REMOVED = (
+    "ElementPolynomial",
     "ElementStiffness",
     "ShapeFunctions",
+    "apply_operator",
+    "bubble_basis",
     "cubic_coefficients",
     "element_stiffness_quadrature",
     "eval_field",
+    "quadratic_coefficient_closed",
     "shape_functions",
     "transient_element_matrices_quadrature",
 )

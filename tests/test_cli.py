@@ -216,6 +216,18 @@ class TestConfigAndOutput:
         code, _ = run_cli(capsys, "steady", "--config", str(config))
         assert code == 1
 
+    def test_sign_compat_is_a_transient_option_only(self, capsys, tmp_path):
+        code, _ = run_cli(capsys, "steady", "--sign-compat", "false")
+        assert code == 1
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"sign_compat": False}))
+        code, _ = run_cli(capsys, "steady", "--config", str(config))
+        assert code == 1
+        code, _ = run_cli(capsys, "transient", "--config", str(config), "--t-end", "0.01")
+        assert code == 0
+        code, _ = run_cli(capsys, "transient", "--sign-compat", "false", "--t-end", "0.01")
+        assert code == 0
+
     def test_missing_config_file(self, capsys):
         code, _ = run_cli(capsys, "steady", "--config", "/nonexistent/run.json")
         assert code == 1

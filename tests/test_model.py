@@ -152,9 +152,17 @@ class TestEvalField:
         assert field.value(math.pi / 16) == pytest.approx(0.180, abs=1e-3)
 
     def test_nodal_values_exact(self):
-        field = two_element_field(bubble_value=0.73)
-        for x, expected in zip(field.mesh.nodes, field.nodal_values):
-            assert field.value(float(x)) == expected
+        fields = [two_element_field(bubble_value=0.73)]
+        # random non-uniform mesh with an inexact right end b, orders 1-5
+        rng = np.random.default_rng(31)
+        mesh = Mesh1D(np.cumsum(np.concatenate(([-0.3], rng.uniform(0.01, 1.0, 17)))))
+        for order in range(1, 6):
+            nodal = rng.normal(size=18) * 10.0 ** rng.uniform(-300, 300, size=18)
+            bubbles = rng.normal(size=(17, order - 1)) * 1e3
+            fields.append(SolutionField(mesh, nodal, EnrichmentKind(order), bubbles))
+        for field in fields:
+            for x, expected in zip(field.mesh.nodes, field.nodal_values):
+                assert field.value(float(x)) == expected
 
     def test_continuity_at_interior_nodes(self):
         field = two_element_field(bubble_value=-1.4)

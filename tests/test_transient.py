@@ -319,6 +319,19 @@ class TestSolveTransient:
         trajectory = solve_transient(problem, uniform_mesh(0.0, math.pi, 6), LINEAR, dt=0.1, t_end=1.0)
         assert np.abs(trajectory.states).max() == 0.0
 
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_null_operator_keeps_initial_state(self, order):
+        # du/dt = 0: every bubble minimises the null residual, so plain hats
+        problem = TransientProblem(
+            epsilon=0.0, domain=(0.0, math.pi), initial_profile=math.sin, lambda_=0.0
+        )
+        mesh = uniform_mesh(0.0, math.pi, 4)
+        trajectory = solve_transient(problem, mesh, EnrichmentKind(order), dt=0.05, t_end=0.5)
+        initial = np.sin(mesh.nodes[1:-1])
+        assert trajectory.times.size == 11
+        assert np.abs(trajectory.states - initial).max() <= 1e-14
+        assert not trajectory.system.shapes.any()
+
     def test_storage_stride(self):
         problem = transient_benchmark_problem()
         trajectory = solve_transient(

@@ -57,7 +57,7 @@ from .model import (
     polynomial_bubble,
     uniform_mesh,
 )
-from .quadrature import QuadratureRule, gauss_rule, integrate
+from .quadrature import QuadratureRule, gauss_rule
 from .steady import (
     assemble_steady,
     element_stiffness_closed,
@@ -116,7 +116,6 @@ __all__ = [
     "exact_transient_benchmark",
     "gauss_rule",
     "history_table",
-    "integrate",
     "ls_bubble",
     "polynomial_bubble",
     "profile_table",

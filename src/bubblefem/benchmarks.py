@@ -103,11 +103,10 @@ def error_report(
 ) -> ErrorReport:
     """Nodal L-infinity and element-quadrature L2 error of a field.
 
-    ``exact`` takes an ndarray of points and returns the exact solution
-    there, as ``quadrature.integrate``'s ``fn`` does; a result that
-    broadcasts to the points' shape, such as a constant, is accepted.  It is
-    called twice: on the mesh nodes, and on the ``(n_elements, 8)`` array of
-    Gauss points that the L2 norm integrates over.
+    ``exact`` takes an ndarray of points of any shape and returns the exact
+    solution there; a result that broadcasts to the points' shape, such as a
+    constant, is accepted.  It is called twice: on the mesh nodes, and on
+    the ``(n_elements, 8)`` array of Gauss points of the L2 norm.
     """
     mesh = field.mesh
     nodal_linf = float(np.max(np.abs(field.nodal_values - _exact_at(exact, mesh.nodes))))

@@ -68,7 +68,7 @@ _DEFAULTS = {
     },
     "transient": {
         "epsilon": -1.0, "lambda_": 1.0, "a": 0.0, "b": math.pi, "elements": 2,
-        "enrichment": "quadratic", "dt": 1e-3, "t_end": 1.0, "initial": "sin",
+        "enrichment": "quadratic", "dt": 1e-3, "t_end": 1.0,
         "x_samples": 8, "t_stride": 100, "sign_compat": True,
     },
     "tables": {},
@@ -108,12 +108,6 @@ def _parse_bc(text: str) -> BoundaryCondition:
     if kind in ("neumann", "flux"):
         return BoundaryCondition.neumann_flux(value)
     raise ValueError(f"unknown boundary condition kind {kind!r}")
-
-
-_INITIAL_PROFILES = {
-    "sin": math.sin,
-    "sine": math.sin,
-}
 
 
 def _fmt(value) -> str:
@@ -257,13 +251,9 @@ def _cmd_steady(args) -> int:
 
 
 def _cmd_transient(args) -> int:
-    initial = _INITIAL_PROFILES.get(str(args.initial).lower())
-    if initial is None:
-        raise ValueError(f"unknown initial profile {args.initial!r} "
-                         f"(available: {sorted(set(_INITIAL_PROFILES))})")
     problem = TransientProblem(
         epsilon=args.epsilon, domain=(args.a, args.b),
-        initial_profile=initial, lambda_=args.lambda_,
+        initial_profile=math.sin, lambda_=args.lambda_,
     )
     mesh = uniform_mesh(args.a, args.b, int(args.elements))
     enrichment = _parse_enrichment(args.enrichment)
@@ -272,7 +262,7 @@ def _cmd_transient(args) -> int:
         sign_compat=args.sign_compat, store_stride=int(args.t_stride),
     )
     bench = (args.epsilon == -1.0 and args.lambda_ == 1.0
-             and (args.a, args.b) == (0.0, math.pi) and initial is math.sin)
+             and (args.a, args.b) == (0.0, math.pi))
     xs = np.linspace(args.a, args.b, int(args.x_samples) + 1)
     rows = []
     for t in trajectory.times:
@@ -391,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="emit N+1 equally spaced samples instead of mesh nodes")
 
     p = sub.add_parser("transient", parents=[common], epilog=_defaults_epilog("transient"),
-                       help="run a transient solve")
+                       help="run a transient solve from u(x, 0) = sin x")
     p.add_argument("--epsilon", type=float)
     p.add_argument("--lambda", dest="lambda_", type=float)
     p.add_argument("--a", type=float)
@@ -400,7 +390,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--enrichment", help="linear|quadratic|cubic|poly:N")
     p.add_argument("--dt", type=float, help="time step")
     p.add_argument("--t-end", dest="t_end", type=float, help="final time")
-    p.add_argument("--initial", help="initial profile name (sin)")
     p.add_argument("--x-samples", dest="x_samples", type=int,
                    help="spatial samples per stored time level")
     p.add_argument("--t-stride", dest="t_stride", type=int,

@@ -1,7 +1,9 @@
-"""Tridiagonal system storage and the pivoted tridiagonal LU solver."""
+"""Tridiagonal system storage, the pivoted tridiagonal LU solver and the
+Sturm inertia count of a symmetric tridiagonal."""
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -10,6 +12,7 @@ import numpy as np
 from .errors import LinearSolveError
 
 _PIVOT_TOL = 1e-14
+_TINY = sys.float_info.min
 
 
 @dataclass
@@ -101,13 +104,17 @@ def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
     return factor_tridiagonal(system.sub, system.diag, system.sup)(system.rhs)
 
 
-def symmetric_tridiagonal_is_spd(diag: np.ndarray, off: np.ndarray) -> bool:
-    """Positive-definiteness of a symmetric tridiagonal via LDL^T pivots."""
-    d = float(diag[0])
-    if d <= 0:
-        return False
-    for i in range(1, diag.size):
-        d = float(diag[i]) - off[i - 1] ** 2 / d
-        if d <= 0:
-            return False
-    return True
+def nonpositive_pivots(diag: np.ndarray, off: np.ndarray) -> int:
+    """Number of LDL^T pivots of the symmetric tridiagonal (diag, off) that
+    are not positive: by Sylvester's law of inertia, the number of its
+    eigenvalues <= 0, so 0 means positive definite.  A NaN pivot counts; a
+    zero pivot counts and is replaced by ``-tiny`` so the sweep goes on, as
+    in the Sturm count of LAPACK ``dstebz``.  O(N)."""
+    count = 0
+    p = 1.0
+    for di, e in zip(diag.tolist(), [0.0] + (off * off).tolist()):
+        p = di - e / p
+        if not p > 0.0:
+            count += 1
+            p = p or -_TINY
+    return count

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -42,16 +41,3 @@ def _gauss_rule(n: int) -> QuadratureRule:
     points.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(points=points, weights=weights, order=n)
-
-
-def integrate(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int) -> float:
-    """Integrate ``fn`` over [a, b] with the affine-mapped n-point rule.
-
-    ``fn`` must accept an ndarray of evaluation points.
-    """
-    if not a < b:
-        raise ValueError(f"need a < b, got a={a}, b={b}")
-    rule = gauss_rule(n)
-    half = 0.5 * (b - a)
-    xs = half * rule.points + 0.5 * (a + b)
-    return float(half * np.sum(rule.weights * np.asarray(fn(xs), dtype=float)))

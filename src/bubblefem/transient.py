@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import AssemblyError, LinearSolveError
-from .linalg import factor_tridiagonal, symmetric_tridiagonal_is_spd, tridiagonal_matvec
+from .linalg import factor_tridiagonal, nonpositive_pivots, tridiagonal_matvec
 from .model import (
     EnrichmentKind,
     LINEAR,
@@ -38,7 +38,6 @@ from .model import (
 from .steady import _check_mesh_covers, element_bubbles, element_integrals, element_shapes
 
 _EIG_TOL = 1e-10
-_MAX_POWER_ITERATIONS = 100_000
 
 
 @dataclass(frozen=True)
@@ -134,28 +133,47 @@ def _reaction_plus_stiffness(system: TransientSystem) -> tuple[np.ndarray, np.nd
 
 def slowest_decay_rate(system: TransientSystem) -> float:
     """Decay exponent of the slowest mode: smallest omega with
-    (lambda Mg + Kg) v = omega Mg v, so solutions behave like exp(-omega t)."""
-    if not symmetric_tridiagonal_is_spd(system.mass_diag, system.mass_off):
+    (lambda Mg + Kg) v = omega Mg v, so solutions behave like exp(-omega t).
+
+    Mg is SPD, so the non-positive LDL^T pivots of A - omega Mg count the
+    rates <= omega (Sylvester's law of inertia).  Bisection on that count
+    from the Rayleigh quotient of a tent vector brackets the slowest rate
+    to 1e-10 relative (or to adjacent floats); the upper end is returned.
+    A rate at or below 0 needs a step down from min(0, bound); it is
+    bracketed to 1e-10 of the first step, so a zero rate (du/dt = 0) ends
+    the bisection at exactly 0.
+    """
+    m_diag, m_off = system.mass_diag, system.mass_off
+    if nonpositive_pivots(m_diag, m_off):
         raise AssemblyError("mass matrix is not positive definite")
     a_diag, a_off = _reaction_plus_stiffness(system)
-    if system.size == 1:
-        return float(system.lambda_ + system.stiff_diag[0] / system.mass_diag[0])
-    solve_a = factor_tridiagonal(a_off, a_diag, a_off)
-    v = np.ones(system.size)
-    v /= math.sqrt(float(v @ (tridiagonal_matvec(system.mass_off, system.mass_diag, system.mass_off, v))))
-    omega_old = math.inf
-    for _ in range(_MAX_POWER_ITERATIONS):
-        bv = tridiagonal_matvec(system.mass_off, system.mass_diag, system.mass_off, v)
-        y = solve_a(bv)
-        y /= np.linalg.norm(y)
-        ay = tridiagonal_matvec(a_off, a_diag, a_off, y)
-        by = tridiagonal_matvec(system.mass_off, system.mass_diag, system.mass_off, y)
-        omega = float((y @ ay) / (y @ by))
-        if abs(omega - omega_old) <= _EIG_TOL * max(1.0, abs(omega)):
-            return omega
-        omega_old = omega
-        v = y
-    raise LinearSolveError("inverse power iteration did not converge")
+
+    def rates_at_or_below(omega: float) -> int:
+        return nonpositive_pivots(a_diag - omega * m_diag, a_off - omega * m_off)
+
+    # the tent vanishes next to both Dirichlet ends, like the slowest mode
+    i = np.arange(1, system.size + 1)
+    v = np.minimum(i, system.size + 1 - i).astype(float)
+    hi = float(v @ tridiagonal_matvec(a_off, a_diag, a_off, v)) / float(
+        v @ tridiagonal_matvec(m_off, m_diag, m_off, v)
+    )
+    if not math.isfinite(hi):
+        raise LinearSolveError("decay rate bound is not finite")
+    lo, step, floor = min(0.0, hi), abs(hi) or 1.0, 0.0
+    while rates_at_or_below(lo):
+        floor = floor or step
+        lo, step = lo - step, 2.0 * step
+        if not math.isfinite(lo):
+            raise LinearSolveError("decay rate bound is not finite")
+    while hi - lo > _EIG_TOL * max(abs(lo), abs(hi), floor):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if rates_at_or_below(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _trapezoidal_stepper(system: TransientSystem, dt: float) -> Callable[[np.ndarray], np.ndarray]:

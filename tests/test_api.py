@@ -9,6 +9,7 @@ REMOVED = (
     "cubic_coefficients",
     "element_stiffness_quadrature",
     "eval_field",
+    "integrate",
     "quadratic_coefficient_closed",
     "shape_functions",
     "transient_element_matrices_quadrature",

@@ -228,6 +228,15 @@ class TestConfigAndOutput:
         code, _ = run_cli(capsys, "transient", "--sign-compat", "false", "--t-end", "0.01")
         assert code == 0
 
+    def test_initial_profile_is_fixed(self, capsys, tmp_path):
+        # the initial profile is always sin x: neither a flag nor a config key sets it
+        code, _ = run_cli(capsys, "transient", "--initial", "sin", "--t-end", "0.01")
+        assert code == 1
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"initial": "sin"}))
+        code, _ = run_cli(capsys, "transient", "--config", str(config), "--t-end", "0.01")
+        assert code == 1
+
     def test_missing_config_file(self, capsys):
         code, _ = run_cli(capsys, "steady", "--config", "/nonexistent/run.json")
         assert code == 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bubblefem import gauss_rule, integrate
+from bubblefem import gauss_rule
 
 
 def legendre_value(n, x):
@@ -90,20 +90,3 @@ def test_rule_is_shared_and_read_only(n):
     for bad in (0, 11, 2.0, "3", None):
         with pytest.raises(ValueError):
             gauss_rule(bad)
-
-
-def test_integrate_constant():
-    assert integrate(lambda x: np.ones_like(x), 0.0, 2.5, 3) == pytest.approx(2.5)
-
-
-@pytest.mark.parametrize("l", [0.3, 1.0, 4.7])
-def test_integrate_bubble_products(l):
-    got = integrate(lambda x: x * (l - x), 0.0, l, 2)
-    assert abs(got - l**3 / 6) <= 1e-13 * l**3 / 6
-    got = integrate(lambda x: x**2 * (l - x) ** 2, 0.0, l, 3)
-    assert abs(got - l**5 / 30) <= 1e-13 * l**5 / 30
-
-
-def test_integrate_requires_ordered_interval():
-    with pytest.raises(ValueError):
-        integrate(lambda x: x, 1.0, 0.0, 3)

@@ -7,6 +7,7 @@ from bubblefem import (
     AssemblyError,
     EnrichmentKind,
     LINEAR,
+    LinearSolveError,
     QUADRATIC_BUBBLE,
     TransientProblem,
     TransientSystem,
@@ -21,7 +22,7 @@ from bubblefem import (
     transient_element_matrices,
     uniform_mesh,
 )
-from bubblefem.linalg import symmetric_tridiagonal_is_spd, tridiagonal_matvec
+from bubblefem.linalg import nonpositive_pivots, tridiagonal_matvec
 from bubblefem.model import Mesh1D
 from bubblefem.steady import element_integrals
 
@@ -30,6 +31,20 @@ RNG_SEED = 777002
 
 def two_element_mesh():
     return uniform_mesh(0.0, math.pi, 2)
+
+
+def dense_slowest_rate(system):
+    """Smallest generalized eigenvalue of (lambda Mg + Kg, Mg) by Cholesky
+    reduction and a dense symmetric eigensolver."""
+
+    def full(diag, off):
+        return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+    lower = np.linalg.cholesky(full(system.mass_diag, system.mass_off))
+    a = full(system.lambda_ * system.mass_diag + system.stiff_diag,
+             system.lambda_ * system.mass_off + system.stiff_off)
+    inv = np.linalg.inv(lower)
+    return float(np.linalg.eigvalsh(inv @ a @ inv.T)[0])
 
 
 def kernel_entries(epsilon, l, c):
@@ -112,7 +127,7 @@ class TestAssembleTransient:
         )
         assert system.size == n - 1
         assert system.mass_off.size == n - 2
-        assert symmetric_tridiagonal_is_spd(system.mass_diag, system.mass_off)
+        assert nonpositive_pivots(system.mass_diag, system.mass_off) == 0
 
     @pytest.mark.parametrize("order", [3, 4])
     def test_assembles_higher_enrichment(self, order):
@@ -121,7 +136,7 @@ class TestAssembleTransient:
             transient_benchmark_problem(), mesh, EnrichmentKind(order), sign_compat=True
         )
         assert system.shapes.shape == (8, order - 1, 2)
-        assert symmetric_tridiagonal_is_spd(system.mass_diag, system.mass_off)
+        assert nonpositive_pivots(system.mass_diag, system.mass_off) == 0
 
     def test_rejects_single_element(self):
         with pytest.raises(ValueError):
@@ -226,19 +241,93 @@ class TestDecayRates:
         assert omega == pytest.approx(float(np.min(eigs.real)), rel=1e-8)
         assert n == 7
 
-    def test_non_spd_mass_raises(self):
-        system = TransientSystem(
-            mass_diag=np.array([-1.0]),
-            mass_off=np.zeros(0),
-            stiff_diag=np.array([1.0]),
-            stiff_off=np.zeros(0),
-            mesh=two_element_mesh(),
-            lambda_=1.0,
-            enrichment=LINEAR,
-            shapes=np.zeros((2, 0, 2)),
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("epsilon", [-10.0, -1.0, -1e-2, -1e-3, -1e-5])
+    def test_against_dense_generalized_eigensolver(self, epsilon, order):
+        # at epsilon = -1e-5, lambda = 10 the two slowest rates differ by 3e-6 relative
+        for lambda_ in (0.0, 1.0, 10.0):
+            problem = TransientProblem(
+                epsilon=epsilon, domain=(0.0, math.pi), initial_profile=math.sin, lambda_=lambda_
+            )
+            for n in (2, 3, 13, 100, 400):
+                for sign_compat in (False, True):
+                    system = assemble_transient(
+                        problem, uniform_mesh(0.0, math.pi, n), EnrichmentKind(order), sign_compat
+                    )
+                    want = dense_slowest_rate(system)
+                    assert abs(slowest_decay_rate(system) - want) <= 1e-10 * abs(want)
+
+    @pytest.mark.parametrize("n", [2, 4, 1000])
+    def test_null_operator_rate_is_zero(self, n):
+        problem = TransientProblem(
+            epsilon=0.0, domain=(0.0, math.pi), initial_profile=math.sin, lambda_=0.0
         )
-        with pytest.raises(AssemblyError):
+        system = assemble_transient(problem, uniform_mesh(0.0, math.pi, n), QUADRATIC_BUBBLE)
+        assert slowest_decay_rate(system) == 0.0
+
+    def test_growing_mode_against_dense_eigensolver(self):
+        # lambda = -10: the slowest mode grows, omega_1 close to -9
+        problem = TransientProblem(
+            epsilon=-1.0, domain=(0.0, math.pi), initial_profile=math.sin, lambda_=-10.0
+        )
+        system = assemble_transient(problem, uniform_mesh(0.0, math.pi, 50), LINEAR)
+        want = dense_slowest_rate(system)
+        assert want == pytest.approx(-9.0, abs=1e-3)
+        assert abs(slowest_decay_rate(system) - want) <= 1e-10 * abs(want)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_operator_raises(self, bad):
+        system = assemble_transient(
+            transient_benchmark_problem(), uniform_mesh(0.0, math.pi, 6), LINEAR
+        )
+        system.stiff_diag[2] = bad
+        with pytest.raises(LinearSolveError):
             slowest_decay_rate(system)
+
+    def test_non_spd_mass_raises(self):
+        # indefinite, NaN, and singular positive semidefinite mass matrices
+        for mass_diag, mass_off in (
+            (np.array([-1.0]), np.zeros(0)),
+            (np.array([1.0, math.nan]), np.array([0.1])),
+            (np.array([1.0, 1.0]), np.array([1.0])),
+        ):
+            system = TransientSystem(
+                mass_diag=mass_diag,
+                mass_off=mass_off,
+                stiff_diag=np.ones(mass_diag.size),
+                stiff_off=np.zeros(mass_off.size),
+                mesh=uniform_mesh(0.0, math.pi, mass_diag.size + 1),
+                lambda_=1.0,
+                enrichment=LINEAR,
+                shapes=np.zeros((mass_diag.size + 1, 0, 2)),
+            )
+            with pytest.raises(AssemblyError):
+                slowest_decay_rate(system)
+
+
+class TestNonpositivePivots:
+    def test_matches_eigenvalue_sign_count(self):
+        rng = np.random.default_rng(RNG_SEED + 4)
+        for _ in range(200):
+            n = int(rng.integers(1, 30))
+            diag = rng.normal(size=n) + rng.uniform(-1.0, 2.0)
+            off = rng.normal(size=n - 1)
+            eigs = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+            assert nonpositive_pivots(diag, off) == int(np.sum(eigs <= 0.0))
+
+    def test_singular_positive_semidefinite(self):
+        # eigenvalues 0 and 2: the zero eigenvalue counts
+        assert nonpositive_pivots(np.array([1.0, 1.0]), np.array([1.0])) == 1
+
+    def test_zero_first_pivot(self):
+        # eigenvalues (1 -+ sqrt 5) / 2, and -sqrt 2, 0, sqrt 2
+        assert nonpositive_pivots(np.array([0.0, 1.0]), np.array([1.0])) == 1
+        assert nonpositive_pivots(np.zeros(3), np.array([1.0, 1.0])) == 2
+        assert nonpositive_pivots(np.zeros(3), np.array([10.0, 1e-3])) == 2
+
+    def test_nan_pivot_counts(self):
+        assert nonpositive_pivots(np.array([math.nan]), np.zeros(0)) == 1
+        assert nonpositive_pivots(np.array([1.0, 2.0]), np.array([math.nan])) == 1
 
 
 class TestStepTrapezoidal:

@@ -5,9 +5,16 @@ Subcommands: ``coeff`` (bubble coefficients with closed-form cross-checks),
 (reference-table reproduction with a pass column), ``convergence`` (error
 reports over mesh refinements), and ``selftest`` (the acceptance suite).
 
-Options may come from a JSON config file (``--config``); explicit flags
-override file values.  Exit codes: 0 success, 1 invalid input, 2 numerical
-failure, 3 acceptance-test failure.
+Each option is declared once, with its default, in ``_OPTIONS``.  Options may
+also come from a JSON config file (``--config``): its keys are option names
+(``lambda`` or ``lambda_``, ``t_end`` or ``t-end``), each non-null key becomes
+one ``--name=value`` token in front of the flags, and the command line is
+parsed again, so file values pass the same type and choice checks as flags,
+``null`` leaves an option at its default and explicit flags override the file.
+``transient`` fills ``u_exact`` on every run: its initial profile is ``sin x``
+and the domain ends are zeros of it, so ``sin x exp((epsilon - lambda) t)`` is
+exact.  Exit codes: 0 success, 1 invalid input, 2 numerical failure,
+3 acceptance-test failure.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ from . import acceptance
 from .benchmarks import (
     convergence_study,
     exact_steady_benchmark,
-    exact_transient_benchmark,
     history_table,
     profile_table,
     steady_benchmark_problem,
@@ -56,26 +62,54 @@ from .transient import solve_transient
 
 _ENRICHMENTS = {"linear": LINEAR, "quadratic": QUADRATIC_BUBBLE, "cubic": CUBIC_BUBBLE}
 
-_DEFAULTS = {
+_OPTIONS = {
     "coeff": {
-        "epsilon": -1.0, "kappa": 0.0, "lambda_": 1.0, "length": math.pi / 2,
-        "order": 2, "u0": 0.0, "ul": 1.0,
+        "epsilon": (-1.0, "diffusion coefficient (signed)"),
+        "kappa": (0.0, "convection coefficient"),
+        "lambda_": (1.0, "reaction coefficient"),
+        "length": (math.pi / 2, "element length"),
+        "order": (2, "bubble polynomial order (>= 2)"),
+        "u0": (0.0, "left nodal value"),
+        "ul": (1.0, "right nodal value"),
     },
     "steady": {
-        "epsilon": -0.01, "kappa": 0.0, "lambda_": 1.0, "a": 0.0, "b": 10.0,
-        "bc_left": "dirichlet:1.5", "bc_right": "neumann:0", "elements": 50,
-        "enrichment": "quadratic", "samples": 0,
+        "epsilon": (-0.01, None),
+        "kappa": (0.0, None),
+        "lambda_": (1.0, None),
+        "a": (0.0, "left end of the domain"),
+        "b": (10.0, "right end of the domain"),
+        "bc_left": ("dirichlet:1.5", "e.g. dirichlet:1.5 or neumann:0"),
+        "bc_right": ("neumann:0", None),
+        "elements": (50, "number of uniform elements"),
+        "enrichment": ("quadratic", "linear|quadratic|cubic|poly:N"),
+        "samples": (0, "emit N+1 equally spaced samples instead of mesh nodes"),
     },
     "transient": {
-        "epsilon": -1.0, "lambda_": 1.0, "a": 0.0, "b": math.pi, "elements": 2,
-        "enrichment": "quadratic", "dt": 1e-3, "t_end": 1.0,
-        "x_samples": 8, "t_stride": 100, "sign_compat": True,
+        "epsilon": (-1.0, None),
+        "lambda_": (1.0, None),
+        "a": (0.0, "left end of the domain; a zero of sin x, i.e. a multiple of pi"),
+        "b": (math.pi, "right end of the domain; a zero of sin x, i.e. a multiple of pi"),
+        "elements": (2, None),
+        "enrichment": ("quadratic", "linear|quadratic|cubic|poly:N"),
+        "dt": (1e-3, "time step"),
+        "t_end": (1.0, "final time"),
+        "x_samples": (8, "spatial samples per stored time level"),
+        "t_stride": (100, "store every n-th time step"),
+        "sign_compat": (True, "flip the bubble coefficient sign to match the published tables"),
     },
     "tables": {},
-    "convergence": {"counts": "30,50", "enrichments": "linear,quadratic"},
+    "convergence": {
+        "counts": ("30,50", "comma-separated element counts (default 30,50)"),
+        "enrichments": ("linear,quadratic",
+                        "comma-separated enrichments (default linear,quadratic)"),
+    },
     "selftest": {},
-    "common": {"config": None, "format": "table", "out": None},
 }
+
+
+def _flag(name: str) -> str:
+    """Option name (``lambda_``, ``t_end``, ``t-end``) -> flag (``--lambda``, ``--t-end``)."""
+    return "--" + name.rstrip("_").replace("_", "-")
 
 
 def _parse_bool(text: str) -> bool:
@@ -129,8 +163,7 @@ def _emit(columns: list[str], rows: list[list], args, title: str) -> None:
             writer.writerow([_fmt(v) for v in row])
         text = buf.getvalue()
     elif args.format == "json":
-        payload = {"command": title, "columns": columns,
-                   "rows": [[None if v is None else v for v in row] for row in rows]}
+        payload = {"command": title, "columns": columns, "rows": rows}
         text = json.dumps(payload, indent=2) + "\n"
     else:
         widths = [max(len(c), 12) for c in columns]
@@ -159,7 +192,7 @@ def _write(text: str, args) -> None:
 
 def _cmd_coeff(args) -> int:
     coeffs = TransportCoefficients(args.epsilon, args.kappa, args.lambda_)
-    order = int(args.order)
+    order = args.order
     sol = ls_bubble(coeffs, args.length, args.u0, args.ul, order=order)
     lines = [
         f"bubble coefficients of order {order} for epsilon={args.epsilon:g} "
@@ -233,11 +266,11 @@ def _cmd_steady(args) -> int:
         bc_left=_parse_bc(args.bc_left),
         bc_right=_parse_bc(args.bc_right),
     )
-    mesh = uniform_mesh(args.a, args.b, int(args.elements))
+    mesh = uniform_mesh(args.a, args.b, args.elements)
     enrichment = _parse_enrichment(args.enrichment)
     field = solve_steady(problem, mesh, enrichment)
     exact = _steady_exact(problem)
-    xs = mesh.nodes if int(args.samples) < 1 else np.linspace(args.a, args.b, int(args.samples) + 1)
+    xs = mesh.nodes if args.samples < 1 else np.linspace(args.a, args.b, args.samples + 1)
     rows = []
     for x in xs:
         num = field.value(float(x))
@@ -255,25 +288,23 @@ def _cmd_transient(args) -> int:
         epsilon=args.epsilon, domain=(args.a, args.b),
         initial_profile=math.sin, lambda_=args.lambda_,
     )
-    mesh = uniform_mesh(args.a, args.b, int(args.elements))
+    mesh = uniform_mesh(args.a, args.b, args.elements)
     enrichment = _parse_enrichment(args.enrichment)
     trajectory = solve_transient(
         problem, mesh, enrichment, dt=args.dt, t_end=args.t_end,
-        sign_compat=args.sign_compat, store_stride=int(args.t_stride),
+        sign_compat=args.sign_compat, store_stride=args.t_stride,
     )
-    bench = (args.epsilon == -1.0 and args.lambda_ == 1.0
-             and (args.a, args.b) == (0.0, math.pi))
-    xs = np.linspace(args.a, args.b, int(args.x_samples) + 1)
+    # sin x vanishes at both ends (TransientProblem checks it), so
+    # sin x exp((epsilon - lambda) t) solves du/dt + epsilon u'' + lambda u = 0
+    rate = args.epsilon - args.lambda_
+    xs = np.linspace(args.a, args.b, args.x_samples + 1)
     rows = []
     for t in trajectory.times:
         field = trajectory.field_at(float(t))
         for x in xs:
             num = field.value(float(x))
-            if bench:
-                ref = exact_transient_benchmark(float(x), float(t))
-                rows.append([float(t), float(x), num, ref, abs(num - ref)])
-            else:
-                rows.append([float(t), float(x), num, None, None])
+            ref = math.sin(float(x)) * math.exp(rate * float(t))
+            rows.append([float(t), float(x), num, ref, abs(num - ref)])
     _emit(["t", "x", "u_numeric", "u_exact", "abs_error"], rows, args, "transient")
     return 0
 
@@ -303,8 +334,8 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    counts = [int(tok) for tok in str(args.counts).split(",") if tok.strip()]
-    enrichments = [_parse_enrichment(tok) for tok in str(args.enrichments).split(",") if tok.strip()]
+    counts = [int(tok) for tok in args.counts.split(",") if tok.strip()]
+    enrichments = [_parse_enrichment(tok) for tok in args.enrichments.split(",") if tok.strip()]
     problem = steady_benchmark_problem()
     reports = convergence_study(problem, exact_steady_benchmark, enrichments, counts)
     rows = [[r.enrichment.name, r.element_count, r.nodal_linf, r.l2] for r in reports]
@@ -322,31 +353,19 @@ def _cmd_selftest(args) -> int:
 
 
 _COMMANDS = {
-    "coeff": _cmd_coeff,
-    "steady": _cmd_steady,
-    "transient": _cmd_transient,
-    "tables": _cmd_tables,
-    "convergence": _cmd_convergence,
-    "selftest": _cmd_selftest,
+    "coeff": (_cmd_coeff, "print bubble coefficients with closed-form cross-checks"),
+    "steady": (_cmd_steady, "solve a steady problem"),
+    "transient": (_cmd_transient, "run a transient solve from u(x, 0) = sin x"),
+    "tables": (_cmd_tables, "reproduce the two-element reference tables with a pass column"),
+    "convergence": (_cmd_convergence, "error reports for the steady benchmark over refinements"),
+    "selftest": (_cmd_selftest, "run the acceptance criteria"),
 }
-
-
-def _defaults_epilog(command: str) -> str:
-    merged = dict(_DEFAULTS["common"])
-    merged.update(_DEFAULTS[command])
-    shown = {k: v for k, v in merged.items() if v is not None}
-    if not shown:
-        return "defaults: automatic"
-    flags = ", ".join(
-        f"--{key.rstrip('_').replace('_', '-')}={value}" for key, value in sorted(shown.items())
-    )
-    return f"defaults: {flags}"
 
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON file with option values (flags override)")
-    common.add_argument("--format", choices=("table", "csv", "json"),
+    common.add_argument("--format", choices=("table", "csv", "json"), default="table",
                         help="output format (default table)")
     common.add_argument("--out", help="write output to this path instead of stdout")
 
@@ -355,95 +374,42 @@ def _build_parser() -> argparse.ArgumentParser:
         description="1D transport solver with least-squares bubble-enriched elements",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("coeff", parents=[common], epilog=_defaults_epilog("coeff"),
-                       help="print bubble coefficients with closed-form cross-checks")
-    p.add_argument("--epsilon", type=float, help="diffusion coefficient (signed)")
-    p.add_argument("--kappa", type=float, help="convection coefficient")
-    p.add_argument("--lambda", dest="lambda_", type=float, help="reaction coefficient")
-    p.add_argument("--length", type=float, help="element length")
-    p.add_argument("--order", type=int, help="bubble polynomial order (>= 2)")
-    p.add_argument("--u0", type=float, help="left nodal value")
-    p.add_argument("--ul", type=float, help="right nodal value")
-
-    p = sub.add_parser("steady", parents=[common], epilog=_defaults_epilog("steady"),
-                       help="solve a steady problem")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--lambda", dest="lambda_", type=float)
-    p.add_argument("--a", type=float, help="left end of the domain")
-    p.add_argument("--b", type=float, help="right end of the domain")
-    p.add_argument("--bc-left", dest="bc_left", help="e.g. dirichlet:1.5 or neumann:0")
-    p.add_argument("--bc-right", dest="bc_right")
-    p.add_argument("--elements", type=int, help="number of uniform elements")
-    p.add_argument("--enrichment", help="linear|quadratic|cubic|poly:N")
-    p.add_argument("--samples", type=int,
-                   help="emit N+1 equally spaced samples instead of mesh nodes")
-
-    p = sub.add_parser("transient", parents=[common], epilog=_defaults_epilog("transient"),
-                       help="run a transient solve from u(x, 0) = sin x")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--lambda", dest="lambda_", type=float)
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--elements", type=int)
-    p.add_argument("--enrichment", help="linear|quadratic|cubic|poly:N")
-    p.add_argument("--dt", type=float, help="time step")
-    p.add_argument("--t-end", dest="t_end", type=float, help="final time")
-    p.add_argument("--x-samples", dest="x_samples", type=int,
-                   help="spatial samples per stored time level")
-    p.add_argument("--t-stride", dest="t_stride", type=int,
-                   help="store every n-th time step")
-    p.add_argument("--sign-compat", dest="sign_compat", type=_parse_bool,
-                   help="flip the bubble coefficient sign to match the published tables")
-
-    sub.add_parser("tables", parents=[common], epilog=_defaults_epilog("tables"),
-                   help="reproduce the two-element reference tables with a pass column")
-
-    p = sub.add_parser("convergence", parents=[common], epilog=_defaults_epilog("convergence"),
-                       help="error reports for the steady benchmark over refinements")
-    p.add_argument("--counts", help="comma-separated element counts (default 30,50)")
-    p.add_argument("--enrichments", help="comma-separated enrichments (default linear,quadratic)")
-
-    sub.add_parser("selftest", parents=[common], epilog=_defaults_epilog("selftest"),
-                   help="run the acceptance criteria")
+    for command, (_, summary) in _COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=summary)
+        for dest, (default, text) in _OPTIONS[command].items():
+            kind = _parse_bool if isinstance(default, bool) else type(default)
+            p.add_argument(_flag(dest), dest=dest, type=kind, default=default, help=text)
+        # the epilog lists the defaults argparse holds, the common options' included
+        shown = sorted((k, v) for k, v in vars(p.parse_args([])).items() if v is not None)
+        p.epilog = "defaults: " + ", ".join(f"{_flag(k)}={v}" for k, v in shown)
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    file_values = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            file_values = json.load(fh)
-        if not isinstance(file_values, dict):
-            raise ValueError("config file must contain a JSON object")
-        if "lambda" in file_values:
-            file_values["lambda_"] = file_values.pop("lambda")
-    defaults = dict(_DEFAULTS["common"])
-    defaults.update(_DEFAULTS[args.command])
-    for key, value in vars(args).items():
-        if value is None and key != "command":
-            merged = file_values.get(key, defaults.get(key))
-            setattr(args, key, merged)
-    unknown = set(file_values) - set(vars(args))
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return args
+def _config_tokens(path: str) -> list[str]:
+    """One ``--name=value`` token per non-null key of a JSON config object."""
+    with open(path) as fh:
+        values = json.load(fh)
+    if not isinstance(values, dict):
+        raise ValueError("config file must contain a JSON object")
+    return [f"{_flag(key)}={value}" for key, value in values.items() if value is not None]
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # file values go in front of the flags: argparse keeps the last occurrence
+            rest = argv[argv.index(args.command) + 1:]
+            args = parser.parse_args([args.command, *_config_tokens(args.config), *rest])
+        return _COMMANDS[args.command][0](args)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    try:
-        args = _merge_config(args)
-        return _COMMANDS[args.command](args)
     except (DegenerateOperatorError, LinearSolveError, AssemblyError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 1
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 
 import pytest
 
@@ -155,6 +156,24 @@ class TestTransient:
         assert float(probe[0][2]) == pytest.approx(0.125, abs=1e-3)
 
 
+    @pytest.mark.parametrize("argv, bound", [
+        # measured 1.5e-5 and 2.9e-4; sin x exp((epsilon - lambda) t) is exact on both
+        (("--b", "6.283185307179586"), 1e-4),
+        (("--epsilon=-0.5", "--lambda", "0", "--a", "3.141592653589793",
+          "--b", "6.283185307179586"), 1e-3),
+    ], ids=["0_to_2pi", "pi_to_2pi"])
+    def test_exact_column_on_every_domain(self, capsys, argv, bound):
+        code, out = run_cli(
+            capsys, "transient", *argv, "--elements", "16", "--dt", "0.01", "--t-end", "0.2",
+            "--format", "csv",
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) == 2 * 9
+        assert all(r[3] != "" for r in rows)
+        assert max(float(r[4]) for r in rows) < bound
+
+
 class TestTables:
     def test_all_rows_pass(self, capsys):
         code, out = run_cli(capsys, "tables", "--format", "csv")
@@ -237,6 +256,32 @@ class TestConfigAndOutput:
         code, _ = run_cli(capsys, "transient", "--config", str(config), "--t-end", "0.01")
         assert code == 1
 
+    @pytest.mark.parametrize("command, config, flags", [
+        ("transient", {"sign_compat": "false"}, ["--sign-compat", "false"]),
+        ("transient", {"dt": "0.05", "t_end": "0.1"}, ["--dt", "0.05", "--t-end", "0.1"]),
+        ("steady", {"elements": None}, []),
+        ("transient", {"lambda": 2, "t_end": 0.1}, ["--lambda", "2", "--t-end", "0.1"]),
+    ], ids=["sign_compat_string", "number_strings", "null", "lambda_alias"])
+    def test_config_values_match_flags(self, capsys, tmp_path, command, config, flags):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        from_file = run_cli(capsys, command, "--config", str(path), "--format", "csv")
+        from_flags = run_cli(capsys, command, *flags, "--format", "csv")
+        assert from_file[0] == from_flags[0] == 0
+        assert from_file[1] == from_flags[1]
+
+    @pytest.mark.parametrize("config, flags", [
+        ({"elements": 4.7}, ["--elements", "4.7"]),
+        ({"format": "yaml"}, ["--format", "yaml"]),
+        ({"enrichment": 3}, ["--enrichment", "3"]),
+    ], ids=["elements", "format", "enrichment"])
+    def test_config_values_rejected_like_flags(self, capsys, tmp_path, config, flags):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        for argv in (["--config", str(path)], flags):
+            assert main(["steady", *argv]) == 1
+            assert "Traceback" not in capsys.readouterr().err
+
     def test_missing_config_file(self, capsys):
         code, _ = run_cli(capsys, "steady", "--config", "/nonexistent/run.json")
         assert code == 1
@@ -255,3 +300,26 @@ class TestConfigAndOutput:
     def test_missing_subcommand_is_validation_error(self, capsys):
         code, _ = run_cli(capsys)
         assert code == 1
+
+
+_SHOWN_DEFAULT = {
+    "coeff": "--order=2",
+    "steady": "--elements=50",
+    "transient": "--sign-compat=True",
+    "tables": "--format=table",
+    "convergence": "--counts=30,50",
+    "selftest": "--format=table",
+}
+
+
+@pytest.mark.parametrize("command", list(_SHOWN_DEFAULT))
+def test_subcommand_help_lists_defaults(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "1000")  # one unwrapped epilog line
+    code, out = run_cli(capsys, command, "--help")
+    assert code == 0
+    epilog = next(line for line in out.splitlines() if line.startswith("defaults: "))
+    defaults = epilog.removeprefix("defaults: ").split(", ")
+    assert _SHOWN_DEFAULT[command] in defaults
+    # every option with a default, i.e. all but --help, --config and --out
+    options = set(re.findall(r"^  (--[\w-]+)", out, flags=re.M))
+    assert {d.split("=")[0] for d in defaults} == options - {"--help", "--config", "--out"}

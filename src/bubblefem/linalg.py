@@ -12,6 +12,7 @@ import numpy as np
 from .errors import LinearSolveError
 
 _PIVOT_TOL = 1e-14
+_BLOCK = 32  # rows per block of a reused factorisation (factor_tridiagonal)
 _TINY = sys.float_info.min
 
 
@@ -54,8 +55,22 @@ def tridiagonal_matvec(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, v: np
 def factor_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """LU factorisation with partial pivoting of a tridiagonal matrix, as in
     LAPACK ``dgttrf``: a row interchange fills one second superdiagonal of U.
-    Returns ``solve(rhs)``, which applies the factors as ``dgttrs`` does.
+    Returns ``solve(rhs)``, which applies the factors.
     O(N) time and memory; with no interchange this is the Thomas algorithm.
+
+    The first call of ``solve`` sweeps the rows as ``dgttrs`` does; it is
+    the only call of a steady solve (``solve_tridiagonal``) and of
+    ``step_trapezoidal``.  A second call shows that the factors are being
+    reused, as in a time march, so it turns them into block operators on
+    blocks of ``_BLOCK`` rows, and it and every later call apply those
+    (:func:`_block_operators`): two batched matrix products and two scalar
+    carry chains over the N / ``_BLOCK`` blocks, instead of a Python loop
+    over the rows.  The operators take O(N ``_BLOCK``) memory and cost a
+    few row sweeps to build, which is why a factorisation solved once never
+    builds them.  ``_BLOCK`` is fixed and small: the products' cost per row
+    grows with it, and an explicit inverse of a block of U is only as
+    accurate as the block is short.  Should a block inverse overflow, the
+    row sweep stays.
 
     A pivot of U at most ``_PIVOT_TOL`` times the largest matrix entry raises
     LinearSolveError; this pivot rule replaces the SVD condition gate of a
@@ -81,8 +96,8 @@ def factor_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> Ca
         if swap[i]:
             u1[i + 1] -= low[i] * u2[i]
 
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        b = np.asarray(rhs, dtype=float).tolist() + [0.0, 0.0]
+    def sweep_rows(rhs: np.ndarray) -> np.ndarray:
+        b = rhs.tolist() + [0.0, 0.0]
         for i in range(n - 1):
             if swap[i]:
                 b[i], b[i + 1] = b[i + 1], b[i] - low[i] * b[i + 1]
@@ -90,12 +105,109 @@ def factor_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> Ca
                 b[i + 1] -= low[i] * b[i]
         for i in range(n - 1, -1, -1):
             b[i] = (b[i] - u1[i] * b[i + 1] - u2[i] * b[i + 2]) / d[i]
-        x = np.array(b[:n])
+        return np.array(b[:n])
+
+    calls = 0
+    blocked = None  # the block operators, built by the second call
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        nonlocal calls, blocked
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.shape != (n,):
+            raise ValueError(f"right-hand side has shape {rhs.shape}, expected ({n},)")
+        calls += 1
+        if calls == 2:
+            blocked = _block_operators(d[:n], low[:n], u1[:n], u2, swap)
+        x = (blocked or sweep_rows)(rhs)
         if not np.all(np.isfinite(x)):
             raise LinearSolveError("linear solve produced non-finite values")
         return x
 
     return solve
+
+
+def _block_operators(d, low, u1, u2, swap) -> Callable[[np.ndarray], np.ndarray] | None:
+    """``solve`` by blocks of ``_BLOCK`` rows for the factors U (diagonal
+    ``d``, superdiagonals ``u1`` and ``u2``), multipliers ``low`` and
+    interchanges ``swap`` of :func:`factor_tridiagonal`; None if the inverse
+    of a block of U overflows.
+
+    Forward sweep: row i carries c_i, with c_0 = r_0 and c_{i+1} =
+    alpha_i c_i + beta_i r_{i+1}, and keeps y_i = c_i, or y_i = r_{i+1} if
+    it was interchanged.  Partial pivoting makes |alpha_i| <= 1.  A block's
+    y and outgoing carry are therefore one (B+1) x (B+1) matrix times its
+    incoming carry and its B right-hand-side entries.  Backward sweep: a
+    block's x is the inverse of its B x B block of U times its y, plus a
+    B x 2 response to the first two values of x of the next block.  Rows
+    past N are identity rows with a zero right-hand side.  A system of at
+    most ``_BLOCK`` rows is one block with nothing to carry, so its two
+    operators multiply into the inverse of the whole matrix.
+    """
+    n = len(d)
+    size = min(_BLOCK, n)
+    blocks = -(-n // size)
+
+    def by_block(values, fill):
+        out = np.full(blocks * size, fill)
+        out[:n] = values
+        return out.reshape(blocks, size)
+
+    took = by_block(swap, False)
+    mult = by_block(low, 0.0)
+    alpha, beta = np.where(took, 1.0, -mult), np.where(took, -mult, 1.0)
+    # forward[:, j] is y of block row j, forward[:, size] the outgoing carry,
+    # over (incoming carry, the block's rhs)
+    forward = np.empty((blocks, size + 1, size + 1))
+    carry = np.zeros((blocks, size + 1))
+    carry[:, 0] = 1.0
+    for j in range(size):
+        np.multiply(carry, ~took[:, j, None], out=forward[:, j])
+        carry *= alpha[:, j, None]
+        carry[:, j + 1] += beta[:, j]
+    forward[:, size] = carry
+    rows = np.arange(size)
+    forward[:, rows, rows + 1] += took
+
+    pivot, first, second = by_block(d, 1.0), by_block(u1, 0.0), by_block(u2, 0.0)
+    # inverse[:, j] is x of block row j over (the block's y, the two x carried
+    # in); back substitution as in the row sweep, on unit vectors
+    inverse = np.tile(np.eye(size + 2), (blocks, 1, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(size - 1, -1, -1):
+            row = inverse[:, j, j:]
+            row -= inverse[:, j + 1, j:] * first[:, j, None]
+            row -= inverse[:, j + 2, j:] * second[:, j, None]
+            row /= pivot[:, j, None]
+    if not np.all(np.isfinite(inverse)):
+        return None
+    if blocks == 1:
+        whole = inverse[0, :n, :n] @ forward[0, :n, :n]
+        return lambda rhs: whole @ rhs
+
+    forward_rhs, forward_carry = forward[:, :, 1:], forward[:, :size, :1]
+    transfer = forward[:, size, 0].tolist()
+    back_y, back_carry = inverse[:, :size, :size], inverse[:, :size, size:]
+    coupling = back_carry[:, :2].tolist()
+
+    def solve_blocks(rhs: np.ndarray) -> np.ndarray:
+        r = np.zeros(blocks * size + 1)
+        r[:n] = rhs
+        partial = np.matmul(forward_rhs, r[1:].reshape(blocks, size, 1))
+        incoming = [r[0].item()]
+        for p, w in zip(transfer, partial[:, size, 0].tolist()):
+            incoming.append(p * incoming[-1] + w)
+        y = partial[:, :size] + forward_carry * np.array(incoming[:-1])[:, None, None]
+        z = np.matmul(back_y, y)
+        # x past the last block is zero; each block hands its first two on
+        v0 = v1 = 0.0
+        carried = []
+        for ((a0, a1), (b0, b1)), (z0, z1) in zip(coupling[::-1], z[::-1, :2, 0].tolist()):
+            carried.append((v0, v1))
+            v0, v1 = z0 + a0 * v0 + a1 * v1, z1 + b0 * v0 + b1 * v1
+        x = z + np.matmul(back_carry, np.array(carried[::-1])[..., None])
+        return x.reshape(-1)[:n]
+
+    return solve_blocks
 
 
 def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:

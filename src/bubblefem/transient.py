@@ -10,8 +10,13 @@ Kg = -eps * int w' w' the diffusion stiffness.  The nodal shapes are those
 of the steady operator with kappa = 0, and assembly and reconstruction use
 the steady element kernel and element shapes.  Homogeneous Dirichlet rows
 are eliminated.  A trapezoidal one-step scheme integrates the system with
-its step matrix factorised once per march; the two-element benchmark case
-is also solved in closed form through its single decaying mode.
+its step matrix factorised once per march.  The march reuses that
+factorisation on every step, so from the second step on its solves apply
+block operators instead of sweeping the rows
+(:func:`~bubblefem.linalg.factor_tridiagonal`); ``step_trapezoidal``
+factorises and solves once per call, by the row sweep.  The two-element
+benchmark case is also solved in closed form through its single decaying
+mode.
 """
 
 from __future__ import annotations

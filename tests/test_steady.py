@@ -30,7 +30,7 @@ from bubblefem import (
     uniform_mesh,
 )
 from bubblefem import steady
-from bubblefem.linalg import tridiagonal_matvec
+from bubblefem.linalg import _BLOCK, factor_tridiagonal, tridiagonal_matvec
 from bubblefem.quadrature import gauss_rule
 from bubblefem.model import SolutionField, bubble_poly
 from bubblefem.steady import default_quad_points, element_integrals, element_shapes
@@ -244,10 +244,10 @@ def magnitudes(low, high):
 
 
 @st.composite
-def pivoting_systems(draw):
+def pivoting_systems(draw, sizes=st.integers(2, 12)):
     """Tridiagonals with zero, tiny or small diagonals under larger
     off-diagonals, so that elimination interchanges rows."""
-    n = draw(st.integers(2, 12))
+    n = draw(sizes)
     diag = draw(st.lists(st.just(0.0) | magnitudes(1e-18, 1e-9) | magnitudes(0.01, 1.0),
                          min_size=n, max_size=n))
     offdiag = st.lists(magnitudes(0.1, 10.0), min_size=n - 1, max_size=n - 1)
@@ -292,6 +292,53 @@ class TestSolveTridiagonal:
         reference = np.linalg.solve(dense, rhs)
         error = np.linalg.norm(x - reference)
         assert error <= 1e-15 * len(diag) * condition * np.linalg.norm(reference)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        # fewer rows than a block, whole blocks, and a partial last block
+        system=pivoting_systems(st.sampled_from([1, _BLOCK - 1, _BLOCK, 2 * _BLOCK, 3 * _BLOCK + 1])
+                                | st.integers(2, 4 * _BLOCK + 3)),
+        data=st.data(),
+    )
+    def test_reused_factorisation_matches_dense_solve(self, system, data):
+        sub, diag, sup, rhs = system
+        dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+        condition = np.linalg.cond(dense)
+        assume(condition <= 1e12)
+        solve = factor_tridiagonal(sub, diag, sup)
+        solve(np.ones_like(rhs))  # the first call sweeps the rows
+        x = solve(rhs)  # the second and later calls apply the block operators
+        reference = np.linalg.solve(dense, rhs)
+        error = np.linalg.norm(x - reference)
+        assert error <= 1e-15 * len(diag) * condition * np.linalg.norm(reference)
+        bad = rhs.copy()
+        bad[data.draw(st.integers(0, len(diag) - 1))] = math.nan
+        with pytest.raises(LinearSolveError):
+            factor_tridiagonal(sub, diag, sup)(bad)
+        with pytest.raises(LinearSolveError):
+            solve(bad)
+
+    def test_reused_factorisation_where_a_block_inverse_overflows(self):
+        # pivots of 2e-14 under unit superdiagonals: the inverse of a block
+        # of U overflows, while x = U^-1 e_0 is finite and stays so
+        n = 2 * _BLOCK
+        solve = factor_tridiagonal(np.zeros(n - 1), np.full(n, 2e-14), np.ones(n - 1))
+        rhs = np.eye(n)[0]
+        first = solve(rhs)
+        assert first[0] == 5e13 and not first[1:].any()
+        assert np.array_equal(solve(rhs), first)
+
+    @pytest.mark.parametrize("n", [3, 2 * _BLOCK + 1])
+    def test_right_hand_side_of_the_wrong_length(self, n):
+        solve = factor_tridiagonal(np.ones(n - 1), np.full(n, 4.0), np.ones(n - 1))
+        with pytest.raises(ValueError):
+            solve(np.ones(n + 1))
+        solve(np.ones(n))  # the row sweep
+        with pytest.raises(ValueError):
+            solve(np.ones(n - 1))
+        solve(np.ones(n))  # the block operators
+        with pytest.raises(ValueError):
+            solve(np.ones(n + 1))
 
     def test_single_unknown(self):
         system = TridiagonalSystem([], [4.0], [], [2.0])

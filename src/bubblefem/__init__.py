@@ -71,7 +71,6 @@ from .transient import (
     semi_analytic_two_element,
     slowest_decay_rate,
     solve_transient,
-    step_trapezoidal,
     transient_element_matrices,
 )
 
@@ -130,7 +129,6 @@ __all__ = [
     "solve_tridiagonal",
     "steady_benchmark_bubble_coefficient",
     "steady_benchmark_problem",
-    "step_trapezoidal",
     "transient_benchmark_problem",
     "transient_coefficient",
     "transient_element_matrices",

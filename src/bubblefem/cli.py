@@ -288,6 +288,8 @@ def _cmd_transient(args) -> int:
         epsilon=args.epsilon, domain=(args.a, args.b),
         initial_profile=math.sin, lambda_=args.lambda_,
     )
+    if args.x_samples < 0:
+        raise ValueError(f"x samples must be >= 0, got {args.x_samples}")
     mesh = uniform_mesh(args.a, args.b, args.elements)
     enrichment = _parse_enrichment(args.enrichment)
     trajectory = solve_transient(

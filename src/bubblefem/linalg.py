@@ -58,14 +58,14 @@ def factor_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> Ca
     Returns ``solve(rhs)``, which applies the factors.
     O(N) time and memory; with no interchange this is the Thomas algorithm.
 
-    The first call of ``solve`` sweeps the rows as ``dgttrs`` does; it is
-    the only call of a steady solve (``solve_tridiagonal``) and of
-    ``step_trapezoidal``.  A second call shows that the factors are being
-    reused, as in a time march, so it turns them into block operators on
-    blocks of ``_BLOCK`` rows, and it and every later call apply those
-    (:func:`_block_operators`): two batched matrix products and two scalar
-    carry chains over the N / ``_BLOCK`` blocks, instead of a Python loop
-    over the rows.  The operators take O(N ``_BLOCK``) memory and cost a
+    The first call of ``solve`` sweeps the rows as ``dgttrs`` does: a
+    steady solve (``solve_tridiagonal``) makes only that call, and a march
+    (``solve_transient``) makes it for its first step.  A second call shows
+    that the factors are being reused, as in a time march, so it turns them
+    into block operators on blocks of ``_BLOCK`` rows, and it and every
+    later call apply those (:func:`_block_operators`): two batched matrix
+    products and two scalar carry chains over the N / ``_BLOCK`` blocks,
+    instead of a Python loop over the rows.  The operators take O(N ``_BLOCK``) memory and cost a
     few row sweeps to build, which is why a factorisation solved once never
     builds them.  ``_BLOCK`` is fixed and small: the products' cost per row
     grows with it, and an explicit inverse of a block of U is only as

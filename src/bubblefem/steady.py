@@ -139,15 +139,20 @@ def _check_mesh_covers(problem_domain: tuple[float, float], mesh: Mesh1D) -> Non
         )
 
 
+def _scatter(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Global (sub, diag, sup) over all nodes of the (n_elements, 2, 2)
+    element blocks, each node's diagonal the sum of its two blocks' entries."""
+    diag = np.zeros(blocks.shape[0] + 1)
+    diag[:-1] += blocks[:, 0, 0]
+    diag[1:] += blocks[:, 1, 1]
+    return blocks[:, 1, 0].copy(), diag, blocks[:, 0, 1].copy()
+
+
 def _assemble(problem: SteadyProblem, mesh: Mesh1D, shapes: np.ndarray) -> TridiagonalSystem:
     c = problem.coefficients
     dd, cd, mm = element_integrals(mesh.lengths, shapes)
     k = -c.epsilon * dd + c.kappa * cd + c.lambda_ * mm
-    diag = np.zeros(mesh.n_elements + 1)
-    diag[:-1] += k[:, 0, 0]
-    diag[1:] += k[:, 1, 1]
-    sub = k[:, 1, 0].copy()
-    sup = k[:, 0, 1].copy()
+    sub, diag, sup = _scatter(k)
     rhs = np.zeros_like(diag)
 
     # natural boundary term -eps {w u'}: +eps*g at the left end, -eps*g at the right

@@ -3,27 +3,24 @@
 Space is discretised by linear elements, optionally enriched with bubbles
 of any order, while time stays continuous, giving the ODE system
 
-    Mg a'(t) + (lambda Mg + Kg) a(t) = 0
+    Mg a'(t) + A a(t) = 0,    A = lambda Mg + Kg,
 
 over the interior nodal values, with Mg the consistent mass matrix and
 Kg = -eps * int w' w' the diffusion stiffness.  The nodal shapes are those
 of the steady operator with kappa = 0, and assembly and reconstruction use
-the steady element kernel and element shapes.  Homogeneous Dirichlet rows
-are eliminated.  A trapezoidal one-step scheme integrates the system with
-its step matrix factorised once per march.  The march reuses that
-factorisation on every step, so from the second step on its solves apply
-block operators instead of sweeping the rows
-(:func:`~bubblefem.linalg.factor_tridiagonal`); ``step_trapezoidal``
-factorises and solves once per call, by the row sweep.  The two-element
-benchmark case is also solved in closed form through its single decaying
-mode.
+the steady element kernel, scatter and element shapes.  Homogeneous
+Dirichlet rows are eliminated.  :func:`solve_transient` integrates the
+system by trapezoidal steps with its step matrix factorised once per
+march; from the second step on its solves apply block operators instead of
+sweeping the rows (:func:`~bubblefem.linalg.factor_tridiagonal`).  The
+two-element benchmark case is also solved in closed form through its single
+decaying mode.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -40,7 +37,13 @@ from .model import (
     element_values,
     uniform_mesh,
 )
-from .steady import _check_mesh_covers, element_bubbles, element_integrals, element_shapes
+from .steady import (
+    _check_mesh_covers,
+    _scatter,
+    element_bubbles,
+    element_integrals,
+    element_shapes,
+)
 
 _EIG_TOL = 1e-10
 
@@ -69,17 +72,18 @@ def transient_element_matrices(epsilon: float, l: float, c: float) -> TransientE
 
 @dataclass
 class TransientSystem:
-    """Assembled interior-node system: symmetric tridiagonal Mg and Kg,
-    the mesh, the reaction coefficient, and the (n_elements, order - 1, 2)
-    unit-element shapes of :func:`~bubblefem.steady.element_shapes` it was
-    assembled with (negated under ``sign_compat``)."""
+    """The two interior-node matrices of Mg a' + A a = 0, each symmetric
+    tridiagonal as its diagonal and off-diagonal: the mass Mg and the
+    operator A = lambda Mg + Kg; with the mesh, the enrichment and the
+    (n_elements, order - 1, 2) unit-element shapes of
+    :func:`~bubblefem.steady.element_shapes` they were assembled with
+    (negated under ``sign_compat``)."""
 
     mass_diag: np.ndarray
     mass_off: np.ndarray
-    stiff_diag: np.ndarray
-    stiff_off: np.ndarray
+    op_diag: np.ndarray
+    op_off: np.ndarray
     mesh: Mesh1D
-    lambda_: float
     enrichment: EnrichmentKind
     shapes: np.ndarray
 
@@ -94,7 +98,8 @@ def assemble_transient(
     enrichment: EnrichmentKind = LINEAR,
     sign_compat: bool = False,
 ) -> TransientSystem:
-    """Assemble mass and stiffness over interior nodes.
+    """Assemble the mass Mg and the operator A = lambda Mg + Kg over the
+    interior nodes.
 
     The nodal shapes are the least-squares ones of the operator with
     kappa = 0 (:func:`~bubblefem.steady.element_shapes`).
@@ -116,29 +121,23 @@ def assemble_transient(
             shapes = -shapes
     stiff, _, mass = element_integrals(mesh.lengths, shapes)
     stiff *= -problem.epsilon
-
     # homogeneous Dirichlet ends: drop the boundary rows and columns
+    _, mass_diag, mass_off = (v[1:-1] for v in _scatter(mass))
+    _, stiff_diag, stiff_off = (v[1:-1] for v in _scatter(stiff))
     return TransientSystem(
-        mass_diag=mass[:-1, 1, 1] + mass[1:, 0, 0],
-        mass_off=mass[1:-1, 0, 1],
-        stiff_diag=stiff[:-1, 1, 1] + stiff[1:, 0, 0],
-        stiff_off=stiff[1:-1, 0, 1],
+        mass_diag=mass_diag,
+        mass_off=mass_off,
+        op_diag=problem.lambda_ * mass_diag + stiff_diag,
+        op_off=problem.lambda_ * mass_off + stiff_off,
         mesh=mesh,
-        lambda_=problem.lambda_,
         enrichment=enrichment,
         shapes=shapes,
     )
 
 
-def _reaction_plus_stiffness(system: TransientSystem) -> tuple[np.ndarray, np.ndarray]:
-    diag = system.lambda_ * system.mass_diag + system.stiff_diag
-    off = system.lambda_ * system.mass_off + system.stiff_off
-    return diag, off
-
-
 def slowest_decay_rate(system: TransientSystem) -> float:
     """Decay exponent of the slowest mode: smallest omega with
-    (lambda Mg + Kg) v = omega Mg v, so solutions behave like exp(-omega t).
+    A v = omega Mg v, so solutions behave like exp(-omega t).
 
     Mg is SPD, so the non-positive LDL^T pivots of A - omega Mg count the
     rates <= omega (Sylvester's law of inertia).  Bisection on that count
@@ -151,7 +150,7 @@ def slowest_decay_rate(system: TransientSystem) -> float:
     m_diag, m_off = system.mass_diag, system.mass_off
     if nonpositive_pivots(m_diag, m_off):
         raise AssemblyError("mass matrix is not positive definite")
-    a_diag, a_off = _reaction_plus_stiffness(system)
+    a_diag, a_off = system.op_diag, system.op_off
 
     def rates_at_or_below(omega: float) -> int:
         return nonpositive_pivots(a_diag - omega * m_diag, a_off - omega * m_off)
@@ -181,28 +180,6 @@ def slowest_decay_rate(system: TransientSystem) -> float:
     return hi
 
 
-def _trapezoidal_stepper(system: TransientSystem, dt: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Factorise Mg + dt/2 A once; return the step a0 -> a1 with
-    (Mg + dt/2 A) a1 = (Mg - dt/2 A) a0 and A = lambda Mg + Kg."""
-    a_diag, a_off = _reaction_plus_stiffness(system)
-    lhs_off = system.mass_off + 0.5 * dt * a_off
-    solve_lhs = factor_tridiagonal(lhs_off, system.mass_diag + 0.5 * dt * a_diag, lhs_off)
-    rhs_diag = system.mass_diag - 0.5 * dt * a_diag
-    rhs_off = system.mass_off - 0.5 * dt * a_off
-    return lambda state: solve_lhs(tridiagonal_matvec(rhs_off, rhs_diag, rhs_off, state))
-
-
-def step_trapezoidal(system: TransientSystem, state: np.ndarray, dt: float) -> np.ndarray:
-    """One trapezoidal step: (Mg + dt/2 A) a1 = (Mg - dt/2 A) a0 with
-    A = lambda Mg + Kg.  Second order, unconditionally stable here."""
-    if not dt > 0:
-        raise ValueError(f"time step must be positive, got {dt}")
-    state = np.asarray(state, dtype=float)
-    if state.size != system.size:
-        raise ValueError(f"state size {state.size} does not match system {system.size}")
-    return _trapezoidal_stepper(system, dt)(state)
-
-
 class Trajectory:
     """Stored time levels of a transient solve of ``system``, evaluable at
     (x, t).  Spatial reconstruction uses the system's element shapes, as
@@ -223,20 +200,22 @@ class Trajectory:
         self.system = system
 
     def _state_at(self, t: float) -> np.ndarray:
-        """Interior state at the stored time nearest to t."""
+        """Interior state at the stored time nearest to t, for any finite t,
+        also one outside the stored range."""
         if not math.isfinite(t):
             raise ValueError(f"time must be finite, got {t}")
         return self.states[int(np.argmin(np.abs(self.times - t)))]
 
     def field_at(self, t: float) -> SolutionField:
-        """Solution field at the stored time nearest to t."""
+        """Solution field at the stored time nearest to t (any finite t)."""
         s = self.system
         nodal = np.concatenate(([0.0], self._state_at(t), [0.0]))
         bubbles = element_bubbles(s.shapes, nodal)
         return SolutionField(s.mesh, nodal, s.enrichment, bubbles)
 
     def value(self, x: float, t: float) -> float:
-        """``field_at(t).value(x)``, evaluated on the element holding x only."""
+        """``field_at(t).value(x)``, evaluated on the element holding x only:
+        the stored time nearest to t, for any finite t."""
         s, state = self.system, self._state_at(t)
         j = s.mesh.element_index(x)
         ends = np.array([state[j - 1] if j > 0 else 0.0, state[j] if j < state.size else 0.0])
@@ -255,21 +234,35 @@ def solve_transient(
     store_stride: int = 1,
 ) -> Trajectory:
     """March the semi-discrete system by trapezoidal steps from the nodal
-    interpolation of the initial profile."""
-    if not dt > 0:
-        raise ValueError(f"time step must be positive, got {dt}")
-    if t_end < 0:
-        raise ValueError(f"end time must be nonnegative, got {t_end}")
-    if store_stride < 1:
-        raise ValueError(f"store stride must be >= 1, got {store_stride}")
+    interpolation of the initial profile:
+    (Mg + dt/2 A) a_{k+1} = (Mg - dt/2 A) a_k, with Mg + dt/2 A factorised
+    once.  Second order, and the energy a^T Mg a never grows when A is
+    positive semidefinite.
+
+    The march takes ceil(t_end / dt) whole steps, so the last stored time
+    can pass ``t_end``: ``dt=0.1, t_end=0.25`` ends at 0.30000000000000004.
+    Every ``store_stride``-th level is stored, and the last one always.
+    A time step or end time that is not finite, and a stride that is not an
+    integer, raise ValueError.
+    """
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"time step must be positive and finite, got {dt}")
+    if not (math.isfinite(t_end) and t_end >= 0):
+        raise ValueError(f"end time must be nonnegative and finite, got {t_end}")
+    if not isinstance(store_stride, (int, np.integer)) or store_stride < 1:
+        raise ValueError(f"store stride must be an integer >= 1, got {store_stride!r}")
     system = assemble_transient(problem, mesh, enrichment, sign_compat)
     state = np.array([problem.initial_profile(x) for x in mesh.nodes[1:-1]], dtype=float)
     n_steps = max(0, int(math.ceil(t_end / dt - 1e-12)))
-    step = _trapezoidal_stepper(system, dt)
+    half = 0.5 * dt
+    lhs_off = system.mass_off + half * system.op_off
+    solve = factor_tridiagonal(lhs_off, system.mass_diag + half * system.op_diag, lhs_off)
+    rhs_diag = system.mass_diag - half * system.op_diag
+    rhs_off = system.mass_off - half * system.op_off
     times = [0.0]
     states = [state.copy()]
     for k in range(1, n_steps + 1):
-        state = step(state)
+        state = solve(tridiagonal_matvec(rhs_off, rhs_diag, rhs_off, state))
         if k % store_stride == 0 or k == n_steps:
             times.append(k * dt)
             states.append(state.copy())

@@ -12,6 +12,7 @@ REMOVED = (
     "integrate",
     "quadratic_coefficient_closed",
     "shape_functions",
+    "step_trapezoidal",
     "transient_element_matrices_quadrature",
 )
 

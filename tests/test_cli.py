@@ -144,6 +144,16 @@ class TestTransient:
         rows = list(csv.reader(io.StringIO(out)))[1:]
         assert max(float(r[4]) for r in rows) < 1e-3
 
+    @pytest.mark.parametrize("flags", [
+        ["--t-end", "inf"], ["--t-end", "nan"], ["--dt", "inf"], ["--dt", "nan"],
+        ["--x-samples", "-1"],
+    ], ids=lambda flags: "=".join(flags).lstrip("-"))
+    def test_invalid_times_and_counts_are_validation_errors(self, capsys, flags):
+        assert main(["transient", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid input" in captured.err and "Traceback" not in captured.err
+
     def test_probe_value_matches_table(self, capsys):
         code, out = run_cli(
             capsys, "transient", "--dt", "0.001", "--t-end", "0.5", "--t-stride", "500",

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from bubblefem import (
     semi_analytic_two_element,
     slowest_decay_rate,
     solve_transient,
-    step_trapezoidal,
     transient_benchmark_problem,
     transient_coefficient,
     transient_element_matrices,
@@ -34,25 +34,23 @@ def two_element_mesh():
 
 
 def dense_slowest_rate(system):
-    """Smallest generalized eigenvalue of (lambda Mg + Kg, Mg) by Cholesky
-    reduction and a dense symmetric eigensolver."""
+    """Smallest generalized eigenvalue of (A, Mg) by Cholesky reduction and
+    a dense symmetric eigensolver."""
 
     def full(diag, off):
         return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
     lower = np.linalg.cholesky(full(system.mass_diag, system.mass_off))
-    a = full(system.lambda_ * system.mass_diag + system.stiff_diag,
-             system.lambda_ * system.mass_off + system.stiff_off)
+    a = full(system.op_diag, system.op_off)
     inv = np.linalg.inv(lower)
     return float(np.linalg.eigvalsh(inv @ a @ inv.T)[0])
 
 
 def step_matrix(system, dt):
     """Diagonal and off-diagonal of the trapezoidal step matrix Mg + dt/2 A,
-    A = lambda Mg + Kg, with the float64 arithmetic of the package."""
-    a_diag = system.lambda_ * system.mass_diag + system.stiff_diag
-    a_off = system.lambda_ * system.mass_off + system.stiff_off
-    return system.mass_diag + 0.5 * dt * a_diag, system.mass_off + 0.5 * dt * a_off
+    with the float64 arithmetic of the package."""
+    half = 0.5 * dt
+    return system.mass_diag + half * system.op_diag, system.mass_off + half * system.op_off
 
 
 def long_double_march(system, dt, state, steps):
@@ -138,7 +136,8 @@ class TestAssembleTransient:
         system = assemble_transient(transient_benchmark_problem(), two_element_mesh(), LINEAR)
         assert system.size == 1
         assert system.mass_diag[0] == pytest.approx(math.pi / 3.0, rel=1e-14)
-        assert system.stiff_diag[0] == pytest.approx(4.0 / math.pi, rel=1e-14)
+        # A = lambda M + K with lambda = 1 and the hat stiffness 4 / pi
+        assert system.op_diag[0] == pytest.approx(math.pi / 3.0 + 4.0 / math.pi, rel=1e-14)
 
     def test_two_bubble_elements_use_flipped_coefficient(self):
         system = assemble_transient(
@@ -150,7 +149,8 @@ class TestAssembleTransient:
         assert np.array_equal(system.shapes[..., 1], system.shapes[..., 0])
         em = transient_element_matrices(-1.0, math.pi / 2, c)
         assert system.mass_diag[0] == pytest.approx(2 * em.mass_diag, rel=1e-14)
-        assert system.stiff_diag[0] == pytest.approx(2 * em.stiff_diag, rel=1e-14)
+        # A = lambda M + K, lambda = 1
+        assert system.op_diag[0] == pytest.approx(2 * (em.mass_diag + em.stiff_diag), rel=1e-14)
 
     @pytest.mark.parametrize("n", [2, 5, 9])
     def test_dimension_and_spd(self, n):
@@ -186,7 +186,7 @@ class TestAssembleTransient:
             epsilon=0.0, domain=(0.0, math.pi), initial_profile=math.sin, lambda_=0.0
         )
         system = assemble_transient(problem, uniform_mesh(0.0, math.pi, 4), LINEAR)
-        assert not system.stiff_diag.any() and not system.stiff_off.any()
+        assert not system.op_diag.any() and not system.op_off.any()
         assert system.mass_diag == pytest.approx(np.full(3, 2 * math.pi / 12), rel=1e-14)
 
     @pytest.mark.parametrize("sign_compat", [False, True])
@@ -212,7 +212,9 @@ class TestAssembleTransient:
             for name in ("mass", "stiff"):
                 diag[name][j : j + 2] += getattr(em, f"{name}_diag")
                 off[name][j] += getattr(em, f"{name}_off")
-        for name in ("mass", "stiff"):
+        # A = lambda M + K, lambda = 1
+        diag["op"], off["op"] = diag["mass"] + diag["stiff"], off["mass"] + off["stiff"]
+        for name in ("mass", "op"):
             got = np.concatenate((getattr(system, f"{name}_diag"), getattr(system, f"{name}_off")))
             want = np.concatenate((diag[name][1:-1], off[name][1:-1]))
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -266,9 +268,9 @@ class TestDecayRates:
             + np.diag(system.mass_off, -1)
         )
         stiff = (
-            np.diag(system.lambda_ * system.mass_diag + system.stiff_diag)
-            + np.diag(system.lambda_ * system.mass_off + system.stiff_off, 1)
-            + np.diag(system.lambda_ * system.mass_off + system.stiff_off, -1)
+            np.diag(system.op_diag)
+            + np.diag(system.op_off, 1)
+            + np.diag(system.op_off, -1)
         )
         eigs = np.linalg.eigvals(np.linalg.solve(mass, stiff))
         assert omega == pytest.approx(float(np.min(eigs.real)), rel=1e-8)
@@ -313,7 +315,7 @@ class TestDecayRates:
         system = assemble_transient(
             transient_benchmark_problem(), uniform_mesh(0.0, math.pi, 6), LINEAR
         )
-        system.stiff_diag[2] = bad
+        system.op_diag[2] = bad
         with pytest.raises(LinearSolveError):
             slowest_decay_rate(system)
 
@@ -327,10 +329,9 @@ class TestDecayRates:
             system = TransientSystem(
                 mass_diag=mass_diag,
                 mass_off=mass_off,
-                stiff_diag=np.ones(mass_diag.size),
-                stiff_off=np.zeros(mass_off.size),
+                op_diag=np.ones(mass_diag.size),
+                op_off=np.zeros(mass_off.size),
                 mesh=uniform_mesh(0.0, math.pi, mass_diag.size + 1),
-                lambda_=1.0,
                 enrichment=LINEAR,
                 shapes=np.zeros((mass_diag.size + 1, 0, 2)),
             )
@@ -364,20 +365,21 @@ class TestNonpositivePivots:
 
 
 class TestStepTrapezoidal:
-    def test_zero_state_stays_zero(self):
-        system = assemble_transient(transient_benchmark_problem(), two_element_mesh(), LINEAR)
-        out = step_trapezoidal(system, np.zeros(1), 0.1)
-        assert out == pytest.approx([0.0], abs=0)
+    """Trapezoidal steps, as ``solve_transient`` takes them: its first step
+    sweeps the rows of the factorisation, and every later one applies the
+    block operators (one block here, n <= 32 rows)."""
 
     def test_scalar_recurrence(self):
-        system = assemble_transient(transient_benchmark_problem(), two_element_mesh(), LINEAR)
-        omega = slowest_decay_rate(system)
         dt = 0.05
+        trajectory = solve_transient(
+            transient_benchmark_problem(), two_element_mesh(), LINEAR, dt=dt, t_end=20 * dt
+        )
+        omega = slowest_decay_rate(trajectory.system)
         growth = (1 - omega * dt / 2) / (1 + omega * dt / 2)
-        state = np.array([1.0])
+        assert trajectory.states[0, 0] == 1.0
+        assert trajectory.times.size == 21
         for n in range(1, 21):
-            state = step_trapezoidal(system, state, dt)
-            assert state[0] == pytest.approx(growth**n, abs=1e-14)
+            assert trajectory.states[n, 0] == pytest.approx(growth**n, abs=1e-14)
 
     def test_second_order_convergence(self):
         problem = transient_benchmark_problem()
@@ -385,42 +387,42 @@ class TestStepTrapezoidal:
         omega = slowest_decay_rate(system)
         errors = []
         for dt in (0.1, 0.05, 0.025):
-            state = np.array([1.0])
-            for _ in range(round(1.0 / dt)):
-                state = step_trapezoidal(system, state, dt)
-            errors.append(abs(state[0] - math.exp(-omega)))
+            trajectory = solve_transient(
+                problem, two_element_mesh(), QUADRATIC_BUBBLE, dt=dt, t_end=1.0, sign_compat=True
+            )
+            assert trajectory.states[0, 0] == 1.0 and trajectory.times[-1] == 1.0
+            errors.append(abs(trajectory.states[-1, 0] - math.exp(-omega)))
         orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
         for order in orders:
             assert 1.9 <= order <= 2.1
 
     def test_energy_never_grows(self):
+        # random states on the one-block systems of 1 to 7 unknowns
         rng = np.random.default_rng(RNG_SEED + 2)
         problem = transient_benchmark_problem()
         for _ in range(10):
             n = int(rng.integers(2, 9))
-            system = assemble_transient(
-                problem, uniform_mesh(0.0, math.pi, n), QUADRATIC_BUBBLE, sign_compat=True
-            )
-            state = rng.uniform(-1, 1, system.size)
+            mesh = uniform_mesh(0.0, math.pi, n)
+            state = rng.uniform(-1, 1, n - 1)
             dt = float(rng.uniform(0.001, 0.5))
-            for _ in range(25):
-                energy = float(
-                    state
-                    @ tridiagonal_matvec(system.mass_off, system.mass_diag, system.mass_off, state)
-                )
-                state = step_trapezoidal(system, state, dt)
-                energy_next = float(
-                    state
-                    @ tridiagonal_matvec(system.mass_off, system.mass_diag, system.mass_off, state)
-                )
-                assert energy_next <= energy * (1 + 1e-13)
+            # the interpolant of the state is exact at the nodes
+            start = replace(
+                problem, initial_profile=lambda x: np.interp(x, mesh.nodes, [0, *state, 0])
+            )
+            trajectory = solve_transient(
+                start, mesh, QUADRATIC_BUBBLE, dt=dt, t_end=25 * dt, sign_compat=True
+            )
+            assert np.array_equal(trajectory.states[0], state)
+            assert trajectory.times.size == 26
+            m_diag, m_off = trajectory.system.mass_diag, trajectory.system.mass_off
+            energy = [float(a @ tridiagonal_matvec(m_off, m_diag, m_off, a))
+                      for a in trajectory.states]
+            for before, after in zip(energy, energy[1:]):
+                assert after <= before * (1 + 1e-13)
 
     def test_argument_validation(self):
-        system = assemble_transient(transient_benchmark_problem(), two_element_mesh(), LINEAR)
         with pytest.raises(ValueError):
-            step_trapezoidal(system, np.zeros(1), 0.0)
-        with pytest.raises(ValueError):
-            step_trapezoidal(system, np.zeros(3), 0.1)
+            solve_transient(transient_benchmark_problem(), two_element_mesh(), LINEAR, dt=0.0)
 
 
 class TestSolveTransient:
@@ -461,6 +463,32 @@ class TestSolveTransient:
         )
         assert trajectory.times == pytest.approx([0.0, 0.4, 0.8, 1.0])
         assert np.all(np.diff(trajectory.times) > 0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("dt", -0.1), ("dt", math.inf), ("dt", math.nan),
+        ("t_end", -0.1), ("t_end", math.inf), ("t_end", math.nan),
+        ("store_stride", 0), ("store_stride", 2.5), ("store_stride", 2.0),
+    ])
+    def test_rejects_invalid_time_arguments(self, name, value):
+        arguments = {"dt": 0.1, "t_end": 1.0, name: value}
+        with pytest.raises(ValueError):
+            solve_transient(transient_benchmark_problem(), two_element_mesh(), LINEAR, **arguments)
+
+    def test_last_step_can_pass_the_end_time(self):
+        # ceil(t_end / dt) whole steps
+        trajectory = solve_transient(
+            transient_benchmark_problem(), two_element_mesh(), LINEAR, dt=0.1, t_end=0.25
+        )
+        assert trajectory.times.tolist() == [0.0, 0.1, 0.2, 0.30000000000000004]
+
+    def test_times_outside_the_stored_range_take_the_nearest_level(self):
+        trajectory = solve_transient(
+            transient_benchmark_problem(), two_element_mesh(), QUADRATIC_BUBBLE, dt=0.1, t_end=0.3
+        )
+        x = 3 * math.pi / 8
+        assert trajectory.value(x, -5.0) == trajectory.value(x, 0.0)
+        assert trajectory.value(x, 1e6) == trajectory.value(x, 0.3)
+        assert trajectory.field_at(1e6).value(x) == trajectory.value(x, 0.3)
 
     def test_initial_state_is_nodal_interpolation(self):
         problem = transient_benchmark_problem()
@@ -504,28 +532,6 @@ class TestSolveTransient:
         assert system.size == 3
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0]), np.array([[1.0, 1.0, 1.0, 7.0][:width]]), system)
-
-    @pytest.mark.parametrize("enrichment", [LINEAR, QUADRATIC_BUBBLE], ids=["linear", "quadratic"])
-    def test_march_equals_repeated_single_steps(self, enrichment):
-        # solve_transient factorises its step matrix once; step_trapezoidal
-        # factorises it on every call.  Both sweep the rows on the first
-        # solve of a factorisation; the march's later solves apply block
-        # operators, so they agree to the bound of the dense-solve test.
-        problem = transient_benchmark_problem()
-        rng = np.random.default_rng(RNG_SEED + 3)
-        mesh = Mesh1D(np.concatenate(([0.0], np.sort(rng.uniform(0.0, math.pi, 15)), [math.pi])))
-        dt = 0.01
-        trajectory = solve_transient(problem, mesh, enrichment, dt=dt, t_end=0.3)
-        system = assemble_transient(problem, mesh, enrichment)
-        lhs_diag, lhs_off = step_matrix(system, dt)
-        condition = np.linalg.cond(np.diag(lhs_diag) + np.diag(lhs_off, 1) + np.diag(lhs_off, -1))
-        first = step_trapezoidal(system, trajectory.states[0], dt)
-        assert np.array_equal(first, trajectory.states[1])
-        for previous, stored in zip(trajectory.states[1:], trajectory.states[2:]):
-            step = step_trapezoidal(system, previous, dt)
-            error = np.linalg.norm(stored - step)
-            assert error <= 1e-15 * system.size * condition * np.linalg.norm(step)
-        assert trajectory.states.shape[0] == 31
 
     @pytest.mark.parametrize("n", [200, 1000])
     @pytest.mark.parametrize("enrichment", [LINEAR, QUADRATIC_BUBBLE], ids=["linear", "quadratic"])

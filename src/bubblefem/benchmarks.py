@@ -187,51 +187,37 @@ REFERENCE_HISTORY = (
 HISTORY_PROBE = 7.0 * math.pi / 8.0
 
 
-def _two_element_solutions():
+def _table_rows(points, references) -> list[TableRow]:
+    """Rows of the two-element semi-analytic solutions at ``(coordinate, x,
+    t)`` points, next to their reference (exact, bubble, linear) triples."""
     problem = transient_benchmark_problem()
     bubble = semi_analytic_two_element(problem, QUADRATIC_BUBBLE, sign_compat=True)
     linear = semi_analytic_two_element(problem, LINEAR)
-    return bubble, linear
+    return [
+        TableRow(
+            coordinate=coordinate,
+            exact=exact_transient_benchmark(x, t),
+            bubble=bubble(x, t),
+            linear=linear(x, t),
+            reference_exact=ref[0],
+            reference_bubble=ref[1],
+            reference_linear=ref[2],
+        )
+        for (coordinate, x, t), ref in zip(points, references)
+    ]
 
 
 def profile_table() -> list[TableRow]:
     """Solution profiles at t = 0: 17 rows at x = k pi/16, k = 0..16,
     two-element semi-analytic solutions against the exact profile."""
-    bubble, linear = _two_element_solutions()
-    rows = []
-    for k, ref in enumerate(REFERENCE_PROFILE_T0):
-        x = k * math.pi / 16.0
-        rows.append(
-            TableRow(
-                coordinate=x,
-                exact=exact_transient_benchmark(x, 0.0),
-                bubble=bubble(x, 0.0),
-                linear=linear(x, 0.0),
-                reference_exact=ref[0],
-                reference_bubble=ref[1],
-                reference_linear=ref[2],
-            )
-        )
-    return rows
+    xs = [k * math.pi / 16.0 for k in range(len(REFERENCE_PROFILE_T0))]
+    return _table_rows([(x, x, 0.0) for x in xs], REFERENCE_PROFILE_T0)
 
 
 def history_table() -> list[TableRow]:
     """Decay histories at the probe x = 7 pi/8: 11 rows at t = 0, 0.1, ..., 1."""
-    bubble, linear = _two_element_solutions()
-    rows = []
-    for t, ref_exact, ref_bubble, ref_linear in REFERENCE_HISTORY:
-        rows.append(
-            TableRow(
-                coordinate=t,
-                exact=exact_transient_benchmark(HISTORY_PROBE, t),
-                bubble=bubble(HISTORY_PROBE, t),
-                linear=linear(HISTORY_PROBE, t),
-                reference_exact=ref_exact,
-                reference_bubble=ref_bubble,
-                reference_linear=ref_linear,
-            )
-        )
-    return rows
+    points = [(t, HISTORY_PROBE, t) for t, *_ in REFERENCE_HISTORY]
+    return _table_rows(points, [ref for _, *ref in REFERENCE_HISTORY])
 
 
 def convergence_study(

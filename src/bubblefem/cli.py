@@ -242,13 +242,7 @@ def _cmd_coeff(args) -> int:
 
 
 def _steady_exact(problem: SteadyProblem):
-    bench = steady_benchmark_problem()
-    if (
-        problem.coefficients == bench.coefficients
-        and problem.domain == bench.domain
-        and problem.bc_left == bench.bc_left
-        and problem.bc_right == bench.bc_right
-    ):
+    if problem == steady_benchmark_problem():
         return exact_steady_benchmark
     c = problem.coefficients
     if c.kappa == 0.0 and c.lambda_ == 0.0 and problem.bc_left.is_dirichlet \

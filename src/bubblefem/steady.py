@@ -45,17 +45,23 @@ def element_shapes(
     distinct element length and every order at once.
 
     A degenerate operator on some length falls back to plain hats (a zero
-    row) for the elements of that length and emits one warning per such
-    length.
+    row) for the elements of that length.  One warning per call names the
+    degenerate length, or the count and range of such lengths, and the
+    number of elements that fell back.
     """
     if enrichment.order == 1:
         return np.zeros((mesh.n_elements, 0, 2))
     lengths, index = np.unique(mesh.lengths, return_inverse=True)
     unit, degenerate = unit_bubble_coefficients(coeffs, lengths, enrichment.order)
     unit[degenerate] = 0.0
-    for l in lengths[degenerate].tolist():
+    if degenerate.any():
+        bad = lengths[degenerate]
+        lo, hi = float(bad[0]), float(bad[-1])
+        where = f"l={lo}" if bad.size == 1 else f"{bad.size} lengths in [{lo}, {hi}]"
+        count = int(np.count_nonzero(degenerate[index]))
         warnings.warn(
-            f"bubble coefficients degenerate for l={l}; falling back to linear elements",
+            f"bubble coefficients degenerate for {where}; falling back to linear elements "
+            f"on {count} of {mesh.n_elements} elements",
             stacklevel=2,
         )
     return unit[index]

@@ -242,8 +242,8 @@ def solve_transient(
     The march takes ceil(t_end / dt) whole steps, so the last stored time
     can pass ``t_end``: ``dt=0.1, t_end=0.25`` ends at 0.30000000000000004.
     Every ``store_stride``-th level is stored, and the last one always.
-    A time step or end time that is not finite, and a stride that is not an
-    integer, raise ValueError.
+    A time step or end time that is not finite, a ratio ``t_end / dt`` that
+    overflows, and a stride that is not an integer raise ValueError.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"time step must be positive and finite, got {dt}")
@@ -251,6 +251,8 @@ def solve_transient(
         raise ValueError(f"end time must be nonnegative and finite, got {t_end}")
     if not isinstance(store_stride, (int, np.integer)) or store_stride < 1:
         raise ValueError(f"store stride must be an integer >= 1, got {store_stride!r}")
+    if not math.isfinite(t_end / dt):
+        raise ValueError(f"step count t_end / dt = {t_end} / {dt} is not finite")
     system = assemble_transient(problem, mesh, enrichment, sign_compat)
     state = np.array([problem.initial_profile(x) for x in mesh.nodes[1:-1]], dtype=float)
     n_steps = max(0, int(math.ceil(t_end / dt - 1e-12)))
@@ -277,20 +279,22 @@ def semi_analytic_two_element(
     """Closed-form single-mode solution on a uniform two-element mesh.
 
     The reduced system has one unknown, so it decays exactly like
-    a(0) exp(-omega t); the returned callable expands that mode through
-    the (enriched) basis at any (x, t).
+    a(0) exp(-omega t).  The mode is the :class:`SolutionField` of the unit
+    midpoint value (nodal values 0, 1, 0) in the system's element shapes;
+    the returned callable is a(0) exp(-omega t) times its value at x.
     """
     a, b = problem.domain
     mesh = uniform_mesh(a, b, 2)
     system = assemble_transient(problem, mesh, enrichment, sign_compat)
     omega = slowest_decay_rate(system)
     amplitude = float(problem.initial_profile(mesh.nodes[1]))
-    base = Trajectory(np.array([0.0]), np.array([[1.0]]), system)
+    nodal = np.array([0.0, 1.0, 0.0])
+    mode = SolutionField(mesh, nodal, enrichment, element_bubbles(system.shapes, nodal))
 
     def evaluate(x: float, t: float) -> float:
         if t < 0:
             raise ValueError(f"time must be nonnegative, got {t}")
-        return amplitude * math.exp(-omega * t) * base.value(x, 0.0)
+        return amplitude * math.exp(-omega * t) * mode.value(x)
 
     evaluate.decay_rate = omega
     evaluate.amplitude = amplitude

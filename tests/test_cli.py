@@ -146,7 +146,7 @@ class TestTransient:
 
     @pytest.mark.parametrize("flags", [
         ["--t-end", "inf"], ["--t-end", "nan"], ["--dt", "inf"], ["--dt", "nan"],
-        ["--x-samples", "-1"],
+        ["--dt", "1e-308", "--t-end", "10"], ["--x-samples", "-1"],
     ], ids=lambda flags: "=".join(flags).lstrip("-"))
     def test_invalid_times_and_counts_are_validation_errors(self, capsys, flags):
         assert main(["transient", *flags]) == 1

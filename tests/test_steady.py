@@ -717,3 +717,11 @@ class TestFineElements:
         assert shapes[1].all()
         with pytest.raises(DegenerateOperatorError):
             ls_bubble(self.COEFFS, 1e-160, 1.0, 0.0, order=order)
+
+    def test_one_warning_for_many_fallback_lengths(self):
+        mesh = Mesh1D([0.0, 1e-160, 3e-160, 6e-160, 1e-159])
+        assert np.unique(mesh.lengths).size == 4
+        shapes, fallbacks = self.shapes_and_fallbacks(self.COEFFS, mesh, CUBIC_BUBBLE)
+        assert len(fallbacks) == 1
+        assert "4 lengths" in str(fallbacks[0].message)
+        assert not shapes.any()

@@ -466,7 +466,7 @@ class TestSolveTransient:
 
     @pytest.mark.parametrize("name, value", [
         ("dt", -0.1), ("dt", math.inf), ("dt", math.nan),
-        ("t_end", -0.1), ("t_end", math.inf), ("t_end", math.nan),
+        ("t_end", -0.1), ("t_end", math.inf), ("t_end", math.nan), ("t_end", 1e308),
         ("store_stride", 0), ("store_stride", 2.5), ("store_stride", 2.0),
     ])
     def test_rejects_invalid_time_arguments(self, name, value):

@@ -184,9 +184,12 @@ def _block_operators(d, low, u1, u2, swap) -> Callable[[np.ndarray], np.ndarray]
         whole = inverse[0, :n, :n] @ forward[0, :n, :n]
         return lambda rhs: whole @ rhs
 
-    forward_rhs, forward_carry = forward[:, :, 1:], forward[:, :size, :1]
+    # contiguous copies: the products' speed must not hang on where the
+    # slices of the work arrays happen to sit
+    forward_rhs, forward_carry, back_y, back_carry = map(np.ascontiguousarray, (
+        forward[:, :, 1:], forward[:, :size, :1], inverse[:, :size, :size], inverse[:, :size, size:]
+    ))
     transfer = forward[:, size, 0].tolist()
-    back_y, back_carry = inverse[:, :size, :size], inverse[:, :size, size:]
     coupling = back_carry[:, :2].tolist()
 
     def solve_blocks(rhs: np.ndarray) -> np.ndarray:

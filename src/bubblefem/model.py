@@ -8,9 +8,11 @@ dominated benchmarks therefore carry a negative ``epsilon``.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -126,12 +128,29 @@ class Mesh1D:
     def b(self) -> float:
         return float(self.nodes[-1])
 
+    @cached_property
+    def _node_list(self) -> list[float]:
+        """The nodes as Python floats, for scalar lookups; built on first use,
+        and never stale, since the nodes are read-only."""
+        return self.nodes.tolist()
+
     def element_index(self, x: float) -> int:
-        """Index of the element containing x (right-closed at the last node)."""
-        if not self.a <= x <= self.b:
+        """Index of the element containing x: right-open, so a node starts the
+        element to its right, except b, which belongs to the last element.
+        x outside [a, b] or NaN raises ValueError.  A bisection on the nodes
+        as Python floats, with no numpy call."""
+        nodes = self._node_list
+        if not nodes[0] <= x <= nodes[-1]:
             raise ValueError(f"x={x} outside domain [{self.a}, {self.b}]")
-        j = int(np.searchsorted(self.nodes, x, side="right")) - 1
-        return min(j, self.n_elements - 1)
+        return min(bisect.bisect_right(nodes, x) - 1, len(nodes) - 2)
+
+    def _locate(self, x: float) -> tuple[int, float, float]:
+        """``element_index(x)`` with the local coordinate x - x_j and the
+        length of that element, in Python floats; the length is
+        x_{j+1} - x_j, the subtraction ``lengths`` holds."""
+        j = self.element_index(x)
+        left = self._node_list[j]
+        return j, x - left, self._node_list[j + 1] - left
 
     def __repr__(self):
         return f"Mesh1D({self.n_elements} elements on [{self.a}, {self.b}])"
@@ -190,17 +209,27 @@ class TransientProblem:
                 )
 
 
-def bubble_poly(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _poly_terms(coeffs: np.ndarray | list) -> list:
+    """The coefficients d_1, d_2, ... of :func:`bubble_poly` one by one: a
+    list as it is, an array's last axis as slices that broadcast against s."""
+    if isinstance(coeffs, list):
+        return coeffs
+    return [coeffs[..., k, None] for k in range(coeffs.shape[-1])]
+
+
+def bubble_poly(coeffs: np.ndarray | list, s: np.ndarray | float) -> np.ndarray | float:
     """p(s) = d_1 + d_2 s + ... by Horner's rule, the polynomial that
     multiplies the unit-element bubble factor s (1 - s).
 
-    ``coeffs`` carries the polynomial coefficients on its last axis; its
-    leading axes broadcast against ``s`` without the last one, so one call
-    serves a single element or all of them.
+    ``coeffs`` is an array that carries the polynomial coefficients on its
+    last axis, whose leading axes broadcast against ``s`` without the last
+    one, so one call serves a single element or all of them; or it is a
+    list of the coefficients: Python floats with a float ``s`` evaluate one
+    point with no numpy call, by the same operations.
     """
-    poly = np.zeros_like(s)
-    for k in range(coeffs.shape[-1] - 1, -1, -1):
-        poly = poly * s + coeffs[..., k, None]
+    poly = 0.0
+    for d in reversed(_poly_terms(coeffs)):
+        poly = poly * s + d
     return poly
 
 
@@ -216,7 +245,8 @@ class SolutionField:
     k = 1..order-1, as :func:`~bubblefem.steady.element_bubbles` returns
     them; the coefficients of x^k (l - x) in x are d_{j,k} / l^(k+1).  The
     bubble factor s (1 - s) is kept in product form so it vanishes exactly
-    at both element endpoints.
+    at both element endpoints.  The field holds read-only copies of the
+    nodal values and amplitudes, so it cannot change after construction.
     """
 
     def __init__(
@@ -226,7 +256,7 @@ class SolutionField:
         enrichment: EnrichmentKind = LINEAR,
         bubble_coeffs: np.ndarray | None = None,
     ):
-        values = np.asarray(nodal_values, dtype=float)
+        values = np.array(nodal_values, dtype=float)
         if values.shape != mesh.nodes.shape:
             raise ValueError(
                 f"expected {mesh.nodes.size} nodal values, got {values.size}"
@@ -234,11 +264,13 @@ class SolutionField:
         n_bub = enrichment.bubble_count
         if bubble_coeffs is None:
             bubble_coeffs = np.zeros((mesh.n_elements, n_bub))
-        coeffs = np.asarray(bubble_coeffs, dtype=float).reshape(mesh.n_elements, -1)
+        coeffs = np.array(bubble_coeffs, dtype=float).reshape(mesh.n_elements, -1)
         if coeffs.shape[1] != n_bub:
             raise ValueError(
                 f"expected {n_bub} bubble coefficients per element, got {coeffs.shape[1]}"
             )
+        values.setflags(write=False)
+        coeffs.setflags(write=False)
         self.mesh = mesh
         self.nodal_values = values
         self.enrichment = enrichment
@@ -263,29 +295,50 @@ class SolutionField:
         out = element_values(l, u[j][..., None], u[j + 1][..., None], self.bubble_coeffs[j], t)
         return out.reshape(local.shape)
 
+    @cached_property
+    def _rows(self) -> tuple[list[float], list[float], int]:
+        """What the scalar :meth:`value` reads, built on its first call: the
+        nodal values and the amplitudes, flattened, as Python lists, and the
+        number of amplitudes per element."""
+        return (self.nodal_values.tolist(), self.bubble_coeffs.ravel().tolist(),
+                self.bubble_coeffs.shape[1])
+
     def value(self, x: float) -> float:
-        """Field value at x; returns the stored nodal value exactly at nodes:
-        ``element_index`` is right-open, so s = 0 exactly at a node, and at b
-        t is the same subtraction as the last length, so s = 1 exactly."""
-        j = self.mesh.element_index(x)
-        u, t = self.nodal_values, np.array([x - self.mesh.nodes[j]])
-        out = element_values(self.mesh.lengths[j], u[j], u[j + 1], self.bubble_coeffs[j], t)
-        return float(out[0])
+        """Field value at one point x, as a Python float; x outside the mesh,
+        NaN or infinite raises ValueError.
+
+        A bisection for the element and :func:`element_values` on Python
+        floats, with no numpy call, so the value is the one
+        :meth:`eval_on_element` gives at x - x_j.  It is the stored nodal
+        value exactly at nodes: ``element_index`` is right-open, so s = 0
+        exactly at a node, and at b t is the same subtraction as the last
+        length, so s = 1 exactly."""
+        j, t, l = self.mesh._locate(float(x))
+        u, coeffs, n = self._rows
+        return element_values(l, u[j], u[j + 1], coeffs[n * j : n * j + n], t)
 
     def __call__(self, x: float) -> float:
         return self.value(x)
 
 
 def element_values(
-    l: np.ndarray, u0: np.ndarray, u1: np.ndarray, coeffs: np.ndarray, t: np.ndarray
-) -> np.ndarray:
+    l: np.ndarray | float,
+    u0: np.ndarray | float,
+    u1: np.ndarray | float,
+    coeffs: np.ndarray | list,
+    t: np.ndarray | float,
+) -> np.ndarray | float:
     """The one evaluation kernel: u0 (1 - s) + u1 s + s (1 - s) p(s) with
     s = t / l at local coordinates ``t``, and p the :func:`bubble_poly` of
     the unit-element amplitudes ``coeffs``.  ``l``, ``u0`` and ``u1``
-    broadcast against ``t``, as ``coeffs`` without its last axis does."""
+    broadcast against ``t``, as ``coeffs`` without its last axis does.
+    Python floats for ``l``, ``u0``, ``u1`` and ``t`` with a list of floats
+    for ``coeffs`` evaluate one point in floats, bit for bit as an array
+    call would: the same operations in the same order, none fused."""
     s = t / l
     out = u0 * (1.0 - s) + u1 * s
-    if coeffs.shape[-1]:
-        out = out + s * (1.0 - s) * bubble_poly(coeffs, s)
+    terms = _poly_terms(coeffs)
+    if terms:
+        out = out + s * (1.0 - s) * bubble_poly(terms, s)
     return out
 

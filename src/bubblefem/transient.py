@@ -19,6 +19,7 @@ decaying mode.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -187,7 +188,8 @@ class Trajectory:
     """
 
     def __init__(self, times: np.ndarray, states: np.ndarray, system: TransientSystem):
-        self.times = np.asarray(times, dtype=float)
+        self.times = np.array(times, dtype=float)
+        self.times.setflags(write=False)
         self.states = np.asarray(states, dtype=float)
         if self.states.ndim != 2 or self.states.shape[0] != self.times.size:
             raise ValueError("states must be one interior vector per stored time")
@@ -198,13 +200,26 @@ class Trajectory:
                 f"state width {self.states.shape[1]} does not match system {system.size}"
             )
         self.system = system
+        self._time_list = self.times.tolist()
 
     def _state_at(self, t: float) -> np.ndarray:
         """Interior state at the stored time nearest to t, for any finite t,
-        also one outside the stored range."""
+        also one outside the stored range; on a tie, the earlier one.
+
+        A bisection finds the stored times on either side of t and keeps the
+        nearer by the same rounded distances |t_k - t| that an argmin over
+        all levels compares.  The two differ only where the distances of
+        several levels round to one value, far outside the stored range
+        (t = 1e17 after times 0, 0.1, ...): an argmin then takes the first
+        level, and this the nearer end.
+        """
         if not math.isfinite(t):
             raise ValueError(f"time must be finite, got {t}")
-        return self.states[int(np.argmin(np.abs(self.times - t)))]
+        times = self._time_list
+        k = bisect.bisect_left(times, t)
+        if k == len(times) or (k > 0 and abs(times[k - 1] - t) <= abs(times[k] - t)):
+            k -= 1
+        return self.states[k]
 
     def field_at(self, t: float) -> SolutionField:
         """Solution field at the stored time nearest to t (any finite t)."""
@@ -214,14 +229,17 @@ class Trajectory:
         return SolutionField(s.mesh, nodal, s.enrichment, bubbles)
 
     def value(self, x: float, t: float) -> float:
-        """``field_at(t).value(x)``, evaluated on the element holding x only:
-        the stored time nearest to t, for any finite t."""
+        """``field_at(t).value(x)`` bit for bit, from the element holding x
+        only: the stored time nearest to t, for any finite t.  The element's
+        two nodal values and its amplitudes p0 u0 + p1 u1
+        (:func:`~bubblefem.steady.element_bubbles`) are formed in Python
+        floats, and :func:`~bubblefem.model.element_values` evaluates them."""
         s, state = self.system, self._state_at(t)
-        j = s.mesh.element_index(x)
-        ends = np.array([state[j - 1] if j > 0 else 0.0, state[j] if j < state.size else 0.0])
-        bubbles = element_bubbles(s.shapes[j : j + 1], ends)
-        t = np.array([x - s.mesh.nodes[j]])
-        return float(element_values(s.mesh.lengths[j], ends[0], ends[1], bubbles[0], t)[0])
+        j, local, l = s.mesh._locate(float(x))
+        u0 = state[j - 1].item() if j > 0 else 0.0
+        u1 = state[j].item() if j < state.size else 0.0
+        bubbles = [p0 * u0 + p1 * u1 for p0, p1 in s.shapes[j].tolist()]
+        return element_values(l, u0, u1, bubbles, local)
 
 
 def solve_transient(

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bubblefem import (
     BoundaryCondition,
@@ -174,12 +175,54 @@ class TestEvalField:
 
     def test_domain_error(self):
         field = two_element_field()
-        with pytest.raises(ValueError):
-            field.value(-0.01)
-        with pytest.raises(ValueError):
-            field.value(math.pi + 0.01)
-        with pytest.raises(ValueError):
-            field.value(math.nan)
+        for x in (-0.01, math.pi + 0.01, math.nan, math.inf, -math.inf):
+            for point in (x, np.float64(x)):
+                with pytest.raises(ValueError):
+                    field.value(point)
+                with pytest.raises(ValueError):
+                    field.mesh.element_index(point)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        order=st.integers(1, 6),
+        start=st.floats(-3.0, 1.0),
+        lengths=st.lists(st.floats(1e-3, 1.5), min_size=1, max_size=25),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scalar_value_is_the_element_kernel(self, order, start, lengths, seed):
+        # byte for byte, for a Python float, an np.float64 and an int
+        mesh = Mesh1D(start + np.cumsum([0.0] + lengths))
+        rng = np.random.default_rng(seed)
+        n = mesh.n_elements
+        nodal = rng.normal(size=n + 1) * 10.0 ** rng.uniform(-3, 3, size=n + 1)
+        field = SolutionField(
+            mesh, nodal, EnrichmentKind(order), rng.normal(size=(n, order - 1)) * 100.0
+        )
+        xs = np.concatenate((rng.uniform(mesh.a, mesh.b, 30), mesh.nodes, [mesh.b])).tolist()
+        ints = list(range(math.ceil(mesh.a), math.floor(mesh.b) + 1))
+        for x in xs + ints:
+            j = mesh.element_index(x)
+            expected = field.eval_on_element(j, x - mesh.nodes[j]).tobytes()
+            points = (x,) if isinstance(x, int) else (x, np.float64(x))
+            for point in points:
+                got = field.value(point)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == expected
+
+    def test_field_keeps_read_only_copies_of_its_inputs(self):
+        mesh = uniform_mesh(0.0, 1.0, 4)
+        nodal, bubbles = np.arange(5.0), np.full((4, 2), 0.5)
+        evaluated = SolutionField(mesh, nodal, EnrichmentKind(3), bubbles)
+        before = evaluated.value(0.3)
+        untouched = SolutionField(mesh, nodal, EnrichmentKind(3), bubbles)
+        nodal[:] = 7.0
+        bubbles[:] = -1.0
+        for field in (evaluated, untouched):
+            assert field.value(0.3) == before
+            assert not field.nodal_values.flags.writeable
+            assert not field.bubble_coeffs.flags.writeable
+            with pytest.raises(ValueError):
+                field.nodal_values[0] = 1.0
 
     @pytest.mark.parametrize("order", [1, 2, 3, 5])
     def test_index_array_matches_single_element_calls(self, order):

@@ -505,23 +505,35 @@ class TestSolveTransient:
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_value_equals_field_value(self, order):
+        # byte for byte at random (x, t); dt = 1/8 makes the midpoints
+        # between levels exact ties, which go to the earlier level
         problem = transient_benchmark_problem()
         rng = np.random.default_rng(RNG_SEED + order)
         mesh = Mesh1D(np.concatenate(([0.0], np.sort(rng.uniform(0.0, math.pi, 9)), [math.pi])))
-        trajectory = solve_transient(problem, mesh, EnrichmentKind(order), dt=0.05, t_end=0.3)
-        xs = np.concatenate((mesh.nodes, rng.uniform(0.0, math.pi, 40)))
-        for t in (0.0, 0.12, 0.3):
+        trajectory = solve_transient(problem, mesh, EnrichmentKind(order), dt=0.125, t_end=1.0)
+        times = trajectory.times
+        midpoints = 0.5 * (times[:-1] + times[1:])
+        xs = np.concatenate((mesh.nodes, rng.uniform(0.0, math.pi, 40))).tolist()
+        ts = np.concatenate((rng.uniform(-0.5, 1.5, 20), midpoints, times, [-3.0, 40.0]))
+        for t in ts.tolist():
             field = trajectory.field_at(t)
-            for x in xs.tolist():
-                assert trajectory.value(x, t) == field.value(x)
+            nearest = int(np.argmin(np.abs(times - t)))
+            assert np.array_equal(field.nodal_values[1:-1], trajectory.states[nearest])
+            for x in xs:
+                value = trajectory.value(x, t)
+                assert type(value) is float
+                assert np.float64(value).tobytes() == np.float64(field.value(x)).tobytes()
+        for k, t in enumerate(midpoints.tolist()):
+            assert np.array_equal(trajectory.field_at(t).nodal_values[1:-1], trajectory.states[k])
 
     def test_value_rejects_nan(self):
         problem = transient_benchmark_problem()
         trajectory = solve_transient(
             problem, two_element_mesh(), QUADRATIC_BUBBLE, dt=0.1, t_end=0.2
         )
-        with pytest.raises(ValueError):
-            trajectory.value(math.nan, 0.1)
+        for x in (math.nan, math.inf, -math.inf, -0.01, math.pi + 0.01):
+            with pytest.raises(ValueError):
+                trajectory.value(x, 0.1)
 
     @pytest.mark.parametrize("width", [2, 4])
     def test_rejects_states_of_the_wrong_width(self, width):

@@ -16,21 +16,12 @@ import numpy as np
 from .benchmarks import (
     TABLE_TOL,
     error_report,
-    exact_steady_benchmark,
     history_table,
     profile_table,
-    steady_benchmark_bubble_coefficient,
     steady_benchmark_problem,
     transient_benchmark_problem,
 )
-from .enrichment import (
-    bubble_2d_coefficient,
-    ls_bubble,
-    quadratic_ab_closed,
-    residual_functional,
-    residual_functional_2d,
-    transient_coefficient,
-)
+from .enrichment import ls_bubble, residual_functional
 from .model import (
     BoundaryCondition,
     CUBIC_BUBBLE,
@@ -43,18 +34,22 @@ from .model import (
     uniform_mesh,
 )
 from .linalg import tridiagonal_matvec
-from .steady import (
-    element_integrals,
-    element_shapes,
+from .oracles import (
+    bubble_2d_coefficient,
     element_stiffness_closed,
-    solve_steady,
+    exact_steady_benchmark,
+    quadratic_ab_closed,
+    residual_functional_2d,
+    steady_benchmark_bubble_coefficient,
+    transient_coefficient,
+    transient_element_matrices,
 )
+from .steady import element_integrals, element_shapes, solve_steady
 from .transient import (
     assemble_transient,
     semi_analytic_two_element,
     slowest_decay_rate,
     solve_transient,
-    transient_element_matrices,
 )
 
 SEED = 20240811

@@ -1,4 +1,4 @@
-"""Benchmark problems, exact solutions, error norms, and reference tables.
+"""Benchmark problems, error norms, and reference tables.
 
 Two benchmarks are covered:
 
@@ -7,6 +7,8 @@ Two benchmarks are covered:
 * transient diffusion with lateral loss,
       du/dt - u'' + u = 0 on [0, pi], u(x, 0) = sin(x), zero ends,
   whose exact solution is sin(x) exp(-2t).
+
+Their exact solutions are in :mod:`bubblefem.oracles`.
 
 Reference tables for the two-element transient case are stored verbatim
 so reproductions can be checked cell by cell at their 3-decimal precision
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .model import (
     BoundaryCondition,
@@ -32,12 +35,13 @@ from .model import (
     TransportCoefficients,
     uniform_mesh,
 )
-from .quadrature import gauss_rule
+from .oracles import exact_transient_benchmark
 from .steady import solve_steady
 from .transient import semi_analytic_two_element
 
 TABLE_TOL = 1e-3
-_NORM_QUAD_POINTS = 8  # Gauss points per element of the error report's L2 norm
+# the 8-point Gauss rule on [-1, 1] of the error report's L2 norm
+_NORM_POINTS, _NORM_WEIGHTS = leggauss(8)
 
 
 @dataclass(frozen=True)
@@ -60,42 +64,11 @@ def steady_benchmark_problem() -> SteadyProblem:
     )
 
 
-def exact_steady_benchmark(x):
-    """Exact solution of the steady benchmark, in overflow-safe form.
-
-    The textbook form carries exp(100) factors; dividing them out gives
-        u(x) = 3/2 (exp(-10x) + exp(10x - 200)) / (1 + exp(-200)),
-    which never exceeds unit-scale exponents on [0, 10].
-    """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 10.0):
-        raise ValueError("x outside the benchmark domain [0, 10]")
-    val = 1.5 * (np.exp(-10.0 * arr) + np.exp(10.0 * arr - 200.0)) / (1.0 + np.exp(-200.0))
-    return float(val) if arr.ndim == 0 else val
-
-
-def steady_benchmark_bubble_coefficient(l: float, u0: float, ul: float) -> float:
-    """Reference closed-form quadratic bubble coefficient of the steady
-    benchmark (specialisation eps = -1/100, kappa = 0, lambda = 1)."""
-    if not l > 0:
-        raise ValueError(f"element length must be positive, got {l}")
-    return -25.0 * (25.0 * l**2 + 3.0) / (250.0 * l**4 + 50.0 * l**2 + 3.0) * (ul + u0)
-
-
 def transient_benchmark_problem() -> TransientProblem:
     """Heat flow with lateral loss on [0, pi], initial profile sin(x)."""
     return TransientProblem(
         epsilon=-1.0, domain=(0.0, math.pi), initial_profile=math.sin, lambda_=1.0
     )
-
-
-def exact_transient_benchmark(x: float, t: float) -> float:
-    """Exact transient benchmark solution sin(x) exp(-2t)."""
-    if not 0.0 <= x <= math.pi:
-        raise ValueError(f"x={x} outside the benchmark domain [0, pi]")
-    if t < 0.0:
-        raise ValueError(f"t={t} must be nonnegative")
-    return math.sin(x) * math.exp(-2.0 * t)
 
 
 def error_report(
@@ -110,12 +83,11 @@ def error_report(
     """
     mesh = field.mesh
     nodal_linf = float(np.max(np.abs(field.nodal_values - _exact_at(exact, mesh.nodes))))
-    rule = gauss_rule(_NORM_QUAD_POINTS)
     l = mesh.lengths[:, None]
-    local = 0.5 * l * (rule.points + 1.0)
+    local = 0.5 * l * (_NORM_POINTS + 1.0)
     num = field.eval_on_element(np.arange(mesh.n_elements), local)
     ref = _exact_at(exact, mesh.nodes[:-1, None] + local)
-    total = float(np.sum(0.5 * l * rule.weights * (num - ref) ** 2))
+    total = float(np.sum(0.5 * l * _NORM_WEIGHTS * (num - ref) ** 2))
     return ErrorReport(
         nodal_linf=nodal_linf,
         l2=math.sqrt(total),

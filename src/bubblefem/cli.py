@@ -32,18 +32,11 @@ import numpy as np
 from . import acceptance
 from .benchmarks import (
     convergence_study,
-    exact_steady_benchmark,
     history_table,
     profile_table,
     steady_benchmark_problem,
 )
-from .enrichment import (
-    cubic_closed_forms,
-    ls_bubble,
-    quadratic_ab,
-    quadratic_ab_closed,
-    transient_coefficient,
-)
+from .enrichment import ls_bubble, quadratic_ab
 from .errors import AssemblyError, DegenerateOperatorError, LinearSolveError
 from .model import (
     BoundaryCondition,
@@ -56,6 +49,12 @@ from .model import (
     TransportCoefficients,
     polynomial_bubble,
     uniform_mesh,
+)
+from .oracles import (
+    cubic_closed_forms,
+    exact_steady_benchmark,
+    quadratic_ab_closed,
+    transient_coefficient,
 )
 from .steady import solve_steady
 from .transient import solve_transient

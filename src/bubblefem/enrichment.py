@@ -13,10 +13,10 @@ normal equations are solved there for all elements at once
 (``unit_bubble_coefficients``).  Assembly and the solution field use those
 unit-element amplitudes d_k = c_k l^(k+1) as they are; only the one-element
 view behind ``ls_bubble`` converts them to the x-coordinates c_k.  That
-numeric minimiser is the canonical coefficient source; the closed-form
-expressions in this module exist as cross-checks of it, and
-``residual_functional`` evaluates J in x on a path of its own, as the
-oracle the minimiser is checked against.
+numeric minimiser is the only coefficient source; ``residual_functional``
+evaluates J in x on a path of its own, as the oracle the minimiser is
+checked against, and the closed forms in :mod:`bubblefem.oracles` are
+cross-checks of it.
 """
 
 from __future__ import annotations
@@ -31,15 +31,9 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import DegenerateOperatorError
 from .model import TransportCoefficients
-from .quadrature import gauss_rule
 
-# A closed-form denominator is degenerate when it is this small relative to
-# the magnitudes of the terms that formed it (catastrophic cancellation); a
-# unit-element Gram matrix is degenerate beyond the reciprocal condition.
-DEGENERACY_TOL = 1e-12
-_MAX_CONDITION = 1.0 / DEGENERACY_TOL
-# tensor-product rule size of the 2D functional: exact for its degree-4 integrand
-_QUAD_2D_POINTS = 4
+# a unit-element Gram matrix is degenerate beyond this condition number
+_MAX_CONDITION = 1e12
 
 
 @dataclass(frozen=True)
@@ -194,7 +188,8 @@ def ls_bubble(
     The one-element view of the batched unit-element minimiser
     :func:`unit_bubble_coefficients`, applied to the nodal pair (u0, ul).
     This is the canonical coefficient source for the whole package; every
-    closed form below is checked against it, never the other way round.
+    closed form in :mod:`bubblefem.oracles` is checked against it, never the
+    other way round.
     """
     solution = _unit_bubble(coeffs, l, order) @ np.array([u0, ul], dtype=float)
     value = residual_functional(coeffs, l, u0, ul, solution)
@@ -226,135 +221,3 @@ def quadratic_ab(coeffs: TransportCoefficients, l: float) -> QuadraticEnrichment
     return QuadraticEnrichment(
         a_coef=float(0.5 * (left + right)), b_coef=float(0.5 * (right - left)), length=l
     )
-
-
-def _check_denominator(den: float, terms: Sequence[float], context: str) -> None:
-    if abs(den) <= DEGENERACY_TOL * max(abs(t) for t in terms):
-        raise DegenerateOperatorError(f"degenerate denominator in {context}")
-
-
-def _closed_form_terms(build, context: str) -> tuple:
-    """Evaluate closed-form denominator terms, mapping float overflow to
-    the degenerate-operator error."""
-    try:
-        return build()
-    except OverflowError as exc:
-        raise DegenerateOperatorError(f"coefficient overflow in {context}") from exc
-
-
-def quadratic_ab_closed(coeffs: TransportCoefficients, l: float) -> QuadraticEnrichment:
-    """Closed-form counterpart of :func:`quadratic_ab` (cross-check path)."""
-    if not l > 0:
-        raise ValueError(f"element length must be positive, got {l}")
-    eps, kap, lam = coeffs.epsilon, coeffs.kappa, coeffs.lambda_
-    terms = _closed_form_terms(
-        lambda: (lam**2 * l**5, -20 * eps * lam * l**3, 10 * kap**2 * l**3, 120 * eps**2 * l),
-        "quadratic enrichment",
-    )
-    den = sum(terms)
-    _check_denominator(den, terms, "quadratic enrichment")
-    a = 2.5 * (-(lam**2) * l**3 + 12 * eps * lam * l) / den
-    b = 2.5 * (24 * eps * kap) / den
-    return QuadraticEnrichment(a_coef=a, b_coef=b, length=l)
-
-
-def transient_coefficient(epsilon: float, l: float) -> float:
-    """Quadratic bubble coefficient of the transient operator (kappa = 0,
-    lambda = 1, unit nodal sum), in closed form:
-
-        c = -(5/2) (l^2 - 12 eps) / (l^4 - 20 eps l^2 + 120 eps^2)
-
-    Note the least-squares sign: for epsilon = -1, l = pi/2 this yields
-    c = -0.2062, while the stored reference tables for the transient
-    benchmark are reproduced by the sign-flipped value +0.2062 (see the
-    ``sign_compat`` flags).
-    """
-    if not l > 0:
-        raise ValueError(f"element length must be positive, got {l}")
-    terms = _closed_form_terms(
-        lambda: (l**4, -20 * epsilon * l**2, 120 * epsilon**2), "transient coefficient"
-    )
-    den = sum(terms)
-    _check_denominator(den, terms, "transient coefficient")
-    return -2.5 * (l**2 - 12 * epsilon) / den
-
-
-def cubic_closed_forms(
-    coeffs: TransportCoefficients, l: float, u0: float, ul: float
-) -> tuple[float, float]:
-    """Reference closed-form expressions for the cubic coefficient pair.
-
-    Kept verbatim for comparison purposes only: both numerators are known
-    to deviate from the true normal-equation solution except in special
-    cases (their common denominator is correct).  Never a computation path.
-    """
-    eps, kap, lam = coeffs.epsilon, coeffs.kappa, coeffs.lambda_
-    den_terms = (
-        l**8 * lam**4,
-        52 * l**6 * lam**2 * (kap**2 - 2 * lam * eps),
-        l**4 * (4320 * lam**2 * eps**2 - 1680 * lam * kap**2 * eps + 420 * kap**4),
-        l**2 * eps**2 * (5040 * kap**2 - 60480 * lam * eps),
-        302400 * eps**4,
-    )
-    den = sum(den_terms)
-    _check_denominator(den, den_terms, "cubic enrichment")
-    c_num = (
-        l**7 * lam**4 * (ul - 6 * u0)
-        - 40 * l**5 * lam**3 * eps * (ul - 13 * u0)
-        - 70 * l**5 * lam**2 * kap**2 * (ul + 2 * u0)
-        - 60 * l**4 * lam**2 * kap * eps * (13 * ul + 22 * u0)
-        - 840 * l**3 * lam**2 * eps**2 * (5 * ul - 16 * u0)
-        + 840 * l**3 * lam * eps * kap**2 * (-ul + 4 * u0)
-        + 5040 * l**2 * eps**2 * kap * lam * (-ul + 6 * u0)
-        + 2520 * l**2 * kap**3 * eps * (ul - u0)
-        + 50400 * l * lam * eps**3 * (ul + 2 * u0)
-        + 25200 * l * kap**2 * eps**2 * (ul - u0)
-        + 151200 * kap * eps**3 * (ul - u0)
-    )
-    f_num = 7 * (
-        l**6 * lam**4 * (-ul + u0)
-        - 80 * l**4 * lam**3 * eps * (-ul + u0)
-        + 10 * l**4 * lam**2 * kap**2 * (-ul + u0)
-        + 300 * l**3 * lam**2 * kap * eps * (ul + u0)
-        + 1320 * l**2 * lam**2 * eps**2 * (-ul + u0)
-        - 600 * l**2 * lam * eps * kap**2 * (-ul + u0)
-        - 3600 * l * eps**2 * kap * lam * (ul + u0)
-        + 2520 * l**2 * kap**3 * eps * (ul - u0)
-        - 7200 * l * lam * eps**3 * (-ul + u0)
-        + 7200 * kap**2 * eps**2 * (-ul + u0)
-    )
-    return c_num / (l * den), f_num / (l * den)
-
-
-def bubble_2d_coefficient(
-    l: float, h: float, u00: float, u0h: float, ul0: float, ulh: float
-) -> float:
-    """Bubble coefficient on the rectangular master element [0,l] x [0,h]
-    for the operator d2/dx2 - d/dy, driven by the four corner values."""
-    if not (l > 0 and h > 0):
-        raise ValueError(f"element sides must be positive, got l={l}, h={h}")
-    return 15.0 * (u00 - u0h + ul0 - ulh) / (h * (l**4 + 12 * h**2))
-
-
-def residual_functional_2d(
-    l: float, h: float, corners: Sequence[float], c: float
-) -> float:
-    """Squared-residual functional of the 2D trial, by tensor-product
-    Gauss quadrature (exact: the integrand is polynomial of degree 4)."""
-    if not (l > 0 and h > 0):
-        raise ValueError(f"element sides must be positive, got l={l}, h={h}")
-    u00, u0h, ul0, ulh = (float(v) for v in corners)
-    rule = gauss_rule(_QUAD_2D_POINTS)
-    xs = 0.5 * l * (rule.points + 1.0)
-    ys = 0.5 * h * (rule.points + 1.0)
-    wx = 0.5 * l * rule.weights
-    wy = 0.5 * h * rule.weights
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    W = np.outer(wx, wy)
-    # residual of (bilinear + c x y (l-x)(h-y)) under d2/dx2 - d/dy
-    r = (
-        -2.0 * c * Y * (h - Y)
-        - ((l - X) * (u0h - u00) + X * (ulh - ul0)) / (l * h)
-        - c * X * (l - X) * (h - 2.0 * Y)
-    )
-    return float(np.sum(W * r * r))

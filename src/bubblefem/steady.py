@@ -9,7 +9,7 @@ with Bubnov-Galerkin weights equal to the enriched trial basis.  One
 kernel builds the three weight-trial products of every element at once,
 at any enrichment order, from the exact unit-element tensor that the
 bubble coefficients are solved with; steady and transient assembly both
-combine its blocks.  The closed-form element matrix is a test oracle only.
+combine its blocks.
 """
 
 from __future__ import annotations
@@ -75,7 +75,9 @@ def element_bubbles(shapes: np.ndarray, nodal: np.ndarray) -> np.ndarray:
 
 def default_quad_points(order: int) -> int:
     """Gauss rule size that integrates the element products exactly
-    (degree 2*order): the rule of the oracle for :func:`element_integrals`."""
+    (degree 2*order).  No package code calls it: its readers are the Gauss
+    oracle of :func:`element_integrals` in ``tests/test_steady.py`` and the
+    benchmark harness (``perfbench/workloads.py`` and its smoke test)."""
     if order + 1 > 10:
         raise ValueError(
             f"enrichment order {order} exceeds exact-quadrature reach (order <= 9)"
@@ -102,38 +104,6 @@ def element_integrals(
     dd, cd, mm = (e.swapaxes(1, 2) @ tensors) @ e
     l = lengths[:, None, None]
     return dd / l, cd, mm * l
-
-
-def element_stiffness_closed(
-    coeffs: TransportCoefficients, l: float, a: float, b: float
-) -> np.ndarray:
-    """Closed-form 2x2 element matrix for quadratic enrichment (A, B) = (a, b).
-
-    Test oracle only; assembly always uses :func:`element_integrals`.
-    """
-    if not l > 0:
-        raise ValueError(f"element length must be positive, got {l}")
-    eps, kap, lam = coeffs.epsilon, coeffs.kappa, coeffs.lambda_
-    am, ap = a - b, a + b
-    e = (
-        -30 * eps + 10 * lam * l**2 - 15 * kap * l
-        + lam * l**6 * am**2 + 5 * lam * l**4 * am - 10 * eps * l**4 * am**2
-    ) / (30 * l)
-    f = (
-        60 * eps + 10 * lam * l**2 + 30 * kap * l
-        + 2 * lam * l**6 * (a**2 - b**2) + 10 * lam * l**4 * a
-        + 20 * kap * l**3 * a - 20 * eps * l**4 * (a**2 - b**2)
-    ) / (60 * l)
-    g = (
-        60 * eps + 10 * lam * l**2 - 30 * kap * l
-        + 2 * lam * l**6 * (a**2 - b**2) + 10 * lam * l**4 * a
-        - 20 * kap * l**3 * a - 20 * eps * l**4 * (a**2 - b**2)
-    ) / (60 * l)
-    h = (
-        -30 * eps + 10 * lam * l**2 + 15 * kap * l
-        + lam * l**6 * ap**2 + 5 * lam * l**4 * ap - 10 * eps * l**4 * ap**2
-    ) / (30 * l)
-    return np.array([[e, f], [g, h]])
 
 
 def _check_mesh_covers(problem_domain: tuple[float, float], mesh: Mesh1D) -> None:

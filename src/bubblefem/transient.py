@@ -49,28 +49,6 @@ from .steady import (
 _EIG_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class TransientElementMatrices:
-    """Element mass [[L, M], [M, L]] and stiffness [[N, P], [P, N]] entries
-    for enriched weights w = hat + c x (l - x)."""
-
-    mass_diag: float
-    mass_off: float
-    stiff_diag: float
-    stiff_off: float
-
-
-def transient_element_matrices(epsilon: float, l: float, c: float) -> TransientElementMatrices:
-    """Closed-form element matrices; a test oracle for the element kernel."""
-    if not l > 0:
-        raise ValueError(f"element length must be positive, got {l}")
-    mass_diag = (c**2 * l**6 + 5 * c * l**4 + 10 * l**2) / (30 * l)
-    mass_off = (c**2 * l**6 + 5 * c * l**4 + 5 * l**2) / (30 * l)
-    stiff_diag = -epsilon * (10 * c**2 * l**4 + 30) / (30 * l)
-    stiff_off = -epsilon * (10 * c**2 * l**4 - 30) / (30 * l)
-    return TransientElementMatrices(mass_diag, mass_off, stiff_diag, stiff_off)
-
-
 @dataclass
 class TransientSystem:
     """The two interior-node matrices of Mg a' + A a = 0, each symmetric
@@ -185,12 +163,15 @@ class Trajectory:
     """Stored time levels of a transient solve of ``system``, evaluable at
     (x, t).  Spatial reconstruction uses the system's element shapes, as
     the steady solve does (:func:`~bubblefem.steady.element_bubbles`).
+    ``times`` and ``states``, one interior vector per time, may be arrays or
+    lists; both are kept as read-only copies.
     """
 
-    def __init__(self, times: np.ndarray, states: np.ndarray, system: TransientSystem):
+    def __init__(self, times, states, system: TransientSystem):
         self.times = np.array(times, dtype=float)
         self.times.setflags(write=False)
-        self.states = np.asarray(states, dtype=float)
+        self.states = np.array(states, dtype=float)
+        self.states.setflags(write=False)
         if self.states.ndim != 2 or self.states.shape[0] != self.times.size:
             raise ValueError("states must be one interior vector per stored time")
         if np.any(np.diff(self.times) <= 0):
@@ -279,6 +260,8 @@ def solve_transient(
     solve = factor_tridiagonal(lhs_off, system.mass_diag + half * system.op_diag, lhs_off)
     rhs_diag = system.mass_diag - half * system.op_diag
     rhs_off = system.mass_off - half * system.op_off
+    # store copies, not the block solve's views of its work arrays: that
+    # frees each work array, and the march runs faster reusing its memory
     times = [0.0]
     states = [state.copy()]
     for k in range(1, n_steps + 1):
@@ -286,7 +269,7 @@ def solve_transient(
         if k % store_stride == 0 or k == n_steps:
             times.append(k * dt)
             states.append(state.copy())
-    return Trajectory(np.array(times), np.array(states), system)
+    return Trajectory(times, states, system)
 
 
 def semi_analytic_two_element(

@@ -15,16 +15,18 @@ from bubblefem import (
     TransportCoefficients,
     convergence_study,
     error_report,
-    exact_steady_benchmark,
-    exact_transient_benchmark,
-    gauss_rule,
     history_table,
     ls_bubble,
     profile_table,
     solve_steady,
-    steady_benchmark_bubble_coefficient,
     steady_benchmark_problem,
     uniform_mesh,
+)
+from bubblefem.oracles import (
+    exact_steady_benchmark,
+    exact_transient_benchmark,
+    gauss_rule,
+    steady_benchmark_bubble_coefficient,
 )
 
 TOL = 1e-3

@@ -7,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 from bubblefem import (
     DegenerateOperatorError,
     TransportCoefficients,
-    bubble_2d_coefficient,
-    cubic_closed_forms,
     ls_bubble,
     quadratic_ab,
-    quadratic_ab_closed,
     residual_functional,
+)
+from bubblefem.oracles import (
+    bubble_2d_coefficient,
+    cubic_closed_forms,
+    quadratic_ab_closed,
     residual_functional_2d,
     steady_benchmark_bubble_coefficient,
     transient_coefficient,
@@ -308,8 +310,18 @@ class TestTransientCoefficient:
             transient_coefficient(-1.0, 1e200)
 
     def test_length_validation(self):
-        with pytest.raises(ValueError):
-            transient_coefficient(-1.0, 0.0)
+        # every closed form of the one-element operator shares one length check
+        coeffs = TransportCoefficients(-1.0, 1.0, 1.0)
+        closed_forms = (
+            lambda l: transient_coefficient(-1.0, l),
+            lambda l: quadratic_ab_closed(coeffs, l),
+            lambda l: cubic_closed_forms(coeffs, l, 1.0, 0.0),
+            lambda l: steady_benchmark_bubble_coefficient(l, 1.0, 0.0),
+        )
+        for closed_form in closed_forms:
+            for l in (0.0, -1.0, math.nan):
+                with pytest.raises(ValueError):
+                    closed_form(l)
 
 
 def brute_force_two_coefficients(coeffs, l, u0, ul, center=(0.0, 0.0), span=4.0):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bubblefem import gauss_rule
+from bubblefem.oracles import gauss_rule
 
 
 def legendre_value(n, x):

@@ -18,12 +18,9 @@ from bubblefem import (
     TransportCoefficients,
     TridiagonalSystem,
     assemble_steady,
-    element_stiffness_closed,
-    exact_steady_benchmark,
     ls_bubble,
     polynomial_bubble,
     quadratic_ab,
-    quadratic_ab_closed,
     solve_steady,
     solve_tridiagonal,
     steady_benchmark_problem,
@@ -31,8 +28,13 @@ from bubblefem import (
 )
 from bubblefem import steady
 from bubblefem.linalg import _BLOCK, factor_tridiagonal, tridiagonal_matvec
-from bubblefem.quadrature import gauss_rule
 from bubblefem.model import SolutionField, bubble_poly
+from bubblefem.oracles import (
+    element_stiffness_closed,
+    exact_steady_benchmark,
+    gauss_rule,
+    quadratic_ab_closed,
+)
 from bubblefem.steady import default_quad_points, element_integrals, element_shapes
 
 RNG_SEED = 55441

@@ -18,12 +18,11 @@ from bubblefem import (
     slowest_decay_rate,
     solve_transient,
     transient_benchmark_problem,
-    transient_coefficient,
-    transient_element_matrices,
     uniform_mesh,
 )
 from bubblefem.linalg import nonpositive_pivots, tridiagonal_matvec
 from bubblefem.model import Mesh1D
+from bubblefem.oracles import transient_coefficient, transient_element_matrices
 from bubblefem.steady import element_integrals
 
 RNG_SEED = 777002
@@ -534,6 +533,17 @@ class TestSolveTransient:
         for x in (math.nan, math.inf, -math.inf, -0.01, math.pi + 0.01):
             with pytest.raises(ValueError):
                 trajectory.value(x, 0.1)
+
+    def test_keeps_a_read_only_copy_of_the_states(self):
+        system = assemble_transient(
+            transient_benchmark_problem(), uniform_mesh(0.0, math.pi, 4), LINEAR
+        )
+        states = np.array([[0.5, 1.0, 0.5]])
+        trajectory = Trajectory(np.array([0.0]), states, system)
+        before = trajectory.value(1.0, 0.0)
+        states[:] = 7.0
+        assert trajectory.value(1.0, 0.0) == before
+        assert not trajectory.states.flags.writeable
 
     @pytest.mark.parametrize("width", [2, 4])
     def test_rejects_states_of_the_wrong_width(self, width):

@@ -63,14 +63,16 @@ def factor_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> Ca
     (``solve_transient``) makes it for its first step.  A second call shows
     that the factors are being reused, as in a time march, so it turns them
     into block operators on blocks of ``_BLOCK`` rows, and it and every
-    later call apply those (:func:`_block_operators`): two batched matrix
-    products and two scalar carry chains over the N / ``_BLOCK`` blocks,
-    instead of a Python loop over the rows.  The operators take O(N ``_BLOCK``) memory and cost a
-    few row sweeps to build, which is why a factorisation solved once never
-    builds them.  ``_BLOCK`` is fixed and small: the products' cost per row
-    grows with it, and an explicit inverse of a block of U is only as
-    accurate as the block is short.  Should a block inverse overflow, the
-    row sweep stays.
+    later call apply those (:func:`_block_operators`) instead of a Python
+    loop over the rows: one fused product per block gives its x without
+    carries, one interface operator per group of ``_BLOCK`` blocks gives
+    every block's carries, and one more product adds them in.  Only a chain
+    of three numbers per group of ``_BLOCK``^2 rows is left in Python.  The
+    operators take O(N ``_BLOCK``) memory and cost a few row sweeps to
+    build, which is why a factorisation solved once never builds them.
+    ``_BLOCK`` is fixed and small: the products' cost per row grows with
+    it, and an explicit inverse of a block of U is only as accurate as the
+    block is short.  Should any operator overflow, the row sweep stays.
 
     A pivot of U at most ``_PIVOT_TOL`` times the largest matrix entry raises
     LinearSolveError; this pivot rule replaces the SVD condition gate of a
@@ -129,8 +131,8 @@ def factor_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> Ca
 def _block_operators(d, low, u1, u2, swap) -> Callable[[np.ndarray], np.ndarray] | None:
     """``solve`` by blocks of ``_BLOCK`` rows for the factors U (diagonal
     ``d``, superdiagonals ``u1`` and ``u2``), multipliers ``low`` and
-    interchanges ``swap`` of :func:`factor_tridiagonal`; None if the inverse
-    of a block of U overflows.
+    interchanges ``swap`` of :func:`factor_tridiagonal`; None if an operator
+    overflows, so that the row sweep stays.
 
     Forward sweep: row i carries c_i, with c_0 = r_0 and c_{i+1} =
     alpha_i c_i + beta_i r_{i+1}, and keeps y_i = c_i, or y_i = r_{i+1} if
@@ -142,6 +144,21 @@ def _block_operators(d, low, u1, u2, swap) -> Callable[[np.ndarray], np.ndarray]
     past N are identity rows with a zero right-hand side.  A system of at
     most ``_BLOCK`` rows is one block with nothing to carry, so its two
     operators multiply into the inverse of the whole matrix.
+
+    Otherwise the inverse is premultiplied into the forward operator: one
+    fused (B+1) x B product per block gives its outgoing forward partial w
+    and its carry-free x, z, from its own right-hand side alone, and x is
+    z plus a B x 3 response to the block's three carries, the incoming
+    forward carry and the two values of x carried in.  Those carries are
+    the two sweeps' chains over the blocks, which is a reduced interface
+    system as in the SPIKE partition (Polizzi-Sameh, Parallel Computing
+    2006).  Over a group of ``_BLOCK`` blocks they are one fixed linear map
+    of the group's w, of rows 0-1 of its z and of the three carries that
+    enter the group: its forward carry, r_0 for the first group, and the
+    first two values of x after it, zero after the last group.  A solve
+    applies that interface operator as one batched matrix-vector product;
+    only the chain of those three numbers from group to group runs in
+    Python, O(N / ``_BLOCK``^2) steps and none up to ``_BLOCK``^2 rows.
     """
     n = len(d)
     size = min(_BLOCK, n)
@@ -178,39 +195,93 @@ def _block_operators(d, low, u1, u2, swap) -> Callable[[np.ndarray], np.ndarray]
             row -= inverse[:, j + 1, j:] * first[:, j, None]
             row -= inverse[:, j + 2, j:] * second[:, j, None]
             row /= pivot[:, j, None]
-    if not np.all(np.isfinite(inverse)):
+        if blocks == 1:
+            whole = inverse[0, :n, :n] @ forward[0, :n, :n]
+            return (lambda rhs: whole @ rhs) if np.all(np.isfinite(whole)) else None
+        back_y = inverse[:, :size, :size]
+        # fused[:, 0] is w and fused[:, 1:] is z over the block's rhs; response
+        # is x's over (incoming forward carry, the two x carried in)
+        fused = np.concatenate((forward[:, size:, 1:], back_y @ forward[:, :size, 1:]), axis=1)
+        response = np.concatenate((back_y @ forward[:, :size, :1], inverse[:, :size, size:]), axis=2)
+        group = min(_BLOCK, blocks)
+        interface, summary = _interface_operators(forward[:, size, 0], response[:, :2], group)
+    if not all(np.all(np.isfinite(a)) for a in (fused, response, interface, summary)):
         return None
-    if blocks == 1:
-        whole = inverse[0, :n, :n] @ forward[0, :n, :n]
-        return lambda rhs: whole @ rhs
 
-    # contiguous copies: the products' speed must not hang on where the
-    # slices of the work arrays happen to sit
-    forward_rhs, forward_carry, back_y, back_carry = map(np.ascontiguousarray, (
-        forward[:, :, 1:], forward[:, :size, :1], inverse[:, :size, :size], inverse[:, :size, size:]
-    ))
-    transfer = forward[:, size, 0].tolist()
-    coupling = back_carry[:, :2].tolist()
+    groups, width = summary.shape[0], 3 * group + 3
+    # a group's inputs are (its three incoming carries, then (w, z_0, z_1) of
+    # each of its blocks); slots are the blocks' rows among all groups' inputs
+    slots = np.arange(blocks) + np.arange(blocks) // group + 1
+    transfer = summary[:, 0, 0].tolist()
+    from_carry = summary[:, 1:, 0].tolist()
+    from_next = summary[:, 1:, 1:3].tolist()
 
     def solve_blocks(rhs: np.ndarray) -> np.ndarray:
         r = np.zeros(blocks * size + 1)
         r[:n] = rhs
-        partial = np.matmul(forward_rhs, r[1:].reshape(blocks, size, 1))
-        incoming = [r[0].item()]
-        for p, w in zip(transfer, partial[:, size, 0].tolist()):
-            incoming.append(p * incoming[-1] + w)
-        y = partial[:, :size] + forward_carry * np.array(incoming[:-1])[:, None, None]
-        z = np.matmul(back_y, y)
-        # x past the last block is zero; each block hands its first two on
-        v0 = v1 = 0.0
-        carried = []
-        for ((a0, a1), (b0, b1)), (z0, z1) in zip(coupling[::-1], z[::-1, :2, 0].tolist()):
-            carried.append((v0, v1))
-            v0, v1 = z0 + a0 * v0 + a1 * v1, z1 + b0 * v0 + b1 * v1
-        x = z + np.matmul(back_carry, np.array(carried[::-1])[..., None])
+        wz = np.matmul(fused, r[1:].reshape(blocks, size, 1))
+        inputs = np.zeros((groups * (group + 1), 3))
+        inputs[slots] = wz[:, :3, 0]
+        u = inputs.reshape(groups, width, 1)
+        if groups == 1:
+            inputs[0, 0] = r[0]
+        else:
+            # the group chain: forward carries in order, then the first two
+            # x of each group in reverse, x past the last group being zero
+            partial = np.matmul(summary, u)[:, :, 0].tolist()
+            carries = [r[0].item()]
+            for t, (w, _, _) in zip(transfer, partial):
+                carries.append(t * carries[-1] + w)
+            v0 = v1 = 0.0
+            heads = []
+            for c, (_, z0, z1), (f0, f1), ((a0, a1), (b0, b1)) in zip(
+                carries[-2::-1], partial[::-1], from_carry[::-1], from_next[::-1]
+            ):
+                heads.append((c, v0, v1))
+                v0, v1 = z0 + f0 * c + a0 * v0 + a1 * v1, z1 + f1 * c + b0 * v0 + b1 * v1
+            inputs[:: group + 1] = heads[::-1]
+        coupled = np.matmul(interface, u).reshape(-1, 3, 1)[:blocks]
+        x = wz[:, 1:] + np.matmul(response, coupled)
         return x.reshape(-1)[:n]
 
     return solve_blocks
+
+
+def _interface_operators(transfer: np.ndarray, head: np.ndarray, group: int) -> tuple[np.ndarray, np.ndarray]:
+    """The interface operators of :func:`_block_operators` over groups of
+    ``group`` blocks, for the blocks' forward transfers (``transfer``, the
+    outgoing carry over the incoming one) and the rows 0-1 of their
+    responses to the three carries (``head``, blocks x 2 x 3).
+
+    A group's inputs u are its three incoming carries (C, V_0, V_1), then
+    (w_k, z_k0, z_k1) of each block k.  Returns ``interface``, of shape
+    (groups, 3 ``group``, 3 ``group`` + 3), whose rows 3k, 3k + 1 and
+    3k + 2 give block k's three carries over u, and ``summary``, of shape
+    (groups, 3, 3 ``group`` + 3), whose rows give the group's outgoing
+    forward carry and the first two x of its first block over u.  Blocks
+    past the last are padding with zero carries.
+    """
+    groups = -(-transfer.size // group)
+    width = 3 * group + 3
+    pad = groups * group - transfer.size
+    transfer = np.pad(transfer, (0, pad)).reshape(groups, group)
+    head = np.pad(head, ((0, pad), (0, 0), (0, 0))).reshape(groups, group, 2, 3)
+    interface = np.empty((groups, group, 3, width))
+    carry = np.zeros((groups, width))
+    carry[:, 0] = 1.0
+    for k in range(group):
+        interface[:, k, 0] = carry
+        carry = carry * transfer[:, k, None]
+        carry[:, 3 * k + 3] += 1.0
+    ahead = np.zeros((groups, 2, width))
+    ahead[:, 0, 1] = ahead[:, 1, 2] = 1.0
+    for k in range(group - 1, -1, -1):
+        interface[:, k, 1:] = ahead
+        ahead = head[:, k, :, :1] * interface[:, k, None, 0] + np.matmul(head[:, k, :, 1:], ahead)
+        ahead[:, 0, 3 * k + 4] += 1.0
+        ahead[:, 1, 3 * k + 5] += 1.0
+    summary = np.concatenate((carry[:, None], ahead), axis=1)
+    return interface.reshape(groups, 3 * group, width), summary
 
 
 def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:

@@ -10,11 +10,13 @@ Kg = -eps * int w' w' the diffusion stiffness.  The nodal shapes are those
 of the steady operator with kappa = 0, and assembly and reconstruction use
 the steady element kernel, scatter and element shapes.  Homogeneous
 Dirichlet rows are eliminated.  :func:`solve_transient` integrates the
-system by trapezoidal steps with its step matrix factorised once per
-march; from the second step on its solves apply block operators instead of
-sweeping the rows (:func:`~bubblefem.linalg.factor_tridiagonal`).  The
-two-element benchmark case is also solved in closed form through its single
-decaying mode.
+system by trapezoidal steps, at most ``_MAX_STEPS`` of them, with its step
+matrix factorised once per march.  The first step sweeps the rows of the
+factors; every later step applies them as block operators with a few numpy
+calls and no Python loop over rows or blocks: one fused product per block
+of rows, then one interface operator that couples the blocks
+(:func:`~bubblefem.linalg.factor_tridiagonal`).  The two-element benchmark
+case is also solved in closed form through its single decaying mode.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .steady import (
 )
 
 _EIG_TOL = 1e-10
+_MAX_STEPS = 10**9  # steps per march: over five hours at 20 us a step
 
 
 @dataclass
@@ -242,7 +245,8 @@ def solve_transient(
     can pass ``t_end``: ``dt=0.1, t_end=0.25`` ends at 0.30000000000000004.
     Every ``store_stride``-th level is stored, and the last one always.
     A time step or end time that is not finite, a ratio ``t_end / dt`` that
-    overflows, and a stride that is not an integer raise ValueError.
+    overflows, more than ``_MAX_STEPS`` (10^9) steps and a stride that is
+    not an integer raise ValueError, before anything is assembled.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"time step must be positive and finite, got {dt}")
@@ -252,9 +256,11 @@ def solve_transient(
         raise ValueError(f"store stride must be an integer >= 1, got {store_stride!r}")
     if not math.isfinite(t_end / dt):
         raise ValueError(f"step count t_end / dt = {t_end} / {dt} is not finite")
+    n_steps = max(0, int(math.ceil(t_end / dt - 1e-12)))
+    if n_steps > _MAX_STEPS:
+        raise ValueError(f"step count t_end / dt = {t_end / dt:.3g} exceeds {_MAX_STEPS:.0e}")
     system = assemble_transient(problem, mesh, enrichment, sign_compat)
     state = np.array([problem.initial_profile(x) for x in mesh.nodes[1:-1]], dtype=float)
-    n_steps = max(0, int(math.ceil(t_end / dt - 1e-12)))
     half = 0.5 * dt
     lhs_off = system.mass_off + half * system.op_off
     solve = factor_tridiagonal(lhs_off, system.mass_diag + half * system.op_diag, lhs_off)

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from bubblefem import transient
 from bubblefem.cli import main
 
 
@@ -153,6 +154,18 @@ class TestTransient:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "invalid input" in captured.err and "Traceback" not in captured.err
+
+    def test_more_steps_than_the_limit_are_a_validation_error(self, capsys, monkeypatch):
+        # with assembly stubbed out, a march that is not rejected fails at
+        # once instead of running for hours
+        def assemble(*args):
+            raise AssertionError("assembled")
+
+        monkeypatch.setattr(transient, "assemble_transient", assemble)
+        assert main(["transient", "--dt", "1e-300", "--t-end", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid input" in captured.err and "step count" in captured.err
 
     def test_probe_value_matches_table(self, capsys):
         code, out = run_cli(

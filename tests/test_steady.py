@@ -26,7 +26,7 @@ from bubblefem import (
     steady_benchmark_problem,
     uniform_mesh,
 )
-from bubblefem import steady
+from bubblefem import linalg, steady
 from bubblefem.linalg import _BLOCK, factor_tridiagonal, tridiagonal_matvec
 from bubblefem.model import SolutionField, bubble_poly
 from bubblefem.oracles import (
@@ -329,6 +329,58 @@ class TestSolveTridiagonal:
         first = solve(rhs)
         assert first[0] == 5e13 and not first[1:].any()
         assert np.array_equal(solve(rhs), first)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(block=st.sampled_from([2, 3, 4]), data=st.data())
+    def test_reused_factorisation_over_several_groups_of_blocks(self, block, data):
+        # with blocks of `block` rows a group of blocks spans block^2 rows:
+        # one, two and three or more groups, with a partial last group
+        rows = block * block
+        sizes = st.sampled_from([rows, rows + 1, 2 * rows, 2 * rows + block + 1, 3 * rows + 1])
+        n = data.draw(sizes | st.integers(1, 5 * rows + 3))
+        sub, diag, sup, rhs = data.draw(pivoting_systems(st.just(n)))
+        dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+        condition = np.linalg.cond(dense)
+        assume(condition <= 1e12)
+        bad = rhs.copy()
+        bad[data.draw(st.integers(0, n - 1))] = math.nan
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "_BLOCK", block)
+            solve = factor_tridiagonal(sub, diag, sup)
+            solve(np.ones_like(rhs))
+            x = solve(rhs)
+            with pytest.raises(LinearSolveError):
+                solve(bad)
+        reference = np.linalg.solve(dense, rhs)
+        error = np.linalg.norm(x - reference)
+        assert error <= 1e-15 * n * condition * np.linalg.norm(reference)
+
+    @pytest.mark.parametrize("n", [_BLOCK**2, _BLOCK**2 + 1, 3 * _BLOCK**2 + 7])
+    def test_reused_factorisation_of_several_groups_matches_the_row_sweep(self, n):
+        # each row's diagonal exceeds the rest of the row by at least 1, so
+        # ||A^-1||_inf <= 1 (Varah) and cond_inf(A) <= ||A||_inf; subdiagonals
+        # larger than the pivots above them make elimination interchange rows
+        rng = np.random.default_rng(RNG_SEED + n)
+        sub, sup = rng.uniform(-8.0, 8.0, n - 1), rng.uniform(-2.0, 2.0, n - 1)
+        rest = np.abs(np.append(0.0, sub)) + np.abs(np.append(sup, 0.0))
+        diag = rng.choice([-1.0, 1.0], n) * (rest + rng.uniform(1.0, 2.0, n))
+        condition = (rest + np.abs(diag)).max()
+        solve = factor_tridiagonal(sub, diag, sup)
+        rhs = rng.uniform(-1.0, 1.0, n)
+        swept = solve(rhs)
+        # both solves are within 1e-15 n cond ||x|| of the exact one
+        bound = 2e-15 * n * condition * np.abs(swept).max()
+        for _ in range(2):
+            assert np.abs(solve(rhs) - swept).max() <= bound
+
+    def test_reused_factorisation_where_an_interface_operator_overflows(self):
+        # superdiagonals of 2.1 over unit pivots: a block's inverse stays
+        # finite (2.1^31), the response across a group of blocks does not
+        n = _BLOCK**2
+        solve = factor_tridiagonal(np.zeros(n - 1), np.ones(n), np.full(n - 1, 2.1))
+        rhs = np.eye(n)[0]
+        assert np.array_equal(solve(rhs), rhs)
+        assert np.array_equal(solve(rhs), rhs)
 
     @pytest.mark.parametrize("n", [3, 2 * _BLOCK + 1])
     def test_right_hand_side_of_the_wrong_length(self, n):

@@ -20,6 +20,7 @@ from bubblefem import (
     transient_benchmark_problem,
     uniform_mesh,
 )
+from bubblefem import transient
 from bubblefem.linalg import nonpositive_pivots, tridiagonal_matvec
 from bubblefem.model import Mesh1D
 from bubblefem.oracles import transient_coefficient, transient_element_matrices
@@ -472,6 +473,17 @@ class TestSolveTransient:
         arguments = {"dt": 0.1, "t_end": 1.0, name: value}
         with pytest.raises(ValueError):
             solve_transient(transient_benchmark_problem(), two_element_mesh(), LINEAR, **arguments)
+
+    @pytest.mark.parametrize("dt, t_end", [(1e-300, 1.0), (1.0, 1e9 + 1)])
+    def test_rejects_more_steps_than_the_limit_before_assembling(self, monkeypatch, dt, t_end):
+        # with assembly stubbed out, a march that is not rejected fails at
+        # once instead of running for hours
+        def assemble(*args):
+            raise AssertionError("assembled")
+
+        monkeypatch.setattr(transient, "assemble_transient", assemble)
+        with pytest.raises(ValueError, match="step count"):
+            solve_transient(transient_benchmark_problem(), two_element_mesh(), LINEAR, dt=dt, t_end=t_end)
 
     def test_last_step_can_pass_the_end_time(self):
         # ceil(t_end / dt) whole steps

@@ -1,10 +1,15 @@
 """Tridiagonal system storage, the pivoted tridiagonal LU solver and the
-Sturm inertia count of a symmetric tridiagonal."""
+Sturm inertia count of a symmetric tridiagonal: one kernel, the count of a
+twisted factorisation at any row with its twisted pivot
+(:func:`twisted_count`), whose last-row case is the plain count
+(:func:`nonpositive_pivots`), and the choice of the row where that pivot is
+least (:func:`best_twist`)."""
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -290,17 +295,80 @@ def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
     return factor_tridiagonal(system.sub, system.diag, system.sup)(system.rhs)
 
 
-def nonpositive_pivots(diag: np.ndarray, off: np.ndarray) -> int:
-    """Number of LDL^T pivots of the symmetric tridiagonal (diag, off) that
-    are not positive: by Sylvester's law of inertia, the number of its
-    eigenvalues <= 0, so 0 means positive definite.  A NaN pivot counts; a
-    zero pivot counts and is replaced by ``-tiny`` so the sweep goes on, as
-    in the Sturm count of LAPACK ``dstebz``.  O(N)."""
+def _pivot_sweep(diag: list, couplings: list) -> tuple[int, float]:
+    """Number of non-positive LDL^T pivots of a sweep over the rows
+    ``diag`` with squared couplings ``couplings`` to the previous row (the
+    first unused), and the sweep's last pivot.  A NaN pivot counts; a zero
+    pivot counts and is replaced by ``-tiny`` so the sweep goes on, as in
+    the Sturm count of LAPACK ``dstebz``."""
     count = 0
     p = 1.0
-    for di, e in zip(diag.tolist(), [0.0] + (off * off).tolist()):
+    for di, e in zip(diag, couplings):
         p = di - e / p
         if not p > 0.0:
             count += 1
             p = p or -_TINY
-    return count
+    return count, p
+
+
+def _pivot_array(diag: list, couplings: list) -> np.ndarray:
+    """1, then every pivot of :func:`_pivot_sweep`, a zero already replaced
+    by ``-tiny``."""
+    p = 1.0
+    pivots = (p := di - e / p or -_TINY for di, e in zip(diag, couplings))
+    return np.fromiter(chain((1.0,), pivots), float, len(diag) + 1)
+
+
+def _squared_couplings(off: np.ndarray) -> list:
+    """``[0, off_0^2, ..., off_{n-2}^2, 0]``: entry k couples rows k-1 and k,
+    and the zeros stand for the rows past either end."""
+    return [0.0, *(off * off).tolist(), 0.0]
+
+
+def twisted_count(diag: np.ndarray, off: np.ndarray, r: int) -> tuple[int, float]:
+    """Sturm count and twisted pivot of the symmetric tridiagonal T =
+    (diag, off) at row ``r``, from one pass over the rows: LDL^T pivots
+    D+ from the top down to row r - 1, UDU^T pivots D- from the bottom up
+    to row r + 1, and gamma_r = diag_r - off_{r-1}^2 / D+_{r-1} -
+    off_r^2 / D-_{r+1} = 1 / [T^-1]_rr (Parlett-Dhillon, LAA 267, 1997).
+
+    T = N_r diag(D+_<r, gamma_r, D-_>r) N_r^T, so by Sylvester's law of
+    inertia the non-positive ones among these pivots count the eigenvalues
+    of T that are <= 0, whatever r is.  Both sweeps keep the rules of
+    :func:`_pivot_sweep`; gamma_r counts when it is not positive, and is
+    returned as computed, also when it is zero or NaN.  O(N).
+    """
+    d, e2 = diag.tolist(), _squared_couplings(off)
+    above, p_top = _pivot_sweep(d[:r], e2[:r])
+    below, p_bottom = _pivot_sweep(d[:r:-1], e2[:r + 1:-1])
+    gamma = d[r] - e2[r] / p_top - e2[r + 1] / p_bottom
+    return above + below + (not gamma > 0.0), gamma
+
+
+def best_twist(diag: np.ndarray, off: np.ndarray) -> tuple[int, int, float]:
+    """The twist row r where |gamma_r| of :func:`twisted_count` is least,
+    that is, where the eigenvector of the eigenvalue nearest 0 is largest,
+    with ``twisted_count(diag, off, r)``.  One full sweep from each end
+    gives every D+ and D-, and gamma_k = D+_k + D-_k - diag_k, up to
+    rounding and the ``-tiny`` of a zero pivot; a NaN one is never chosen
+    unless all are.  The count and gamma_r returned are those of the
+    single pass at r.  O(N), two sweeps."""
+    d, e2 = diag.tolist(), _squared_couplings(off)
+    top = _pivot_array(d, e2)  # 1, D+_0, ..., D+_{n-1}
+    bottom = _pivot_array(d[::-1], e2[::-1])[::-1]  # D-_0, ..., D-_{n-1}, 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = np.abs(top[1:] + bottom[:-1] - diag)
+    r = int(np.argmin(np.fmin(size, np.inf)))  # fmin turns NaN into inf
+    gamma = d[r] - e2[r] / top[r].item() - e2[r + 1] / bottom[r + 1].item()
+    count = np.count_nonzero(~(top[1:r + 1] > 0.0)) + np.count_nonzero(~(bottom[r + 1:-1] > 0.0))
+    return r, int(count) + (not gamma > 0.0), gamma
+
+
+def nonpositive_pivots(diag: np.ndarray, off: np.ndarray) -> int:
+    """Number of LDL^T pivots of the symmetric tridiagonal (diag, off) that
+    are not positive: by Sylvester's law of inertia, the number of its
+    eigenvalues <= 0, so 0 means positive definite.  The last-row case
+    r = N - 1 of :func:`twisted_count`, whose rules it keeps: a NaN pivot
+    counts, and a zero pivot counts and is replaced by ``-tiny`` so the
+    sweep goes on, as in the Sturm count of LAPACK ``dstebz``.  O(N)."""
+    return twisted_count(diag, off, diag.size - 1)[0]

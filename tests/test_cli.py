@@ -167,6 +167,18 @@ class TestTransient:
         assert captured.out == ""
         assert "invalid input" in captured.err and "step count" in captured.err
 
+    def test_more_stored_values_than_the_limit_are_a_validation_error(self, capsys, monkeypatch):
+        # 10^8 + 1 stored levels of 99999 interior rows, about 80 TB
+        def assemble(*args):
+            raise AssertionError("assembled")
+
+        monkeypatch.setattr(transient, "assemble_transient", assemble)
+        flags = ["--elements", "100000", "--dt", "1e-6", "--t-end", "100", "--t-stride", "1"]
+        assert main(["transient", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid input" in captured.err and "values" in captured.err
+
     def test_probe_value_matches_table(self, capsys):
         code, out = run_cli(
             capsys, "transient", "--dt", "0.001", "--t-end", "0.5", "--t-stride", "500",

@@ -21,7 +21,7 @@ from bubblefem import (
     uniform_mesh,
 )
 from bubblefem import transient
-from bubblefem.linalg import nonpositive_pivots, tridiagonal_matvec
+from bubblefem.linalg import best_twist, nonpositive_pivots, tridiagonal_matvec, twisted_count
 from bubblefem.model import Mesh1D
 from bubblefem.oracles import transient_coefficient, transient_element_matrices
 from bubblefem.steady import element_integrals
@@ -44,6 +44,49 @@ def dense_slowest_rate(system):
     a = full(system.op_diag, system.op_off)
     inv = np.linalg.inv(lower)
     return float(np.linalg.eigvalsh(inv @ a @ inv.T)[0])
+
+
+def jittered_mesh(n, rng):
+    """n elements on [0, pi], each interior node moved by up to 30% of the
+    uniform length."""
+    nodes = np.linspace(0.0, math.pi, n + 1)
+    nodes[1:-1] += rng.uniform(-0.3, 0.3, n - 1) * (math.pi / n)
+    return Mesh1D(nodes)
+
+
+def rates_at_or_below(system, omega):
+    """Sturm count of the rates <= omega, by the plain top-down count."""
+    return nonpositive_pivots(
+        system.op_diag - omega * system.mass_diag, system.op_off - omega * system.mass_off
+    )
+
+
+def unit_mass_system(op_diag, op_off):
+    """A TransientSystem with Mg = I and the given operator, on a dummy mesh."""
+    n = len(op_diag)
+    return TransientSystem(
+        mass_diag=np.ones(n),
+        mass_off=np.zeros(n - 1),
+        op_diag=np.asarray(op_diag, dtype=float),
+        op_off=np.asarray(op_off, dtype=float),
+        mesh=uniform_mesh(0.0, math.pi, n + 1),
+        enrichment=LINEAR,
+        shapes=np.zeros((n + 1, 0, 2)),
+    )
+
+
+def count_passes(monkeypatch):
+    """A list that gets the number of O(N) passes over the rows of each
+    inertia call ``slowest_decay_rate`` makes from now on: one per count,
+    two for the choice of the twist row."""
+    passes = []
+    for name, weight in (("nonpositive_pivots", 1), ("twisted_count", 1), ("best_twist", 2)):
+        def counting(*args, _helper=getattr(transient, name), _weight=weight):
+            passes.append(_weight)
+            return _helper(*args)
+
+        monkeypatch.setattr(transient, name, counting)
+    return passes
 
 
 def step_matrix(system, dt):
@@ -292,6 +335,58 @@ class TestDecayRates:
                     want = dense_slowest_rate(system)
                     assert abs(slowest_decay_rate(system) - want) <= 1e-10 * abs(want)
 
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("epsilon", [-10.0, -1.0, -1e-2, -1e-3, -1e-5])
+    def test_nonuniform_meshes_against_dense_generalized_eigensolver(self, epsilon, order):
+        rng = np.random.default_rng(RNG_SEED + order)
+        for lambda_ in (0.0, 1.0, 10.0):
+            problem = TransientProblem(
+                epsilon=epsilon, domain=(0.0, math.pi), initial_profile=math.sin, lambda_=lambda_
+            )
+            for n in (2, 3, 13, 100, 400):
+                mesh = jittered_mesh(n, rng)
+                for sign_compat in (False, True):
+                    system = assemble_transient(problem, mesh, EnrichmentKind(order), sign_compat)
+                    want = dense_slowest_rate(system)
+                    assert abs(slowest_decay_rate(system) - want) <= 1e-10 * abs(want)
+
+    def test_slow_mode_vanishing_at_the_twist_row(self, monkeypatch):
+        # rates close to 1, 2, 2.5 with modes close to e_2, e_1, e_0: the tent
+        # [1, 2, 1] has quotient 23/12, with one rate below it, and |gamma_k|
+        # is least at row 1, where the slowest mode is about 1e-6.  gamma_1
+        # then has its pole within 1e-12 of the slowest rate, so hi is never
+        # on its branch and every step is a midpoint.
+        system = unit_mass_system([2.5, 2.0, 1.0], [1e-6, 1e-6])
+        mode = np.linalg.eigh(np.diag(system.op_diag) + np.diag(system.op_off, 1)
+                              + np.diag(system.op_off, -1))[1][:, 0]
+        assert abs(mode[1]) < 1e-5
+        r, count, _ = best_twist(system.op_diag - 23.0 / 12.0, system.op_off)
+        assert (r, count) == (1, 1)
+        passes = count_passes(monkeypatch)
+        omega = slowest_decay_rate(system)
+        want = dense_slowest_rate(system)
+        assert abs(omega - want) <= 1e-10 * abs(want)
+        assert rates_at_or_below(system, omega * (1.0 - 1e-10)) == 0
+        assert rates_at_or_below(system, omega) == 1
+        # a plain Sturm bisection makes 37 passes: the mass check, two counts
+        # for the lower end and 34 halvings of [0, 23/12]; the count at the
+        # quotient and the twist choice add three, and the plain count's
+        # confirmation of both ends two
+        assert sum(passes) <= 42
+
+    def test_benchmark_system_pass_count(self, monkeypatch):
+        # N = 1e3 quadratic sign-compat, the system of the benchmark's march,
+        # where a plain Sturm bisection makes 36 passes over the rows
+        system = assemble_transient(
+            transient_benchmark_problem(), uniform_mesh(0.0, math.pi, 1000), QUADRATIC_BUBBLE,
+            sign_compat=True,
+        )
+        passes = count_passes(monkeypatch)
+        omega = slowest_decay_rate(system)
+        assert sum(passes) <= 16
+        assert rates_at_or_below(system, omega * (1.0 - 1e-10)) == 0
+        assert rates_at_or_below(system, omega) >= 1
+
     @pytest.mark.parametrize("n", [2, 4, 1000])
     def test_null_operator_rate_is_zero(self, n):
         problem = TransientProblem(
@@ -299,6 +394,18 @@ class TestDecayRates:
         )
         system = assemble_transient(problem, uniform_mesh(0.0, math.pi, n), QUADRATIC_BUBBLE)
         assert slowest_decay_rate(system) == 0.0
+
+    def test_null_operator_rate_in_four_passes(self, monkeypatch):
+        # A = 0: gamma = 0 at the quotient 0 makes the next iterate half a
+        # tolerance below it, which closes the bracket [-1, 0] at once
+        problem = TransientProblem(
+            epsilon=0.0, domain=(0.0, math.pi), initial_profile=math.sin, lambda_=0.0
+        )
+        system = assemble_transient(problem, uniform_mesh(0.0, math.pi, 1000), QUADRATIC_BUBBLE)
+        passes = count_passes(monkeypatch)
+        assert slowest_decay_rate(system) == 0.0
+        # the mass check, the counts at 0 and at -1, and one at -5e-11
+        assert sum(passes) == 4
 
     def test_growing_mode_against_dense_eigensolver(self):
         # lambda = -10: the slowest mode grows, omega_1 close to -9
@@ -362,6 +469,83 @@ class TestNonpositivePivots:
     def test_nan_pivot_counts(self):
         assert nonpositive_pivots(np.array([math.nan]), np.zeros(0)) == 1
         assert nonpositive_pivots(np.array([1.0, 2.0]), np.array([math.nan])) == 1
+
+
+class TestTwistedCount:
+    @staticmethod
+    def draws(rng, count):
+        for _ in range(count):
+            n = int(rng.integers(1, 30))
+            diag = rng.normal(size=n) + rng.uniform(-1.0, 2.0)
+            off = rng.normal(size=n - 1)
+            yield diag, off, np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+    def test_count_matches_eigenvalue_sign_count_at_every_row(self):
+        rng = np.random.default_rng(RNG_SEED + 5)
+        for diag, off, full in self.draws(rng, 200):
+            want = int(np.sum(np.linalg.eigvalsh(full) <= 0.0))
+            for r in range(diag.size):
+                assert twisted_count(diag, off, r)[0] == want
+
+    def test_gamma_is_the_inverse_diagonal(self):
+        # draws whose eigenvalues all lie at least 0.1 from 0
+        rng = np.random.default_rng(RNG_SEED + 6)
+        tested = 0
+        for diag, off, full in self.draws(rng, 400):
+            if np.min(np.abs(np.linalg.eigvalsh(full))) < 0.1:
+                continue
+            inverse = np.linalg.inv(full)
+            for r in range(diag.size):
+                want = 1.0 / inverse[r, r]
+                assert abs(twisted_count(diag, off, r)[1] - want) <= 1e-10 * abs(want)
+            tested += 1
+        assert tested >= 100
+
+    def test_last_row_is_the_plain_count(self):
+        rng = np.random.default_rng(RNG_SEED + 7)
+        for diag, off, _ in self.draws(rng, 100):
+            assert twisted_count(diag, off, diag.size - 1)[0] == nonpositive_pivots(diag, off)
+
+    def test_zero_pivots_count_at_every_row(self):
+        # eigenvalues 0 and 2; (1 -+ sqrt 5) / 2; -sqrt 2, 0, sqrt 2; two
+        # negative ones of the last
+        for diag, off, want in (
+            ([1.0, 1.0], [1.0], 1),
+            ([0.0, 1.0], [1.0], 1),
+            ([0.0, 0.0, 0.0], [1.0, 1.0], 2),
+            ([0.0, 0.0, 0.0], [10.0, 1e-3], 2),
+        ):
+            for r in range(len(diag)):
+                assert twisted_count(np.array(diag), np.array(off), r)[0] == want
+        # a singular twist returns gamma = 0 as computed, and counts it
+        assert twisted_count(np.array([1.0, 1.0]), np.array([1.0]), 0) == (1, 0.0)
+
+    def test_nan_counts_at_every_row(self):
+        count, gamma = twisted_count(np.array([math.nan]), np.zeros(0), 0)
+        assert count == 1 and math.isnan(gamma)
+        for r in range(2):
+            count, gamma = twisted_count(np.array([1.0, 2.0]), np.array([math.nan]), r)
+            assert count == 1 and math.isnan(gamma)
+
+    def test_best_twist_is_the_least_gamma(self):
+        rng = np.random.default_rng(RNG_SEED + 8)
+        for diag, off, full in self.draws(rng, 200):
+            if np.min(np.abs(np.linalg.eigvalsh(full))) < 0.1:
+                continue
+            r, count, gamma = best_twist(diag, off)
+            gammas = [twisted_count(diag, off, k)[1] for k in range(diag.size)]
+            assert (count, gamma) == twisted_count(diag, off, r)
+            assert abs(gamma) <= min(map(abs, gammas)) * (1.0 + 1e-12)
+
+    def test_best_twist_skips_a_nan_gamma(self):
+        # D+_1 = 5 - 100 / 1e-320 = -inf and D-_1 = 5 - 100 / -tiny = inf, so
+        # gamma_1 is NaN; gamma_0 = 1e-320 and gamma_2 = 0 are not
+        diag, off = np.array([1e-320, 5.0, 0.0]), np.array([10.0, 10.0])
+        assert math.isnan(twisted_count(diag, off, 1)[1])
+        r, count, gamma = best_twist(diag, off)
+        assert r != 1 and (count, gamma) == twisted_count(diag, off, r)
+        r, count_nan, gamma_nan = best_twist(np.array([math.nan]), np.zeros(0))
+        assert (r, count_nan) == (0, 1) and math.isnan(gamma_nan)
 
 
 class TestStepTrapezoidal:
@@ -484,6 +668,24 @@ class TestSolveTransient:
         monkeypatch.setattr(transient, "assemble_transient", assemble)
         with pytest.raises(ValueError, match="step count"):
             solve_transient(transient_benchmark_problem(), two_element_mesh(), LINEAR, dt=dt, t_end=t_end)
+
+    @pytest.mark.parametrize("t_end, store_stride, rejected", [
+        (999999.0, 1, False),  # 10^6 levels of 1000 rows: 10^9 values
+        (1e6, 1, True),
+        (1999998.0, 2, False),  # 10^6 levels, the last one a stride level
+        (1999999.0, 2, True),  # one more: the last level is always stored
+    ])
+    def test_rejects_more_stored_values_than_the_limit_before_assembling(
+        self, monkeypatch, t_end, store_stride, rejected
+    ):
+        def assemble(*args):
+            raise AssertionError("assembled")
+
+        monkeypatch.setattr(transient, "assemble_transient", assemble)
+        mesh = uniform_mesh(0.0, math.pi, 1001)
+        with pytest.raises(ValueError if rejected else AssertionError, match="values|assembled"):
+            solve_transient(transient_benchmark_problem(), mesh, LINEAR, dt=1.0, t_end=t_end,
+                            store_stride=store_stride)
 
     def test_last_step_can_pass_the_end_time(self):
         # ceil(t_end / dt) whole steps

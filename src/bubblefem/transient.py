@@ -12,15 +12,17 @@ the steady element kernel, scatter and element shapes.  Homogeneous
 Dirichlet rows are eliminated.  :func:`solve_transient` integrates the
 system by trapezoidal steps, at most ``_MAX_STEPS`` of them and at most
 ``_MAX_STORED`` stored values, with its step matrix factorised once per
-march.  The first step sweeps the rows of the factors; every later step
-applies them as block operators with a few numpy calls and no Python loop
-over rows or blocks: one fused product per block of rows, then one
-interface operator that couples the blocks
-(:func:`~bubblefem.linalg.factor_tridiagonal`).  :func:`slowest_decay_rate`
-finds the slowest rate by a safeguarded regula falsi on the twisted pivot
-of A - omega Mg, with every iterate checked by a Sturm count.  The
-two-element benchmark case is also solved in closed form through its
-single decaying mode.
+march together with the right-hand matrix Mg - dt/2 A, so that a step is
+one call on the state.  The first step forms the right-hand side and
+sweeps the rows of the factors; every later step applies them as block
+operators with three batched products and no Python loop over rows or
+blocks: one fused product per block of rows straight from the state,
+one interface operator that couples the blocks, and one response that
+adds the coupling in (:func:`~bubblefem.linalg.factor_tridiagonal`).
+:func:`slowest_decay_rate` finds the slowest rate by a safeguarded regula
+falsi on the twisted pivot of A - omega Mg, with every iterate checked by
+a Sturm count.  The two-element benchmark case is also solved in closed
+form through its single decaying mode.
 """
 
 from __future__ import annotations
@@ -167,8 +169,12 @@ def slowest_decay_rate(system: TransientSystem) -> float:
     never lags bisection by more than a few passes.
 
     The counts at two rows are exact for two slightly different roundings
-    of A - s Mg, so near the rate they can disagree: by 2e-10 relative at
-    N = 1e5.  The plain count of the last row
+    of A - s Mg, so near the rate they can disagree: on jittered benchmark
+    meshes, linear and quadratic sign-compat, the points where the counts
+    at the top, middle and bottom rows change sign spread by 2e-14-5e-14,
+    3e-12-7e-12 and 9e-11-1.2e-10 relative at N = 1e3, 1e4 and 1e5, so
+    at N = 1e5 the rows disagree by about the 1e-10 tolerance.  The plain
+    count of the last row
     (:func:`~bubblefem.linalg.nonpositive_pivots`) therefore confirms both
     ends of the bracket found at r; where it does not, the bracket widens
     and the same loop narrows it again on that count.  On the benchmark's
@@ -338,8 +344,11 @@ def solve_transient(
     """March the semi-discrete system by trapezoidal steps from the nodal
     interpolation of the initial profile:
     (Mg + dt/2 A) a_{k+1} = (Mg - dt/2 A) a_k, with Mg + dt/2 A factorised
-    once.  Second order, and the energy a^T Mg a never grows when A is
-    positive semidefinite.
+    once and Mg - dt/2 A as its right factor, so that each step is
+    a_{k+1} = step(a_k) (:func:`~bubblefem.linalg.factor_tridiagonal`).
+    Second order, and the energy a^T Mg a never grows when A is positive
+    semidefinite.  A state that turns non-finite raises LinearSolveError
+    at the step that makes it.
 
     The march takes ceil(t_end / dt) whole steps, so the last stored time
     can pass ``t_end``: ``dt=0.1, t_end=0.25`` ends at 0.30000000000000004.
@@ -372,15 +381,17 @@ def solve_transient(
     state = np.array([problem.initial_profile(x) for x in mesh.nodes[1:-1]], dtype=float)
     half = 0.5 * dt
     lhs_off = system.mass_off + half * system.op_off
-    solve = factor_tridiagonal(lhs_off, system.mass_diag + half * system.op_diag, lhs_off)
-    rhs_diag = system.mass_diag - half * system.op_diag
     rhs_off = system.mass_off - half * system.op_off
+    step = factor_tridiagonal(
+        lhs_off, system.mass_diag + half * system.op_diag, lhs_off,
+        right=(rhs_off, system.mass_diag - half * system.op_diag, rhs_off),
+    )
     # store copies, not the block solve's views of its work arrays: that
     # frees each work array, and the march runs faster reusing its memory
     times = [0.0]
     states = [state.copy()]
     for k in range(1, n_steps + 1):
-        state = solve(tridiagonal_matvec(rhs_off, rhs_diag, rhs_off, state))
+        state = step(state)
         if k % store_stride == 0 or k == n_steps:
             times.append(k * dt)
             states.append(state.copy())

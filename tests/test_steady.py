@@ -373,6 +373,55 @@ class TestSolveTridiagonal:
         for _ in range(2):
             assert np.abs(solve(rhs) - swept).max() <= bound
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(block=st.sampled_from([2, 3, 4]), data=st.data())
+    def test_reused_factorisation_with_a_right_factor_matches_dense_solve(self, block, data):
+        # one row, a partial block, one whole block, two blocks, one whole
+        # group, two groups and a partial fourth group of blocks
+        size = data.draw(st.sampled_from([1, block - 1, block, block + 1, block**2, block**2 + 1,
+                                          3 * block**2 + 7]).filter(bool))
+        sub, diag, sup, v = data.draw(pivoting_systems(st.just(size)))
+        general = st.lists(st.floats(-10.0, 10.0), min_size=size - 1, max_size=size - 1)
+        right = (np.array(data.draw(general)),
+                 np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=size, max_size=size))),
+                 np.array(data.draw(general)))
+        lhs = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+        rhs = np.diag(right[1]) + np.diag(right[0], -1) + np.diag(right[2], 1)
+        condition = np.linalg.cond(lhs)
+        assume(condition <= 1e12)
+        reference = np.linalg.solve(lhs, rhs @ v)
+        # the computed x solves (L + dL) x = R v + dr with |dL| <= c n u |L|
+        # and |dr| <= c n u |R| |v|, so |x - x*| <= c n u cond(L) (|x*| +
+        # |R| |v| / |L|); the same c n u = 1e-15 n as the solves above
+        bound = 1e-15 * size * condition * (
+            np.linalg.norm(reference) + np.linalg.norm(rhs, 2) * np.linalg.norm(v) / np.linalg.norm(lhs, 2))
+        bad = v.copy()
+        bad[data.draw(st.integers(0, size - 1))] = data.draw(st.sampled_from([math.nan, math.inf]))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "_BLOCK", block)
+            solve = factor_tridiagonal(sub, diag, sup, right=right)
+            solve(np.ones_like(v))  # the first call sweeps the rows
+            for _ in range(2):  # the second and later calls apply the block operators
+                assert np.linalg.norm(solve(v) - reference) <= bound
+            # inf - inf in the products is NaN, which numpy reports
+            with np.errstate(invalid="ignore"), pytest.raises(LinearSolveError):
+                solve(bad)
+
+    def test_reused_factorisation_where_the_fused_right_factor_overflows(self):
+        # pivots of 0.5 under a right factor of 1e308: each G_k = (block
+        # inverse) R_k overflows, while L^-1 R v is 2e8 for v = 1e-300
+        n = 2 * _BLOCK
+        solve = factor_tridiagonal(np.zeros(n - 1), np.full(n, 0.5), np.zeros(n - 1),
+                                   right=(np.zeros(n - 1), np.full(n, 1e308), np.zeros(n - 1)))
+        v = np.full(n, 1e-300)
+        first = solve(v)
+        assert np.all(first == 1e308 * 1e-300 / 0.5)
+        assert np.array_equal(solve(v), first)
+
+    def test_right_factor_of_the_wrong_length(self):
+        with pytest.raises(ValueError):
+            factor_tridiagonal(np.ones(2), np.full(3, 4.0), np.ones(2), right=(np.ones(2), np.ones(2), np.ones(2)))
+
     def test_reused_factorisation_where_an_interface_operator_overflows(self):
         # superdiagonals of 2.1 over unit pivots: a block's inverse stays
         # finite (2.1^31), the response across a group of blocks does not

@@ -21,7 +21,13 @@ from bubblefem import (
     uniform_mesh,
 )
 from bubblefem import transient
-from bubblefem.linalg import best_twist, nonpositive_pivots, tridiagonal_matvec, twisted_count
+from bubblefem.linalg import (
+    best_twist,
+    factor_tridiagonal,
+    nonpositive_pivots,
+    tridiagonal_matvec,
+    twisted_count,
+)
 from bubblefem.model import Mesh1D
 from bubblefem.oracles import transient_coefficient, transient_element_matrices
 from bubblefem.steady import element_integrals
@@ -686,6 +692,29 @@ class TestSolveTransient:
         with pytest.raises(ValueError if rejected else AssertionError, match="values|assembled"):
             solve_transient(transient_benchmark_problem(), mesh, LINEAR, dt=1.0, t_end=t_end,
                             store_stride=store_stride)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("n", [8, 200, 2100])  # one block, several, several groups
+    def test_non_finite_initial_value_raises(self, n, bad):
+        problem = transient_benchmark_problem()
+        mesh = uniform_mesh(0.0, math.pi, n)
+        node = mesh.nodes[n // 3]
+        start = replace(problem, initial_profile=lambda x: bad if x == node else math.sin(x))
+        # inf - inf in the products is NaN, which numpy reports
+        with np.errstate(invalid="ignore"):
+            # the first step sweeps the rows and meets the value there
+            with pytest.raises(LinearSolveError):
+                solve_transient(start, mesh, LINEAR, dt=0.01, t_end=0.05)
+            # the same step matrices meet it in the block operators of a
+            # later step
+            system = assemble_transient(problem, mesh, LINEAR)
+            lhs_diag, lhs_off = step_matrix(system, 0.01)
+            rhs_diag, rhs_off = step_matrix(system, -0.01)
+            step = factor_tridiagonal(lhs_off, lhs_diag, lhs_off, right=(rhs_off, rhs_diag, rhs_off))
+            state = step(step(np.sin(mesh.nodes[1:-1])))
+            state[n // 3 - 1] = bad
+            with pytest.raises(LinearSolveError):
+                step(state)
 
     def test_last_step_can_pass_the_end_time(self):
         # ceil(t_end / dt) whole steps

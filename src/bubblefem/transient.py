@@ -20,9 +20,10 @@ blocks: one fused product per block of rows straight from the state,
 one interface operator that couples the blocks, and one response that
 adds the coupling in (:func:`~bubblefem.linalg.factor_tridiagonal`).
 :func:`slowest_decay_rate` finds the slowest rate by a safeguarded regula
-falsi on the twisted pivot of A - omega Mg, with every iterate checked by
-a Sturm count.  The two-element benchmark case is also solved in closed
-form through its single decaying mode.
+falsi on the twisted pivot of A - omega Mg at the peak of a tent over the
+domain, with every iterate checked by a Sturm count.  The two-element
+benchmark case is also solved in closed form through its single decaying
+mode.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import numpy as np
 
 from .errors import AssemblyError, LinearSolveError
 from .linalg import (
-    best_twist,
     factor_tridiagonal,
     nonpositive_pivots,
     tridiagonal_matvec,
@@ -61,10 +61,6 @@ from .steady import (
 )
 
 _EIG_TOL = 1e-10
-# no twist row is chosen once the bracket is within five halvings of the
-# tolerance: the choice, the falsi steps and the final plain counts would
-# cost more passes than the halvings left
-_TWIST_WIDTH = 32.0
 _MAX_STEPS = 10**9  # steps per march: over five hours at 20 us a step
 _MAX_STORED = 10**9  # stored values per march, levels x interior rows: about 8 GB
 
@@ -140,23 +136,25 @@ def slowest_decay_rate(system: TransientSystem) -> float:
 
     Mg is SPD, so the non-positive pivots of A - s Mg count the rates <= s
     (Sylvester's law of inertia).  A bracket [lo, hi] with no rate at or
-    below lo and one at or below hi starts from the Rayleigh quotient of a
-    tent vector and shrinks until it is 1e-10 relative wide (or adjacent
+    below lo and one at or below hi starts from the Rayleigh quotient of
+    the tent min(x - a, b - x) over the interior nodes of the system's
+    mesh, and shrinks until it is 1e-10 relative wide (or adjacent
     floats); its upper end is returned.  A rate at or below 0 needs a step
     down from min(0, bound); it is bracketed to 1e-10 of the first step, so
     a zero rate (du/dt = 0) ends at exactly 0.  No rate at or below the
     quotient, which bounds the slowest rate from above, means that the two
-    agree to rounding: the quotient is returned.
+    agree to rounding: the quotient is returned.  A mesh without one
+    interior node per row raises ValueError.
 
     Each iterate is one twisted pass at a row r
     (:func:`~bubblefem.linalg.twisted_count`): with the count it gives
     gamma_r(s) = 1 / [(A - s Mg)^-1]_rr, which falls through 0 at the
-    slowest rate and has no pole below the next one.  r is chosen where
-    |gamma_k| is least, that is, where the slowest mode is largest
-    (:func:`~bubblefem.linalg.best_twist`), at the first upper end with a
-    count of 1, normally the quotient, unless the bracket is by then within
-    ``_TWIST_WIDTH`` tolerances; until then the count is the plain one of
-    the last row.  While hi lies on that branch (a count of 1 and
+    slowest rate and has no pole below the next one.  r is the row where
+    the tent peaks: for epsilon <= 0 the slowest mode is close to the arch
+    sin(pi (x - a) / (b - a)) on any mesh, so it is largest there.  The
+    first pass, at the quotient, is taken at r; unless it counts exactly
+    one rate, the rest of the search counts at the last row, the plain
+    count, from that pass's gamma_r on.  While hi lies on that branch (a count of 1 and
     gamma_r(hi) <= 0), the iterate is the regula falsi point of gamma_r,
     kept half a tolerance from either end; an end kept twice in a row has
     its gamma scaled down by the Anderson-Bjorck rule
@@ -178,43 +176,39 @@ def slowest_decay_rate(system: TransientSystem) -> float:
     (:func:`~bubblefem.linalg.nonpositive_pivots`) therefore confirms both
     ends of the bracket found at r; where it does not, the bracket widens
     and the same loop narrows it again on that count.  On the benchmark's
-    N = 1e3 systems the call makes 13 passes over the rows, against 36 for
-    bisection alone.
+    N = 1e3 systems, uniform or graded, the call makes 11 passes over the
+    rows, against 36 for bisection alone.
     """
+    x = system.mesh.nodes[1:-1]
+    if x.size != system.size:
+        raise ValueError(f"mesh has {x.size} interior nodes for a system of {system.size} rows")
     m_diag, m_off = system.mass_diag, system.mass_off
     if nonpositive_pivots(m_diag, m_off):
         raise AssemblyError("mass matrix is not positive definite")
     a_diag, a_off = system.op_diag, system.op_off
     last = system.size - 1
-    row = None  # the twist row r, chosen at the first count of 1; the last row until then
+
+    # the tent vanishes at both Dirichlet ends, like the slowest mode
+    v = np.minimum(x - system.mesh.a, system.mesh.b - x)
+    row = int(np.argmax(v))  # the twist row r; the last row after a first count other than 1
 
     # A - omega Mg of both diagonals in one subtraction per pass
     a_both, m_both = np.concatenate((a_diag, a_off)), np.concatenate((m_diag, m_off))
 
-    def shifted(omega: float, twist: bool = False) -> tuple[int, float]:
-        nonlocal row, gamma_lo
+    def shifted(omega: float) -> tuple[int, float]:
         both = a_both - omega * m_both
-        diag, off = both[:system.size], both[system.size:]
-        if row is not None:
-            return twisted_count(diag, off, row)
-        count, gamma = twisted_count(diag, off, last)
-        if twist and count == 1 and last:
-            row, count, gamma = best_twist(diag, off)
-            gamma_lo = math.nan  # taken at another row
-        return count, gamma
+        return twisted_count(both[:system.size], both[system.size:], row)
 
-    # the tent vanishes next to both Dirichlet ends, like the slowest mode
-    i = np.arange(1, system.size + 1)
-    v = np.minimum(i, system.size + 1 - i).astype(float)
     hi = float(v @ tridiagonal_matvec(a_off, a_diag, a_off, v)) / float(
         v @ tridiagonal_matvec(m_off, m_diag, m_off, v)
     )
     if not math.isfinite(hi):
         raise LinearSolveError("decay rate bound is not finite")
-    gamma_lo = math.nan
-    count_hi, gamma_hi = shifted(hi, twist=True)
+    count_hi, gamma_hi = shifted(hi)
     if not count_hi:
         return hi
+    if count_hi != 1:
+        row = last
     lo, step, floor = min(0.0, hi), abs(hi) or 1.0, 0.0
     count, gamma = (count_hi, gamma_hi) if lo == hi else shifted(lo)
     while count:
@@ -238,7 +232,7 @@ def slowest_decay_rate(system: TransientSystem) -> float:
                 if lo < falsi < hi:
                     omega = falsi
             lagging *= 0.5
-            count, gamma = shifted(omega, twist=hi - lo > _TWIST_WIDTH * tol)
+            count, gamma = shifted(omega)
             if count:
                 if kept > 0:
                     gamma_lo *= _kept_scale(gamma, gamma_hi)
@@ -249,7 +243,7 @@ def slowest_decay_rate(system: TransientSystem) -> float:
                     gamma_hi *= _kept_scale(gamma, gamma_lo)
                 lo, gamma_lo = omega, gamma
                 kept = -1
-        if row is None or row == last:
+        if row == last:
             return hi
         # confirm both ends by the plain count, widening where it disagrees
         row, step = last, hi - lo
@@ -283,7 +277,9 @@ class Trajectory:
         self.states.setflags(write=False)
         if self.states.ndim != 2 or self.states.shape[0] != self.times.size:
             raise ValueError("states must be one interior vector per stored time")
-        if np.any(np.diff(self.times) <= 0):
+        if not np.isfinite(self.times).all():
+            raise ValueError("stored times must be finite")
+        if not (np.diff(self.times) > 0).all():
             raise ValueError("stored times must be strictly increasing")
         if self.states.shape[1] != system.size:
             raise ValueError(

@@ -22,7 +22,6 @@ from bubblefem import (
 )
 from bubblefem import transient
 from bubblefem.linalg import (
-    best_twist,
     factor_tridiagonal,
     nonpositive_pivots,
     tridiagonal_matvec,
@@ -83,12 +82,11 @@ def unit_mass_system(op_diag, op_off):
 
 def count_passes(monkeypatch):
     """A list that gets the number of O(N) passes over the rows of each
-    inertia call ``slowest_decay_rate`` makes from now on: one per count,
-    two for the choice of the twist row."""
+    inertia call ``slowest_decay_rate`` makes from now on: one per count."""
     passes = []
-    for name, weight in (("nonpositive_pivots", 1), ("twisted_count", 1), ("best_twist", 2)):
-        def counting(*args, _helper=getattr(transient, name), _weight=weight):
-            passes.append(_weight)
+    for name in ("nonpositive_pivots", "twisted_count"):
+        def counting(*args, _helper=getattr(transient, name)):
+            passes.append(1)
             return _helper(*args)
 
         monkeypatch.setattr(transient, name, counting)
@@ -358,16 +356,18 @@ class TestDecayRates:
 
     def test_slow_mode_vanishing_at_the_twist_row(self, monkeypatch):
         # rates close to 1, 2, 2.5 with modes close to e_2, e_1, e_0: the tent
-        # [1, 2, 1] has quotient 23/12, with one rate below it, and |gamma_k|
-        # is least at row 1, where the slowest mode is about 1e-6.  gamma_1
-        # then has its pole within 1e-12 of the slowest rate, so hi is never
-        # on its branch and every step is a midpoint.
+        # over the uniform interior nodes, proportional to [1, 2, 1], has
+        # quotient 23/12, with one rate below it, and peaks at row 1, where
+        # the slowest mode is about 1e-6.  gamma_1 then has its pole within
+        # 1e-12 of the slowest rate, so hi is never on its branch and every
+        # step is a midpoint.
         system = unit_mass_system([2.5, 2.0, 1.0], [1e-6, 1e-6])
         mode = np.linalg.eigh(np.diag(system.op_diag) + np.diag(system.op_off, 1)
                               + np.diag(system.op_off, -1))[1][:, 0]
         assert abs(mode[1]) < 1e-5
-        r, count, _ = best_twist(system.op_diag - 23.0 / 12.0, system.op_off)
-        assert (r, count) == (1, 1)
+        x = system.mesh.nodes[1:-1]
+        assert np.argmax(np.minimum(x - system.mesh.a, system.mesh.b - x)) == 1
+        assert twisted_count(system.op_diag - 23.0 / 12.0, system.op_off, 1)[0] == 1
         passes = count_passes(monkeypatch)
         omega = slowest_decay_rate(system)
         want = dense_slowest_rate(system)
@@ -376,20 +376,23 @@ class TestDecayRates:
         assert rates_at_or_below(system, omega) == 1
         # a plain Sturm bisection makes 37 passes: the mass check, two counts
         # for the lower end and 34 halvings of [0, 23/12]; the count at the
-        # quotient and the twist choice add three, and the plain count's
-        # confirmation of both ends two
+        # quotient adds one, and the plain count's confirmation of both ends
+        # two
         assert sum(passes) <= 42
 
-    def test_benchmark_system_pass_count(self, monkeypatch):
+    @pytest.mark.parametrize("graded", [False, True])
+    def test_benchmark_system_pass_count(self, monkeypatch, graded):
         # N = 1e3 quadratic sign-compat, the system of the benchmark's march,
-        # where a plain Sturm bisection makes 36 passes over the rows
+        # where a plain Sturm bisection makes 36 passes over the rows, on the
+        # uniform mesh and on nodes pi s^3 crowded at x = 0
+        s = np.linspace(0.0, 1.0, 1001)
+        mesh = Mesh1D(math.pi * s**3) if graded else uniform_mesh(0.0, math.pi, 1000)
         system = assemble_transient(
-            transient_benchmark_problem(), uniform_mesh(0.0, math.pi, 1000), QUADRATIC_BUBBLE,
-            sign_compat=True,
+            transient_benchmark_problem(), mesh, QUADRATIC_BUBBLE, sign_compat=True
         )
         passes = count_passes(monkeypatch)
         omega = slowest_decay_rate(system)
-        assert sum(passes) <= 16
+        assert sum(passes) <= 12
         assert rates_at_or_below(system, omega * (1.0 - 1e-10)) == 0
         assert rates_at_or_below(system, omega) >= 1
 
@@ -450,6 +453,19 @@ class TestDecayRates:
             )
             with pytest.raises(AssemblyError):
                 slowest_decay_rate(system)
+
+    @pytest.mark.parametrize("n_elements", [3, 5])
+    def test_rejects_a_mesh_of_the_wrong_interior_count(self, monkeypatch, n_elements):
+        # three rows, on meshes with two and four interior nodes: rejected
+        # before any pass over the rows
+        system = replace(
+            unit_mass_system([1.0, 2.0, 3.0], [0.5, 0.5]),
+            mesh=uniform_mesh(0.0, math.pi, n_elements),
+        )
+        passes = count_passes(monkeypatch)
+        with pytest.raises(ValueError, match="interior"):
+            slowest_decay_rate(system)
+        assert passes == []
 
 
 class TestNonpositivePivots:
@@ -532,26 +548,6 @@ class TestTwistedCount:
         for r in range(2):
             count, gamma = twisted_count(np.array([1.0, 2.0]), np.array([math.nan]), r)
             assert count == 1 and math.isnan(gamma)
-
-    def test_best_twist_is_the_least_gamma(self):
-        rng = np.random.default_rng(RNG_SEED + 8)
-        for diag, off, full in self.draws(rng, 200):
-            if np.min(np.abs(np.linalg.eigvalsh(full))) < 0.1:
-                continue
-            r, count, gamma = best_twist(diag, off)
-            gammas = [twisted_count(diag, off, k)[1] for k in range(diag.size)]
-            assert (count, gamma) == twisted_count(diag, off, r)
-            assert abs(gamma) <= min(map(abs, gammas)) * (1.0 + 1e-12)
-
-    def test_best_twist_skips_a_nan_gamma(self):
-        # D+_1 = 5 - 100 / 1e-320 = -inf and D-_1 = 5 - 100 / -tiny = inf, so
-        # gamma_1 is NaN; gamma_0 = 1e-320 and gamma_2 = 0 are not
-        diag, off = np.array([1e-320, 5.0, 0.0]), np.array([10.0, 10.0])
-        assert math.isnan(twisted_count(diag, off, 1)[1])
-        r, count, gamma = best_twist(diag, off)
-        assert r != 1 and (count, gamma) == twisted_count(diag, off, r)
-        r, count_nan, gamma_nan = best_twist(np.array([math.nan]), np.zeros(0))
-        assert (r, count_nan) == (0, 1) and math.isnan(gamma_nan)
 
 
 class TestStepTrapezoidal:
@@ -700,21 +696,20 @@ class TestSolveTransient:
         mesh = uniform_mesh(0.0, math.pi, n)
         node = mesh.nodes[n // 3]
         start = replace(problem, initial_profile=lambda x: bad if x == node else math.sin(x))
-        # inf - inf in the products is NaN, which numpy reports
-        with np.errstate(invalid="ignore"):
-            # the first step sweeps the rows and meets the value there
-            with pytest.raises(LinearSolveError):
-                solve_transient(start, mesh, LINEAR, dt=0.01, t_end=0.05)
-            # the same step matrices meet it in the block operators of a
-            # later step
-            system = assemble_transient(problem, mesh, LINEAR)
-            lhs_diag, lhs_off = step_matrix(system, 0.01)
-            rhs_diag, rhs_off = step_matrix(system, -0.01)
-            step = factor_tridiagonal(lhs_off, lhs_diag, lhs_off, right=(rhs_off, rhs_diag, rhs_off))
-            state = step(step(np.sin(mesh.nodes[1:-1])))
-            state[n // 3 - 1] = bad
-            with pytest.raises(LinearSolveError):
-                step(state)
+        # the first step sweeps the rows as Python floats and meets the value
+        # there, with no numpy warning
+        with pytest.raises(LinearSolveError):
+            solve_transient(start, mesh, LINEAR, dt=0.01, t_end=0.05)
+        # the same step matrices meet it in the block operators of a later
+        # step, where inf - inf in the products is NaN, which numpy reports
+        system = assemble_transient(problem, mesh, LINEAR)
+        lhs_diag, lhs_off = step_matrix(system, 0.01)
+        rhs_diag, rhs_off = step_matrix(system, -0.01)
+        step = factor_tridiagonal(lhs_off, lhs_diag, lhs_off, right=(rhs_off, rhs_diag, rhs_off))
+        state = step(step(np.sin(mesh.nodes[1:-1])))
+        state[n // 3 - 1] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(LinearSolveError):
+            step(state)
 
     def test_last_step_can_pass_the_end_time(self):
         # ceil(t_end / dt) whole steps
@@ -787,6 +782,18 @@ class TestSolveTransient:
         states[:] = 7.0
         assert trajectory.value(1.0, 0.0) == before
         assert not trajectory.states.flags.writeable
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_times(self, bad):
+        # a NaN time compares false both ways, so it would pass an ordering
+        # check written as "no step <= 0"
+        system = assemble_transient(
+            transient_benchmark_problem(), uniform_mesh(0.0, math.pi, 4), LINEAR
+        )
+        states = np.array([[0.5, 1.0, 0.5], [0.4, 0.8, 0.4], [0.3, 0.6, 0.3]])
+        for times in ([0.0, bad, 0.2], [bad, 0.1, 0.2], [0.0, 0.1, bad]):
+            with pytest.raises(ValueError):
+                Trajectory(np.array(times), states, system)
 
     @pytest.mark.parametrize("width", [2, 4])
     def test_rejects_states_of_the_wrong_width(self, width):

@@ -253,6 +253,8 @@ def _steady_exact(problem: SteadyProblem):
 
 
 def _cmd_steady(args) -> int:
+    if args.samples < 0:
+        raise ValueError(f"samples must be >= 0, got {args.samples}")
     problem = SteadyProblem(
         coefficients=TransportCoefficients(args.epsilon, args.kappa, args.lambda_),
         domain=(args.a, args.b),
@@ -263,7 +265,7 @@ def _cmd_steady(args) -> int:
     enrichment = _parse_enrichment(args.enrichment)
     field = solve_steady(problem, mesh, enrichment)
     exact = _steady_exact(problem)
-    xs = mesh.nodes if args.samples < 1 else np.linspace(args.a, args.b, args.samples + 1)
+    xs = mesh.nodes if args.samples == 0 else np.linspace(args.a, args.b, args.samples + 1)
     rows = []
     for x in xs:
         num = field.value(float(x))

@@ -73,26 +73,31 @@ def factor_tridiagonal(
     without ``right``) and sweeps the rows as ``dgttrs`` does: a steady
     solve (``solve_tridiagonal``) makes only that call, and a march
     (``solve_transient``) makes it for its first step.  A second call shows
-    that the factors are being reused, as in a time march, so it turns them
-    and R into block operators on blocks of ``_BLOCK`` rows, and it and
-    every later call apply those (:func:`_block_operators`) instead of a
-    Python loop over the rows: v is copied into one padded buffer, one
-    batched product over its overlapping windows gives every block's x
-    without carries, one interface operator per group of ``_BLOCK`` blocks
-    gives every block's carries, and one more product adds them in.  Only
-    a chain of three numbers per group of ``_BLOCK``^2 rows is left in
-    Python.  The operators take O(N ``_BLOCK``) memory and cost a few row
-    sweeps to build, which is why a factorisation solved once never builds
-    them.  ``_BLOCK`` is fixed and small: the products' cost per row grows
-    with it, and an explicit inverse of a block of U is only as accurate
-    as the block is short.  Should any operator overflow, the row sweep
-    stays.
+    that the factors are being reused, as in a time march.  If the
+    factorisation interchanged no row, it turns them and R into block
+    operators on blocks of ``_BLOCK`` rows, and it and every later call
+    apply those (:func:`_block_operators`) instead of a Python loop over
+    the rows: v is copied into one padded buffer, one batched product over
+    its overlapping windows gives every block's x without carries, one
+    interface operator per group of ``_BLOCK`` blocks gives every block's
+    carries, and one more product adds them in.  Only a chain of two
+    numbers per group of ``_BLOCK``^2 rows is left in Python.  The
+    operators take O(N ``_BLOCK``) memory and cost a few row sweeps to
+    build, which is why a factorisation solved once never builds them.
+    ``_BLOCK`` is fixed and small: the products' cost per row grows with
+    it, and an explicit inverse of a block of U is only as accurate as the
+    block is short.  A factorisation that interchanged a row, or whose
+    operators overflow, sweeps the rows on every call.  Of the trapezoidal
+    step matrices Mg + dt/2 A of :mod:`~bubblefem.transient`, only those
+    of a backward heat equation (epsilon > 0) or with dt lambda <= -2 were
+    seen to interchange rows; each of their steps is a row sweep, about
+    12 times a block step at N = 1e3 (134 against 11 us).
 
     A pivot of U at most ``_PIVOT_TOL`` times the largest entry of L raises
     LinearSolveError; this pivot rule replaces the SVD condition gate of a
-    dense fallback.  ``solve`` raises it for non-finite results.  The first
-    call sweeps Python floats and raises with no numpy warning; a later
-    call fed an inf meets inf - inf in the block products, so numpy warns
+    dense fallback.  ``solve`` raises it for non-finite results.  The row
+    sweep runs over Python floats and raises with no numpy warning; a block
+    solve fed an inf meets inf - inf in its products, so numpy warns
     "invalid value encountered in matmul" before the LinearSolveError.  No
     ``np.errstate`` hides that: at about 0.6 us a call it would add some
     5% to an 11 us step (N = 1e3).
@@ -141,8 +146,8 @@ def factor_tridiagonal(
         if v.shape != (n,):
             raise ValueError(f"right-hand side has shape {v.shape}, expected ({n},)")
         calls += 1
-        if calls == 2:
-            blocked = _block_operators(d[:n], low[:n], u1[:n], u2, swap, right)
+        if calls == 2 and not any(swap):
+            blocked = _block_operators(d[:n], low[:n], u1[:n], right)
         x = (blocked or sweep_rows)(v)
         if not np.isfinite(x).all():
             raise LinearSolveError("linear solve produced non-finite values")
@@ -151,24 +156,23 @@ def factor_tridiagonal(
     return solve
 
 
-def _block_operators(d, low, u1, u2, swap, right) -> Callable[[np.ndarray], np.ndarray] | None:
+def _block_operators(d, low, u1, right) -> Callable[[np.ndarray], np.ndarray] | None:
     """``solve`` by blocks of ``_BLOCK`` rows for the factors U (diagonal
-    ``d``, superdiagonals ``u1`` and ``u2``), multipliers ``low`` and
-    interchanges ``swap`` of :func:`factor_tridiagonal` and its right
+    ``d``, superdiagonal ``u1``) and multipliers ``low`` of a
+    :func:`factor_tridiagonal` that interchanged no row, and its right
     factor R (``right``, as (sub, diag, sup), or None for the identity);
     None if an operator overflows, so that the row sweep stays.
 
-    Forward sweep over r = R v: row i carries c_i, with c_0 = r_0 and
-    c_{i+1} = alpha_i c_i + beta_i r_{i+1}, and keeps y_i = c_i, or
-    y_i = r_{i+1} if it was interchanged.  Partial pivoting makes
-    |alpha_i| <= 1.  A block's y and outgoing carry are therefore one
-    (B+1) x (B+1) matrix times its incoming carry and its B entries of r.
-    Backward sweep: a block's x is the inverse of its B x B block of U
-    times its y, plus a B x 2 response to the first two values of x of the
-    next block.  Rows past N, up to whole blocks (and whole groups of
-    blocks, when there are several), are identity rows of L and zero rows
-    of R.  A system of at most ``_BLOCK`` rows is one block with nothing to
-    carry, so its operators multiply into the one matrix L^-1 R.
+    Forward sweep over r = R v: row i carries c_i = y_i, with c_0 = r_0
+    and c_{i+1} = r_{i+1} - l_i c_i.  No interchange means |l_i| <= 1.  A
+    block's y and outgoing carry are therefore one (B+1) x (B+1) matrix
+    times its incoming carry and its B entries of r.  Backward sweep: a
+    block's x is the inverse of its B x B block of U times its y, plus a
+    B x 1 response to the first x of the next block.  Rows past N, up to
+    whole blocks (and whole groups of blocks, when there are several), are
+    identity rows of L and zero rows of R.  A system of at most ``_BLOCK``
+    rows is one block with nothing to carry, so its operators multiply
+    into the one matrix L^-1 R.
 
     Otherwise the inverse is premultiplied into the forward operator, and
     R after it.  Block k's entries r_{kB+1..kB+B} are R_k times the window
@@ -176,18 +180,17 @@ def _block_operators(d, low, u1, u2, swap, right) -> Callable[[np.ndarray], np.n
     r_0 = R_00 v_0 + R_01 v_1 lies in its window too.  So one fused
     (B+1) x (B+2) product G_k per block gives, from its own window alone,
     its outgoing forward partial w and its carry-free x, z, with r_0
-    folded into G_0; x is z plus a B x 3 response to the block's other
-    three carries, the incoming forward carry and the two values of x
-    carried in.  Those carries are the two sweeps' chains over the blocks,
-    which is a reduced interface system as in the SPIKE partition
-    (Polizzi-Sameh, Parallel Computing 2006).  Over a group of ``_BLOCK``
-    blocks they are one fixed linear map of the group's (w, z_0, z_1),
-    rows 0-2 of its products, and of the three carries that enter the
-    group: its forward carry, zero for the first group, and the first two
-    values of x after it, zero after the last group.  A solve applies that
-    interface operator as one batched matrix-vector product; only the
-    chain of those three numbers from group to group runs in Python,
-    O(N / ``_BLOCK``^2) steps and none up to ``_BLOCK``^2 rows.
+    folded into G_0; x is z plus a B x 2 response to the block's two
+    carries, the incoming forward carry and the x carried in.  Those
+    carries are the two sweeps' chains over the blocks, which is a reduced
+    interface system as in the SPIKE partition (Polizzi-Sameh, Parallel
+    Computing 2006).  Over a group of ``_BLOCK`` blocks they are one fixed
+    linear map of the group's (w, z_0), rows 0-1 of its products, and of
+    the two carries that enter the group: its forward carry, zero for the
+    first group, and the first x after it, zero after the last group.  A
+    solve applies that interface operator as one batched matrix-vector
+    product; only the chain of those two numbers from group to group runs
+    in Python, O(N / ``_BLOCK``^2) steps and none up to ``_BLOCK``^2 rows.
     """
     n = len(d)
     if right is None:
@@ -202,33 +205,28 @@ def _block_operators(d, low, u1, u2, swap, right) -> Callable[[np.ndarray], np.n
         out[:len(values)] = values
         return out.reshape(blocks, size)
 
-    took = by_block(swap, False)
     mult = by_block(low, 0.0)
-    alpha, beta = np.where(took, 1.0, -mult), np.where(took, -mult, 1.0)
     # forward[:, j] is y of block row j, forward[:, size] the outgoing carry,
     # over (incoming carry, the block's r)
     forward = np.empty((blocks, size + 1, size + 1))
     carry = np.zeros((blocks, size + 1))
     carry[:, 0] = 1.0
     for j in range(size):
-        np.multiply(carry, ~took[:, j, None], out=forward[:, j])
-        carry *= alpha[:, j, None]
-        carry[:, j + 1] += beta[:, j]
+        forward[:, j] = carry
+        carry *= -mult[:, j, None]
+        carry[:, j + 1] += 1.0
     forward[:, size] = carry
-    rows = np.arange(size)
-    forward[:, rows, rows + 1] += took
 
-    pivot, first, second = by_block(d, 1.0), by_block(u1, 0.0), by_block(u2, 0.0)
-    # inverse[:, j] is x of block row j over (the block's y, the two x carried
+    pivot, first = by_block(d, 1.0), by_block(u1, 0.0)
+    # inverse[:, j] is x of block row j over (the block's y, the x carried
     # in); back substitution as in the row sweep, on unit vectors
-    inverse = np.tile(np.eye(size + 2), (blocks, 1, 1))
+    inverse = np.tile(np.eye(size + 1), (blocks, 1, 1))
     # R's rows 1 .. blocks * size, which give the blocks' r; zero past N
     r_sub, r_diag, r_sup = (by_block(a, 0.0) for a in (right[0], right[1][1:], right[2][1:]))
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(size - 1, -1, -1):
             row = inverse[:, j, j:]
             row -= inverse[:, j + 1, j:] * first[:, j, None]
-            row -= inverse[:, j + 2, j:] * second[:, j, None]
             row /= pivot[:, j, None]
         if blocks == 1:
             whole = inverse[0, :n, :n] @ forward[0, :n, :n]
@@ -249,43 +247,41 @@ def _block_operators(d, low, u1, u2, swap, right) -> Callable[[np.ndarray], np.n
         # reads it about 14% faster than row by row (AMD EPYC, OpenBLAS 0.3
         # at one thread)
         g = np.ascontiguousarray(g.transpose(0, 2, 1)).transpose(0, 2, 1)
-        interface, summary = _interface_operators(forward[:, size, 0], response[:, :2], group)
+        interface, summary = _interface_operators(forward[:, size, 0], response[:, 0], group)
     if not all(np.isfinite(a).all() for a in (g, response, interface, summary)):
         return None
 
     groups = blocks // group
-    # interface columns: the group's three incoming carries, then its data
-    from_data = np.ascontiguousarray(interface[:, :, 3:])
-    from_carries = np.ascontiguousarray(interface[:, :, :3])
-    summary_data = np.ascontiguousarray(summary[:, :, 3:])
+    # interface columns: the group's two incoming carries, then its data
+    from_data = np.ascontiguousarray(interface[:, :, 2:])
+    from_carries = np.ascontiguousarray(interface[:, :, :2])
+    summary_data = np.ascontiguousarray(summary[:, :, 2:])
     transfer = summary[:, 0, 0].tolist()
-    from_carry = summary[:, 1:, 0].tolist()
-    from_next = summary[:, 1:, 1:3].tolist()
+    from_carry = summary[:, 1, 0].tolist()
+    from_next = summary[:, 1, 1].tolist()
     padded = np.zeros(blocks * size + 2)
     windows = sliding_window_view(padded, size + 2)[::size, :, None]
 
     def solve_blocks(v: np.ndarray) -> np.ndarray:
         padded[:n] = v
         wz = np.matmul(g, windows)
-        data = wz[:, :3].reshape(groups, 3 * group, 1)
+        data = wz[:, :2].reshape(groups, 2 * group, 1)
         coupled = np.matmul(from_data, data)
         if groups > 1:
-            # the group chain: forward carries in order, then the first two
-            # x of each group in reverse, x past the last group being zero;
+            # the group chain: forward carries in order, then the first x
+            # of each group in reverse, x past the last group being zero;
             # r_0 is in block 0's w and z, so the first carry is zero
             partial = np.matmul(summary_data, data)[:, :, 0].tolist()
             carries = [0.0]
-            for t, (w, _, _) in zip(transfer, partial):
+            for t, (w, _) in zip(transfer, partial):
                 carries.append(t * carries[-1] + w)
-            v0 = v1 = 0.0
+            head = 0.0
             heads = []
-            for c, (_, z0, z1), (f0, f1), ((a0, a1), (b0, b1)) in zip(
-                carries[-2::-1], partial[::-1], from_carry[::-1], from_next[::-1]
-            ):
-                heads.append((c, v0, v1))
-                v0, v1 = z0 + f0 * c + a0 * v0 + a1 * v1, z1 + f1 * c + b0 * v0 + b1 * v1
+            for c, (_, z), f, a in zip(carries[-2::-1], partial[::-1], from_carry[::-1], from_next[::-1]):
+                heads.append((c, head))
+                head = z + f * c + a * head
             coupled += np.matmul(from_carries, np.array(heads[::-1])[:, :, None])
-        x = wz[:, 1:] + np.matmul(response, coupled.reshape(blocks, 3, 1))
+        x = wz[:, 1:] + np.matmul(response, coupled.reshape(blocks, 2, 1))
         return x.reshape(-1)[:n]
 
     return solve_blocks
@@ -294,37 +290,36 @@ def _block_operators(d, low, u1, u2, swap, right) -> Callable[[np.ndarray], np.n
 def _interface_operators(transfer: np.ndarray, head: np.ndarray, group: int) -> tuple[np.ndarray, np.ndarray]:
     """The interface operators of :func:`_block_operators` over groups of
     ``group`` blocks, for the blocks' forward transfers (``transfer``, the
-    outgoing carry over the incoming one) and the rows 0-1 of their
-    responses to the three carries (``head``, blocks x 2 x 3); the number
-    of blocks is a multiple of ``group``.
+    outgoing carry over the incoming one) and row 0 of their responses to
+    the two carries (``head``, blocks x 2); the number of blocks is a
+    multiple of ``group``.
 
-    A group's inputs u are its three incoming carries (C, V_0, V_1), then
-    (w_k, z_k0, z_k1) of each block k.  Returns ``interface``, of shape
-    (groups, 3 ``group``, 3 ``group`` + 3), whose rows 3k, 3k + 1 and
-    3k + 2 give block k's three carries over u, and ``summary``, of shape
-    (groups, 3, 3 ``group`` + 3), whose rows give the group's outgoing
-    forward carry and the first two x of its first block over u.
+    A group's inputs u are its two incoming carries (C, V), then
+    (w_k, z_k0) of each block k.  Returns ``interface``, of shape
+    (groups, 2 ``group``, 2 ``group`` + 2), whose rows 2k and 2k + 1 give
+    block k's two carries over u, and ``summary``, of shape
+    (groups, 2, 2 ``group`` + 2), whose rows give the group's outgoing
+    forward carry and the first x of its first block over u.
     """
     groups = transfer.size // group
-    width = 3 * group + 3
+    width = 2 * group + 2
     transfer = transfer.reshape(groups, group)
-    head = head.reshape(groups, group, 2, 3)
-    interface = np.empty((groups, group, 3, width))
+    head = head.reshape(groups, group, 2)
+    interface = np.empty((groups, group, 2, width))
     carry = np.zeros((groups, width))
     carry[:, 0] = 1.0
     for k in range(group):
         interface[:, k, 0] = carry
         carry = carry * transfer[:, k, None]
-        carry[:, 3 * k + 3] += 1.0
-    ahead = np.zeros((groups, 2, width))
-    ahead[:, 0, 1] = ahead[:, 1, 2] = 1.0
+        carry[:, 2 * k + 2] += 1.0
+    ahead = np.zeros((groups, width))
+    ahead[:, 1] = 1.0
     for k in range(group - 1, -1, -1):
-        interface[:, k, 1:] = ahead
-        ahead = head[:, k, :, :1] * interface[:, k, None, 0] + np.matmul(head[:, k, :, 1:], ahead)
-        ahead[:, 0, 3 * k + 4] += 1.0
-        ahead[:, 1, 3 * k + 5] += 1.0
-    summary = np.concatenate((carry[:, None], ahead), axis=1)
-    return interface.reshape(groups, 3 * group, width), summary
+        interface[:, k, 1] = ahead
+        ahead = head[:, k, :1] * interface[:, k, 0] + head[:, k, 1:] * ahead
+        ahead[:, 2 * k + 3] += 1.0
+    summary = np.stack((carry, ahead), axis=1)
+    return interface.reshape(groups, 2 * group, width), summary
 
 
 def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:

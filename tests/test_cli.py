@@ -101,6 +101,12 @@ class TestSteady:
         code, _ = run_cli(capsys, "steady", "--bc-left", "fixed=1")
         assert code == 1
 
+    def test_negative_sample_count_is_a_validation_error(self, capsys):
+        assert main(["steady", "--samples", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid input" in captured.err and "Traceback" not in captured.err
+
     def test_dirichlet_rows_far_from_unit_scale(self, capsys):
         # pure diffusion on [0, 1e16]: element matrices near 1e-14
         code, out = run_cli(

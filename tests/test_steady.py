@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 import warnings
@@ -257,6 +258,68 @@ def pivoting_systems(draw, sizes=st.integers(2, 12)):
     return draw(offdiag), diag, draw(offdiag), np.array(rhs)
 
 
+@st.composite
+def dominant_systems(draw, sizes=st.integers(2, 12)):
+    """Tridiagonals whose diagonal exceeds the rest of its column by at
+    least 1e-3, so that elimination interchanges no row; the transpose is
+    row diagonally dominant, so cond_1 <= 1e3 ||A||_1 (Varah)."""
+    n = draw(sizes)
+    offdiag = st.lists(magnitudes(0.1, 10.0), min_size=n - 1, max_size=n - 1)
+    sub, sup = np.array(draw(offdiag)), np.array(draw(offdiag))
+    excess = np.array(draw(st.lists(magnitudes(1e-3, 10.0), min_size=n, max_size=n)))
+    rest = np.abs(np.append(sub, 0.0)) + np.abs(np.append(0.0, sup))
+    rhs = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    return sub, np.sign(excess) * rest + excess, sup, np.array(rhs)
+
+
+def interchanges(sub, diag, sup):
+    """Whether elimination with partial pivoting interchanges a row: the
+    first interchange is at the first row whose subdiagonal exceeds the
+    pivot that elimination without interchanges leaves there."""
+    pivot = float(diag[0])
+    for i in range(len(sub)):
+        if abs(sub[i]) > abs(pivot):
+            return True
+        pivot = float(diag[i + 1]) - float(sub[i]) / pivot * float(sup[i])
+    return False
+
+
+@contextlib.contextmanager
+def recorded_block_operators(block=_BLOCK):
+    """Blocks of ``block`` rows, and a list that gets what each
+    ``factor_tridiagonal`` builds on its second solve: block operators, or
+    None where one overflows."""
+    built = []
+
+    def recording(*args, _build=linalg._block_operators):
+        built.append(_build(*args))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_BLOCK", block)
+        patch.setattr(linalg, "_block_operators", recording)
+        yield built
+
+
+def assert_row_sweep_is_kept(system, block=_BLOCK, right=None):
+    """A factorisation that interchanged a row builds no block operators,
+    so its later solves return its first row sweep bit for bit; one that
+    interchanged none builds them."""
+    sub, diag, sup, v = system
+    with recorded_block_operators(block) as built:
+        try:
+            solve = factor_tridiagonal(sub, diag, sup, right=right)
+            first = solve(v)
+        except LinearSolveError:
+            return  # singular, or too ill-conditioned for a finite x
+        later = [solve(v), solve(v)]
+    if interchanges(sub, diag, sup):
+        assert built == []
+        assert all(np.array_equal(x, first) for x in later)
+    else:
+        assert len(built) == 1
+
+
 class TestSolveTridiagonal:
     def test_identity(self):
         rhs = np.array([3.0, -1.0, 2.0])
@@ -298,18 +361,19 @@ class TestSolveTridiagonal:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
         # fewer rows than a block, whole blocks, and a partial last block
-        system=pivoting_systems(st.sampled_from([1, _BLOCK - 1, _BLOCK, 2 * _BLOCK, 3 * _BLOCK + 1])
-                                | st.integers(2, 4 * _BLOCK + 3)),
+        size=st.sampled_from([1, _BLOCK - 1, _BLOCK, 2 * _BLOCK, 3 * _BLOCK + 1])
+        | st.integers(2, 4 * _BLOCK + 3),
         data=st.data(),
     )
-    def test_reused_factorisation_matches_dense_solve(self, system, data):
-        sub, diag, sup, rhs = system
+    def test_reused_factorisation_matches_dense_solve(self, size, data):
+        sub, diag, sup, rhs = data.draw(dominant_systems(st.just(size)))
         dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
         condition = np.linalg.cond(dense)
-        assume(condition <= 1e12)
-        solve = factor_tridiagonal(sub, diag, sup)
-        solve(np.ones_like(rhs))  # the first call sweeps the rows
-        x = solve(rhs)  # the second and later calls apply the block operators
+        with recorded_block_operators() as built:
+            solve = factor_tridiagonal(sub, diag, sup)
+            solve(np.ones_like(rhs))  # the first call sweeps the rows
+            x = solve(rhs)  # the second and later calls apply the block operators
+        assert len(built) == 1 and built[0] is not None
         reference = np.linalg.solve(dense, rhs)
         error = np.linalg.norm(x - reference)
         assert error <= 1e-15 * len(diag) * condition * np.linalg.norm(reference)
@@ -319,6 +383,7 @@ class TestSolveTridiagonal:
             factor_tridiagonal(sub, diag, sup)(bad)
         with pytest.raises(LinearSolveError):
             solve(bad)
+        assert_row_sweep_is_kept(data.draw(pivoting_systems(st.just(size))))
 
     def test_reused_factorisation_where_a_block_inverse_overflows(self):
         # pivots of 2e-14 under unit superdiagonals: the inverse of a block
@@ -338,40 +403,50 @@ class TestSolveTridiagonal:
         rows = block * block
         sizes = st.sampled_from([rows, rows + 1, 2 * rows, 2 * rows + block + 1, 3 * rows + 1])
         n = data.draw(sizes | st.integers(1, 5 * rows + 3))
-        sub, diag, sup, rhs = data.draw(pivoting_systems(st.just(n)))
+        sub, diag, sup, rhs = data.draw(dominant_systems(st.just(n)))
         dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
         condition = np.linalg.cond(dense)
-        assume(condition <= 1e12)
         bad = rhs.copy()
         bad[data.draw(st.integers(0, n - 1))] = math.nan
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(linalg, "_BLOCK", block)
+        with recorded_block_operators(block) as built:
             solve = factor_tridiagonal(sub, diag, sup)
             solve(np.ones_like(rhs))
             x = solve(rhs)
             with pytest.raises(LinearSolveError):
                 solve(bad)
+        assert len(built) == 1 and built[0] is not None
         reference = np.linalg.solve(dense, rhs)
         error = np.linalg.norm(x - reference)
         assert error <= 1e-15 * n * condition * np.linalg.norm(reference)
+        assert_row_sweep_is_kept(data.draw(pivoting_systems(st.just(n))), block)
 
     @pytest.mark.parametrize("n", [_BLOCK**2, _BLOCK**2 + 1, 3 * _BLOCK**2 + 7])
     def test_reused_factorisation_of_several_groups_matches_the_row_sweep(self, n):
-        # each row's diagonal exceeds the rest of the row by at least 1, so
-        # ||A^-1||_inf <= 1 (Varah) and cond_inf(A) <= ||A||_inf; subdiagonals
-        # larger than the pivots above them make elimination interchange rows
+        # each column's diagonal exceeds the rest of the column by at least
+        # 1, so ||A^-1||_1 <= 1 (Varah, on the transpose), cond_1(A) <=
+        # ||A||_1, and elimination interchanges no row
         rng = np.random.default_rng(RNG_SEED + n)
         sub, sup = rng.uniform(-8.0, 8.0, n - 1), rng.uniform(-2.0, 2.0, n - 1)
-        rest = np.abs(np.append(0.0, sub)) + np.abs(np.append(sup, 0.0))
+        rest = np.abs(np.append(sub, 0.0)) + np.abs(np.append(0.0, sup))
         diag = rng.choice([-1.0, 1.0], n) * (rest + rng.uniform(1.0, 2.0, n))
         condition = (rest + np.abs(diag)).max()
-        solve = factor_tridiagonal(sub, diag, sup)
         rhs = rng.uniform(-1.0, 1.0, n)
-        swept = solve(rhs)
+        with recorded_block_operators() as built:
+            solve = factor_tridiagonal(sub, diag, sup)
+            swept = solve(rhs)
+            blocked = [solve(rhs), solve(rhs)]
+        assert len(built) == 1 and built[0] is not None
         # both solves are within 1e-15 n cond ||x|| of the exact one
         bound = 2e-15 * n * condition * np.abs(swept).max()
-        for _ in range(2):
-            assert np.abs(solve(rhs) - swept).max() <= bound
+        for x in blocked:
+            assert np.abs(x - swept).max() <= bound
+        # the same magnitudes, each row's diagonal exceeding the rest of its
+        # row instead: subdiagonals larger than the pivots above them make
+        # elimination interchange rows, and the row sweep stays
+        row_rest = np.abs(np.append(0.0, sub)) + np.abs(np.append(sup, 0.0))
+        row_diag = rng.choice([-1.0, 1.0], n) * (row_rest + rng.uniform(1.0, 2.0, n))
+        assert interchanges(sub, row_diag, sup)
+        assert_row_sweep_is_kept((sub, row_diag, sup, rhs))
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(block=st.sampled_from([2, 3, 4]), data=st.data())
@@ -380,7 +455,7 @@ class TestSolveTridiagonal:
         # group, two groups and a partial fourth group of blocks
         size = data.draw(st.sampled_from([1, block - 1, block, block + 1, block**2, block**2 + 1,
                                           3 * block**2 + 7]).filter(bool))
-        sub, diag, sup, v = data.draw(pivoting_systems(st.just(size)))
+        sub, diag, sup, v = data.draw(dominant_systems(st.just(size)))
         general = st.lists(st.floats(-10.0, 10.0), min_size=size - 1, max_size=size - 1)
         right = (np.array(data.draw(general)),
                  np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=size, max_size=size))),
@@ -388,7 +463,6 @@ class TestSolveTridiagonal:
         lhs = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
         rhs = np.diag(right[1]) + np.diag(right[0], -1) + np.diag(right[2], 1)
         condition = np.linalg.cond(lhs)
-        assume(condition <= 1e12)
         reference = np.linalg.solve(lhs, rhs @ v)
         # the computed x solves (L + dL) x = R v + dr with |dL| <= c n u |L|
         # and |dr| <= c n u |R| |v|, so |x - x*| <= c n u cond(L) (|x*| +
@@ -397,8 +471,7 @@ class TestSolveTridiagonal:
             np.linalg.norm(reference) + np.linalg.norm(rhs, 2) * np.linalg.norm(v) / np.linalg.norm(lhs, 2))
         bad = v.copy()
         bad[data.draw(st.integers(0, size - 1))] = data.draw(st.sampled_from([math.nan, math.inf]))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(linalg, "_BLOCK", block)
+        with recorded_block_operators(block) as built:
             solve = factor_tridiagonal(sub, diag, sup, right=right)
             solve(np.ones_like(v))  # the first call sweeps the rows
             for _ in range(2):  # the second and later calls apply the block operators
@@ -406,6 +479,8 @@ class TestSolveTridiagonal:
             # inf - inf in the products is NaN, which numpy reports
             with np.errstate(invalid="ignore"), pytest.raises(LinearSolveError):
                 solve(bad)
+        assert len(built) == 1 and built[0] is not None
+        assert_row_sweep_is_kept(data.draw(pivoting_systems(st.just(size))), block, right)
 
     def test_reused_factorisation_where_the_fused_right_factor_overflows(self):
         # pivots of 0.5 under a right factor of 1e308: each G_k = (block

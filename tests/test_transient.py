@@ -20,7 +20,7 @@ from bubblefem import (
     transient_benchmark_problem,
     uniform_mesh,
 )
-from bubblefem import transient
+from bubblefem import linalg, transient
 from bubblefem.linalg import (
     factor_tridiagonal,
     nonpositive_pivots,
@@ -38,15 +38,15 @@ def two_element_mesh():
     return uniform_mesh(0.0, math.pi, 2)
 
 
+def full_matrix(diag, off):
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
 def dense_slowest_rate(system):
     """Smallest generalized eigenvalue of (A, Mg) by Cholesky reduction and
     a dense symmetric eigensolver."""
-
-    def full(diag, off):
-        return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-
-    lower = np.linalg.cholesky(full(system.mass_diag, system.mass_off))
-    a = full(system.op_diag, system.op_off)
+    lower = np.linalg.cholesky(full_matrix(system.mass_diag, system.mass_off))
+    a = full_matrix(system.op_diag, system.op_off)
     inv = np.linalg.inv(lower)
     return float(np.linalg.eigvalsh(inv @ a @ inv.T)[0])
 
@@ -123,6 +123,20 @@ def long_double_march(system, dt, state, steps):
         x = np.array(b, dtype=ld)
         states.append(x)
     return np.array(states)
+
+
+def recorded_block_operators(monkeypatch):
+    """A list that gets what each ``factor_tridiagonal`` builds on its
+    second solve from now on: block operators, or None where one
+    overflows."""
+    built = []
+
+    def recording(*args, _build=linalg._block_operators):
+        built.append(_build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(linalg, "_block_operators", recording)
+    return built
 
 
 def kernel_entries(epsilon, l, c):
@@ -825,6 +839,48 @@ class TestSolveTransient:
             for state, exact in zip(trajectory.states[1:], reference.astype(float))
         )
         assert distance <= 2 * row_sweep_distance
+
+    # (epsilon, dt lambda, elements, dt, mesh, order, sign_compat, blocks):
+    # well-posed step matrices Mg + dt/2 A interchange no row, so the
+    # second step builds block operators; a backward heat equation
+    # (epsilon > 0) and dt lambda <= -2 interchange rows and keep the row
+    # sweep on every step
+    @pytest.mark.parametrize("epsilon, dt_lambda, n, dt, graded, order, compat, blocks", [
+        # the benchmark march: N = 1e3, dt = 1e-3, linear and quadratic sign-compat
+        (-1.0, 1e-3, 1000, 1e-3, False, 1, False, True),
+        (-1.0, 1e-3, 1000, 1e-3, False, 2, True, True),
+        *((-1.0, dt_lambda, 100, 0.01, graded, order, compat, True)
+          for dt_lambda in (-1.999, 0.0, 10.0) for graded in (False, True)
+          for order in (1, 2, 3) for compat in ((False,) if order == 1 else (False, True))),
+        *((-1.0, -3.0, 100, 0.01, False, order, False, False) for order in (1, 2, 3)),
+        *((0.5, 0.01, 100, 0.01, False, order, False, False) for order in (1, 2, 3)),
+    ])
+    def test_block_operators_only_for_marches_without_interchanges(
+        self, monkeypatch, epsilon, dt_lambda, n, dt, graded, order, compat, blocks
+    ):
+        problem = TransientProblem(epsilon=epsilon, domain=(0.0, math.pi), initial_profile=math.sin,
+                                   lambda_=dt_lambda / dt)
+        s = np.linspace(0.0, 1.0, n + 1)
+        mesh = Mesh1D(math.pi * s**3) if graded else uniform_mesh(0.0, math.pi, n)
+        built = recorded_block_operators(monkeypatch)
+        steps = 10
+        trajectory = solve_transient(problem, mesh, EnrichmentKind(order), dt=dt, t_end=steps * dt,
+                                     sign_compat=compat)
+        if blocks:
+            assert len(built) == 1 and built[0] is not None
+        else:
+            assert built == []
+        # each step against one dense np.linalg.solve from the march's own
+        # previous state, within 1e-13 relative to it; these cases read at
+        # most 2.3e-14 (dt lambda = -3, linear).  A dense march is no
+        # reference where rows interchange: it amplifies its own rounding
+        # by the growing modes, and after 10 steps it stood 0.5-1.9
+        # (epsilon = 0.5) and 7e-4-0.4 (dt lambda = -3) from the row sweep,
+        # relative to the state
+        lhs, rhs = (full_matrix(*step_matrix(trajectory.system, h)) for h in (dt, -dt))
+        for before, state in zip(trajectory.states, trajectory.states[1:]):
+            exact = np.linalg.solve(lhs, rhs @ before)
+            assert np.linalg.norm(state - exact) <= 1e-13 * np.linalg.norm(exact)
 
     def test_energy_never_grows_along_the_march(self):
         # a march of 100 elements reuses its factorisation across blocks

@@ -149,7 +149,12 @@ def slowest_decay_rate(system: TransientSystem) -> float:
     down from min(0, bound); it is bracketed to 1e-10 of the first step, so
     a zero rate (du/dt = 0) ends at exactly 0.  No rate at or below the
     quotient, which bounds the slowest rate from above, means that the two
-    agree to rounding: the quotient is returned.  A mesh without one
+    agree to rounding: the quotient is returned.  More than one means
+    either rates well below it, or several rates equal to it to rounding,
+    as for pure reaction (epsilon = 0, A = lambda Mg).  One plain count at
+    the quotient less 1e-10 of it then tells them apart: if it finds no
+    rate, the quotient is returned, after three passes where bisecting
+    took 37; otherwise that point is the new upper end.  A mesh without one
     interior node per row raises ValueError.
 
     Each iterate is one twisted pass at a row r
@@ -215,6 +220,14 @@ def slowest_decay_rate(system: TransientSystem) -> float:
         return hi
     if count_hi != 1:
         row = last
+    if count_hi > 1 and hi:
+        # several rates at or below the quotient, an upper bound of the
+        # slowest: they may all equal it to rounding, as for A = lambda Mg
+        below = hi - _EIG_TOL * abs(hi)
+        count_hi, gamma_hi = shifted(below)
+        if not count_hi:
+            return hi
+        hi = below
     lo, step, floor = min(0.0, hi), abs(hi) or 1.0, 0.0
     count, gamma = (count_hi, gamma_hi) if lo == hi else shifted(lo)
     while count:

@@ -560,6 +560,184 @@ class TestSolveTridiagonal:
             TridiagonalSystem([1.0], [1.0, 1.0], [], [1.0, 2.0])
 
 
+@contextlib.contextmanager
+def recorded_reductions():
+    """A list that gets the size of every system ``solve_tridiagonal``
+    hands to cyclic reduction."""
+    sizes = []
+
+    def recording(system, scale, _reduce=linalg._cyclic_reduction):
+        sizes.append(system.size)
+        return _reduce(system, scale)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_cyclic_reduction", recording)
+        yield sizes
+
+
+def neumann_laplacian(n, last=1.0):
+    """The (n, n) Laplacian [-1, 2, -1] with Neumann rows [1, -1] at both
+    ends, the last diagonal entry being ``last``: singular for last = 1,
+    weakly diagonally dominant by rows and by columns for last >= 1."""
+    diag = np.full(n, 2.0)
+    diag[0], diag[-1] = 1.0, last
+    return -np.ones(n - 1), diag, -np.ones(n - 1)
+
+
+class TestCyclicReduction:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        # the row sweep alone up to _BLOCK rows, then one level above it,
+        # and 2^k +- 1 rows on either side of a level
+        size=st.sampled_from([1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 63, 65, 127, 129, 255, 257])
+        | st.integers(2, 300),
+        by_rows=st.booleans(),
+        data=st.data(),
+    )
+    def test_matches_dense_solve(self, size, by_rows, data):
+        sub, diag, sup, rhs = data.draw(dominant_systems(st.just(size)))
+        if by_rows:
+            sub, sup = sup, sub  # the transpose: dominant by rows
+        dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+        condition = np.linalg.cond(dense)
+        with recorded_reductions() as reduced:
+            x = solve_tridiagonal(TridiagonalSystem(sub, diag, sup, rhs))
+        assert reduced == ([size] if size > _BLOCK else [])
+        reference = np.linalg.solve(dense, rhs)
+        error = np.linalg.norm(x - reference)
+        assert error <= 1e-15 * size * condition * np.linalg.norm(reference)
+        bad = rhs.copy()
+        bad[data.draw(st.integers(0, size - 1))] = math.nan
+        with pytest.raises(LinearSolveError):
+            solve_tridiagonal(TridiagonalSystem(sub, diag, sup, bad))
+
+    @pytest.mark.parametrize("n", [33, 100, 4097])
+    def test_singular_neumann_laplacian_raises(self, n):
+        sub, diag, sup = neumann_laplacian(n)
+        with recorded_reductions() as reduced, pytest.raises(LinearSolveError):
+            solve_tridiagonal(TridiagonalSystem(sub, diag, sup, np.ones(n)))
+        assert reduced == [n]
+
+    @pytest.mark.parametrize("n", [33, 100, 4097])
+    def test_pivot_tolerance(self, n):
+        # the last pivot of elimination is last - 1; the scale is 2, so a
+        # pivot of 1e-15 of it is singular and 1e-13 is not.  The exact
+        # solution for the last unit vector is all 1 / (last - 1)
+        nearly = TridiagonalSystem(*neumann_laplacian(n, 1.0 + 2e-15), np.eye(n)[-1])
+        with pytest.raises(LinearSolveError):
+            solve_tridiagonal(nearly)
+        last = 1.0 + 2e-13
+        with recorded_reductions() as reduced:
+            x = solve_tridiagonal(TridiagonalSystem(*neumann_laplacian(n, last), np.eye(n)[-1]))
+        assert reduced == [n]
+        assert x == pytest.approx(np.full(n, 1.0 / (last - 1.0)), rel=1e-9)
+
+    @pytest.mark.parametrize("row", [1, 2, 0, 96])
+    @pytest.mark.parametrize("tau, singular", [(1e-15, True), (5e-15, True), (1e-13, False)])
+    def test_pivot_tolerance_at_every_level(self, row, tau, singular):
+        # a decoupled row of diagonal 2 tau in [-1, 2, -1], 100 rows, two
+        # levels: its divisor is eliminated at level 0 (row 1) or 1 (row
+        # 2), or left in the tail (rows 0 and 96).  A pivot of tau of the
+        # scale 2 raises below 1e-14, as in the row sweep.  At row 0 the
+        # tail's own largest entry is 0.5, on whose scale 2 tau = 1e-14
+        # would pass: the tail keeps the scale of the whole matrix.
+        n = 100
+        sub, diag, sup = -np.ones(n - 1), np.full(n, 2.0), -np.ones(n - 1)
+        sub[max(row - 1, 0):row + 1] = 0.0
+        sup[max(row - 1, 0):row + 1] = 0.0
+        diag[row] = 2.0 * tau
+        system = TridiagonalSystem(sub, diag, sup, np.eye(n)[row])
+        with recorded_reductions() as reduced:
+            if singular:
+                with pytest.raises(LinearSolveError):
+                    solve_tridiagonal(system)
+            else:
+                x = solve_tridiagonal(system)
+                assert x[row] == 1.0 / diag[row] and np.count_nonzero(x) == 1
+        assert reduced == [n]
+
+    def test_entries_near_the_largest_float(self):
+        # |sub| + |sup| = 2e308 overflows, which is not dominated by 1.5e308:
+        # the row sweep, with no numpy warning; 1.6e308 is dominated by 1.7e308
+        n = 2 * _BLOCK
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for off, middle, reduced_sizes in ((1e308, 1.5e308, []), (0.8e308, 1.7e308, [n])):
+                sub, diag, sup = np.full(n - 1, off), np.full(n, middle), np.full(n - 1, off)
+                with recorded_reductions() as reduced:
+                    x = solve_tridiagonal(TridiagonalSystem(sub, diag, sup, np.ones(n)))
+                assert reduced == reduced_sizes
+                residual = tridiagonal_matvec(sub, diag, sup, x) - 1.0
+                assert np.abs(residual).max() <= 1e-12
+
+    def test_infinite_right_hand_side_raises(self):
+        n = 2 * _BLOCK
+        rhs = np.ones(n)
+        rhs[5] = math.inf
+        with recorded_reductions() as reduced, pytest.raises(LinearSolveError):
+            solve_tridiagonal(TridiagonalSystem(-np.ones(n - 1), np.full(n, 3.0), -np.ones(n - 1), rhs))
+        assert reduced == [n]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(system=pivoting_systems(st.integers(2, 12) | st.integers(_BLOCK + 1, 200)))
+    def test_other_systems_keep_the_row_sweep(self, system):
+        sub, diag, sup, rhs = system
+        dominant = any(
+            (np.abs(diag) >= np.abs(np.append(0.0, a)) + np.abs(np.append(b, 0.0))).all()
+            for a, b in ((sub, sup), (sup, sub))
+        )
+        assume(not dominant or len(diag) <= _BLOCK)
+        try:
+            want = factor_tridiagonal(sub, diag, sup)(rhs)
+        except LinearSolveError:
+            want = None
+        with recorded_reductions() as reduced:
+            if want is None:
+                with pytest.raises(LinearSolveError):
+                    solve_tridiagonal(TridiagonalSystem(sub, diag, sup, rhs))
+            else:
+                assert np.array_equal(solve_tridiagonal(TridiagonalSystem(sub, diag, sup, rhs)), want)
+        assert reduced == []
+
+    @pytest.mark.parametrize(
+        "coefficients, enrichment",
+        [
+            (TransportCoefficients(-1.0, 400.0, 0.0), LINEAR),  # mesh Peclet number 2
+            (TransportCoefficients(-1.0, 400.0, 0.0), CUBIC_BUBBLE),
+            (TransportCoefficients(0.0, 1.0, 0.0), LINEAR),  # pure convection
+            (TransportCoefficients(-1.0, 0.0, -100.0), QUADRATIC_BUBBLE),  # lambda < 0
+        ],
+    )
+    def test_steady_systems_that_are_not_dominant_keep_the_row_sweep(self, coefficients, enrichment):
+        problem = SteadyProblem(
+            coefficients=coefficients,
+            domain=(0.0, 1.0),
+            bc_left=BoundaryCondition.dirichlet(1.0),
+            bc_right=BoundaryCondition.neumann_flux(0.0),
+        )
+        system = assemble_steady(problem, uniform_mesh(0.0, 1.0, 100), enrichment)
+        with recorded_reductions() as reduced:
+            x = solve_tridiagonal(system)
+        assert reduced == []
+        assert np.array_equal(x, factor_tridiagonal(system.sub, system.diag, system.sup)(system.rhs))
+
+    def test_dominant_solve_in_linear_memory(self):
+        # the steady benchmark at N = 1e5, whose dense matrix would take 80 GB;
+        # the solve took 106 bytes a row at N = 1e4, 1e5 and 1e6
+        n = 100_000
+        system = assemble_steady(steady_benchmark_problem(), uniform_mesh(0.0, 10.0, n), QUADRATIC_BUBBLE)
+        tracemalloc.start()
+        try:
+            with recorded_reductions() as reduced:
+                x = solve_tridiagonal(system)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert reduced == [n + 1]
+        assert np.isfinite(x).all()
+        assert peak < 200 * n
+
+
 def assert_scaled_dirichlet_row(system, row, value):
     """A Dirichlet row is decoupled and reads s u = s value with s a power
     of two."""

@@ -418,6 +418,24 @@ class TestDecayRates:
         system = assemble_transient(problem, uniform_mesh(0.0, math.pi, n), QUADRATIC_BUBBLE)
         assert slowest_decay_rate(system) == 0.0
 
+    @pytest.mark.parametrize("lambda_", [1.0, 3.0, 10.0])
+    @pytest.mark.parametrize("enrichment", [LINEAR, QUADRATIC_BUBBLE])
+    def test_pure_reaction_rate_in_few_passes(self, monkeypatch, lambda_, enrichment):
+        # epsilon = 0: A = lambda Mg, so every rate is lambda to rounding,
+        # and the count at the quotient is decided by the entries' last
+        # bits.  A first count above one is followed by one count at
+        # hi (1 - 1e-10), where none is left; bisecting [0, hi] instead
+        # took 37 passes
+        problem = TransientProblem(
+            epsilon=0.0, domain=(0.0, math.pi), initial_profile=math.sin, lambda_=lambda_
+        )
+        system = assemble_transient(problem, uniform_mesh(0.0, math.pi, 1000), enrichment)
+        passes = count_passes(monkeypatch)
+        omega = slowest_decay_rate(system)
+        assert sum(passes) <= 6
+        assert omega == pytest.approx(lambda_, rel=1e-10)
+        assert rates_at_or_below(system, omega * (1.0 - 1e-10)) == 0
+
     def test_null_operator_rate_in_four_passes(self, monkeypatch):
         # A = 0: gamma = 0 at the quotient 0 makes the next iterate half a
         # tolerance below it, which closes the bracket [-1, 0] at once

@@ -9,14 +9,15 @@ leaves a polynomial residual R(x); the coefficients c_k are chosen to
 minimise J = int_0^l R^2 dx.  J is a convex quadratic in the c_k.  With
 x = l s the minimiser depends only on the weight row
 (epsilon/l^2, kappa/l, lambda) of the operator on the unit element, so the
-normal equations are solved there for all elements at once
-(``unit_bubble_coefficients``).  Assembly and the solution field use those
-unit-element amplitudes d_k = c_k l^(k+1) as they are; only the one-element
-view behind ``ls_bubble`` converts them to the x-coordinates c_k.  That
-numeric minimiser is the only coefficient source; ``residual_functional``
-evaluates J in x on a path of its own, as the oracle the minimiser is
-checked against, and the closed forms in :mod:`bubblefem.oracles` are
-cross-checks of it.
+normal equations are formed there for all elements at once by one matrix
+product, and solved in closed form at orders 2 and 3 and by stacked LAPACK
+calls above (``unit_bubble_coefficients``).  Assembly and the solution
+field use those unit-element amplitudes d_k = c_k l^(k+1) as they are;
+only the one-element view behind ``ls_bubble`` converts them to the
+x-coordinates c_k.  That numeric minimiser is the only coefficient source;
+``residual_functional`` evaluates J in x on a path of its own, as the
+oracle the minimiser is checked against, and the closed forms in
+:mod:`bubblefem.oracles` are cross-checks of it.
 """
 
 from __future__ import annotations
@@ -122,6 +123,17 @@ def _unit_tensor(order: int) -> np.ndarray:
     return tensor
 
 
+@functools.cache
+def _bubble_rows(order: int) -> np.ndarray:
+    """The bubble rows of :func:`_unit_tensor` as one (9, (order - 1)(order + 1))
+    matrix: row 3 a + b holds T[a, b, 2:, :], so the products w_a w_b of a
+    weight row, flattened in the same order, give every bubble row of the
+    quadratic form in one matrix product.  Memoised per order and read-only."""
+    rows = np.ascontiguousarray(_unit_tensor(order)[:, :, 2:, :].reshape(9, -1))
+    rows.setflags(write=False)
+    return rows
+
+
 def unit_bubble_coefficients(
     coeffs: TransportCoefficients, lengths: np.ndarray, order: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -133,16 +145,25 @@ def unit_bubble_coefficients(
     unit-nodal right-hand sides are quadratic forms in the weight row
     w = (eps/l^2, kappa/l, lambda) against the constant tensors of
     ``_unit_tensor``.  Each row of w is divided by its largest magnitude,
-    which leaves the minimiser unchanged and prevents overflow; one stacked
-    solve gives the amplitudes d_k of the unit basis s^k (1 - s).
+    which leaves the minimiser unchanged and prevents overflow; one matrix
+    product of the (n, 9) products w_a w_b with :func:`_bubble_rows` gives
+    every Gram matrix and right-hand side.  At order 2 the Gram matrix is
+    1x1 and the minimiser a quotient; at order 3 it is 2x2, with extreme
+    eigenvalues lmax = (a + c)/2 + hypot((a - c)/2, b) and lmin = det / lmax
+    (free of cancellation) and the minimiser by its adjugate; higher orders
+    take a stacked ``eigvalsh`` and ``solve``.
 
     Returns ``(unit, degenerate)``.  ``unit`` has shape (n, order - 1, 2):
     ``unit[e, :, 0]`` is the minimiser for (u0, ul) = (1, 0) and
     ``unit[e, :, 1]`` for (0, 1), so by linearity ``unit[e] @ (u0, ul)``
     serves any nodal pair.  ``degenerate[e]`` flags a non-finite weight row,
     or a unit Gram matrix with a smallest eigenvalue <= 0 or a condition
-    number above 1e12; those rows hold no usable values.
+    number above 1e12; those rows hold no usable values.  At orders 2 and 3
+    only a row that is not finite or all zero is flagged: the condition
+    number of the normalised Gram matrix stays below about 5.5e2 there.
     """
+    if not isinstance(order, (int, np.integer)) or order < 2:
+        raise ValueError(f"bubble order must be an integer >= 2, got {order!r}")
     l = np.asarray(lengths, dtype=float)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         w = np.stack(
@@ -150,14 +171,29 @@ def unit_bubble_coefficients(
         )
         scale = np.abs(w).max(axis=1)
         ok = np.isfinite(scale) & (scale > 0.0)
-        # a bad row gets a harmless stand-in so that the stacked solve runs
+        # a bad row gets a harmless stand-in so that the batched solve runs
         w = np.where(ok[:, None], w / scale[:, None], 1.0)
-        q = np.einsum("ea,eb,abij->eij", w, w, _unit_tensor(order))
-        gram, rhs = q[:, 2:, 2:], -q[:, 2:, :2]
-        # the Gram matrices are symmetric positive semi-definite
-        eig = np.linalg.eigvalsh(gram)
-        ok &= (eig[:, 0] > 0.0) & (eig[:, -1] <= _MAX_CONDITION * eig[:, 0])
-        unit = np.linalg.solve(gram, rhs)
+        products = (w[:, :, None] * w[:, None, :]).reshape(-1, 9)
+        q = (products @ _bubble_rows(order)).reshape(-1, order - 1, order + 1)
+        gram, rhs = q[:, :, 2:], -q[:, :, :2]
+        # the Gram matrices are positive semi-definite and symmetric to
+        # rounding; order 3 reads their lower triangle, as eigvalsh does
+        if order == 2:
+            g = gram[:, 0, 0]
+            ok &= g > 0.0
+            unit = rhs / g[:, None, None]
+        elif order == 3:
+            a, b, c = gram[:, 0, 0, None], gram[:, 1, 0, None], gram[:, 1, 1, None]
+            det = a * c - b * b
+            lmax = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
+            lmin = det / lmax
+            ok &= (lmin[:, 0] > 0.0) & (lmax[:, 0] <= _MAX_CONDITION * lmin[:, 0])
+            r0, r1 = rhs[:, 0], rhs[:, 1]
+            unit = np.stack([c * r0 - b * r1, a * r1 - b * r0], axis=1) / det[:, None]
+        else:
+            eig = np.linalg.eigvalsh(gram)
+            ok &= (eig[:, 0] > 0.0) & (eig[:, -1] <= _MAX_CONDITION * eig[:, 0])
+            unit = np.linalg.solve(gram, rhs)
     return unit, ~ok
 
 
@@ -168,8 +204,6 @@ def _unit_bubble(coeffs: TransportCoefficients, l: float, order: int) -> np.ndar
     conversion leaves the floating-point range."""
     if not l > 0:
         raise ValueError(f"element length must be positive, got {l}")
-    if order < 2:
-        raise ValueError(f"bubble order must be >= 2, got {order}")
     unit, degenerate = unit_bubble_coefficients(coeffs, np.array([l], dtype=float), order)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         x_coeffs = unit[0] / l ** np.arange(2, order + 1)[:, None]

@@ -95,14 +95,19 @@ def element_integrals(
     :func:`~bubblefem.enrichment._unit_tensor`, with the (order + 1, 2)
     matrix E = [[1, 0], [0, 1], [shapes]] of the unit-element amplitudes of
     :func:`element_shapes`, so the blocks are E^T T E / l, E^T T E and
-    l E^T T E for the matching T.
+    l E^T T E for the matching T.  At order 1, E is the identity and the
+    blocks are the hat blocks of T scaled by 1/l, 1 and l, with no products;
+    they equal the product form bit for bit.
     """
     order = shapes.shape[1] + 1
-    e = np.concatenate([np.broadcast_to(np.eye(2), (lengths.size, 2, 2)), shapes], axis=1)
     # int D_a f_i D_b f_j for (D_a, D_b) = (d/ds, d/ds), (1, d/ds), (1, 1)
     tensors = _unit_tensor(order)[(1, 2, 2), (1, 1, 2), None]
-    dd, cd, mm = (e.swapaxes(1, 2) @ tensors) @ e
     l = lengths[:, None, None]
+    if order == 1:
+        dd, cd, mm = tensors[:, 0]
+        return dd / l, np.repeat(cd[None], lengths.size, axis=0), mm * l
+    e = np.concatenate([np.broadcast_to(np.eye(2), (lengths.size, 2, 2)), shapes], axis=1)
+    dd, cd, mm = (e.swapaxes(1, 2) @ tensors) @ e
     return dd / l, cd, mm * l
 
 

@@ -365,6 +365,13 @@ def solve_transient(
     semidefinite.  A state that turns non-finite raises LinearSolveError
     at the step that makes it.
 
+    A march with epsilon > 0 (a backward heat equation) or dt lambda <= -2
+    (the step then multiplies the growing mode by a negative factor) cannot
+    follow the solution, and nothing flags it: it runs to the end and
+    returns its states.  With epsilon = -1, lambda = -300, dt = 0.01 and 64
+    linear elements on [0, pi], the state at t = 0.05 and x = 2.356 is -6981
+    where the exact value is 2.2e6.
+
     The march takes ceil(t_end / dt) whole steps, so the last stored time
     can pass ``t_end``: ``dt=0.1, t_end=0.25`` ends at 0.30000000000000004.
     Every ``store_stride``-th level is stored, and the last one always.

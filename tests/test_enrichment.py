@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bubblefem import (
     DegenerateOperatorError,
@@ -19,7 +19,7 @@ from bubblefem.oracles import (
     steady_benchmark_bubble_coefficient,
     transient_coefficient,
 )
-from bubblefem.enrichment import unit_bubble_coefficients
+from bubblefem.enrichment import _bubble_rows, _unit_tensor, unit_bubble_coefficients
 
 RNG_SEED = 987123
 
@@ -240,6 +240,153 @@ class TestLsBubble:
             slack = 1e-12 * max(j0, 1.0)
             assert j3 <= j2 + slack
             assert j2 <= j0 + slack
+
+
+EPS = np.finfo(float).eps
+# lengths whose weight rows are not finite (0, nan, 1e-200 overflows eps/l^2),
+# all zero when lambda = 0 (inf), or of extreme ratios (1e-150, 1e150)
+SPECIAL_LENGTHS = st.sampled_from((0.0, math.nan, math.inf, 1e-200, 1e-150, 1e150, 1e300))
+EXTREME = st.floats(-150.0, 150.0).map(lambda e: 10.0**e)
+
+
+def weight_rows(coeffs, lengths):
+    """The weight rows (eps/l^2, kappa/l, lambda) scaled to a largest
+    magnitude of 1, and which of them are finite and nonzero; the others
+    hold ones, as in unit_bubble_coefficients."""
+    l = np.asarray(lengths, dtype=float)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        w = np.stack(
+            [coeffs.epsilon / l**2, coeffs.kappa / l, np.full_like(l, coeffs.lambda_)], axis=1
+        )
+        scale = np.abs(w).max(axis=1)
+        ok = np.isfinite(scale) & (scale > 0.0)
+        return np.where(ok[:, None], w / scale[:, None], 1.0), ok
+
+
+def lapack_minimiser(gram, rhs, ok):
+    """Reference: a stacked eigvalsh for the 1e12 gate and a stacked solve."""
+    eig = np.linalg.eigvalsh(gram)
+    ok = ok & (eig[:, 0] > 0.0) & (eig[:, -1] <= 1e12 * eig[:, 0])
+    return np.linalg.solve(gram, rhs), ~ok
+
+
+class TestUnitBubbleCoefficients:
+    @pytest.mark.parametrize("order", [1, 0, -1, 2.5, 3.0, "3", None])
+    def test_order_below_two_or_not_an_integer_rejected(self, order):
+        with pytest.raises(ValueError, match="integer >= 2"):
+            unit_bubble_coefficients(TransportCoefficients(-1.0, 1.0, 1.0), np.ones(3), order)
+
+    def test_numpy_integer_order(self):
+        coeffs, lengths = TransportCoefficients(-1.0, 1.0, 1.0), np.array([0.1, 1.0, 10.0])
+        for order in (2, 3, 5):
+            unit, degenerate = unit_bubble_coefficients(coeffs, lengths, np.int64(order))
+            want, want_degenerate = unit_bubble_coefficients(coeffs, lengths, order)
+            assert np.array_equal(unit, want) and np.array_equal(degenerate, want_degenerate)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        eps=LOG_UNIFORM | st.just(0.0),
+        kap=LOG_UNIFORM | st.just(0.0),
+        kap_sign=st.sampled_from((-1.0, 1.0)),
+        lam=LOG_UNIFORM | st.just(0.0),
+        lengths=st.lists(LOG_UNIFORM | EXTREME | SPECIAL_LENGTHS, min_size=1, max_size=8),
+        order=st.sampled_from((2, 3)),
+    )
+    def test_closed_forms_match_lapack(self, eps, kap, kap_sign, lam, lengths, order):
+        # orders 2 and 3 solve their 1x1 and 2x2 Gram matrices in closed
+        # form; the reference takes LAPACK on the same Gram matrices
+        assume(eps or kap or lam)
+        coeffs = TransportCoefficients(-eps, kap_sign * kap, lam)
+        unit, degenerate = unit_bubble_coefficients(coeffs, np.array(lengths), order)
+        w, ok = weight_rows(coeffs, lengths)
+        q = ((w[:, :, None] * w[:, None, :]).reshape(-1, 9) @ _bubble_rows(order)).reshape(
+            -1, order - 1, order + 1
+        )
+        want, want_degenerate = lapack_minimiser(q[:, :, 2:], -q[:, :, :2], ok)
+        assert np.array_equal(degenerate, want_degenerate)
+        assert np.array_equal(degenerate, ~ok)
+        good = ~degenerate
+        gap = np.abs(unit[good] - want[good]).max(axis=(1, 2))
+        # measured at most 3.8e-15 over 3e5 operators of this space, and
+        # 4.0e-14 over 4e5 random signed weight rows of ratios up to 1e12
+        assert (gap <= 1e-13 * np.abs(want[good]).max(axis=(1, 2))).all()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        eps=LOG_UNIFORM,
+        kap=LOG_UNIFORM | st.just(0.0),
+        kap_sign=st.sampled_from((-1.0, 1.0)),
+        lam=LOG_UNIFORM | st.just(0.0),
+        lengths=st.lists(LOG_UNIFORM | SPECIAL_LENGTHS, min_size=1, max_size=8),
+        order=st.integers(4, 7),
+    )
+    def test_matrix_product_matches_einsum_at_higher_orders(
+        self, eps, kap, kap_sign, lam, lengths, order
+    ):
+        # the quadratic form by one matrix product against the einsum over
+        # the whole tensor; both sum nine products w_a w_b T[a, b] in their
+        # own order, so they differ by a perturbation of each entry of at
+        # most 8 eps times the same form taken in magnitudes (|w|, |T|),
+        # and the minimisers by that perturbation through the inverse Gram
+        coeffs = TransportCoefficients(-eps, kap_sign * kap, lam)
+        unit, degenerate = unit_bubble_coefficients(coeffs, np.array(lengths), order)
+        w, ok = weight_rows(coeffs, lengths)
+        tensor = _unit_tensor(order)
+        q = np.einsum("ea,eb,abij->eij", w, w, tensor)[:, 2:]
+        gram, rhs = q[:, :, 2:], -q[:, :, :2]
+        want, want_degenerate = lapack_minimiser(gram, rhs, ok)
+        assert np.array_equal(degenerate, want_degenerate)
+        good = ~degenerate
+        magnitudes = np.einsum("ea,eb,abij->eij", np.abs(w), np.abs(w), np.abs(tensor))[good, 2:]
+        size = np.abs(want[good]).max(axis=(1, 2))
+        lmin = np.linalg.eigvalsh(gram[good])[:, 0]
+        bound = (
+            16.0 * EPS
+            * (magnitudes[:, :, :2].max(axis=(1, 2)) + magnitudes[:, :, 2:].sum(2).max(1) * size)
+            / lmin
+        )
+        # the gap measured at most 1.5 times the first-order bound with 1 eps
+        assert (np.abs(unit[good] - want[good]).max(axis=(1, 2)) <= bound).all()
+
+    def test_gate_cannot_flip_at_orders_two_and_three(self):
+        # only rows that are not finite or all zero are degenerate at orders
+        # 2 and 3.  Order 2: the 1x1 Gram of a weight row w is w^T M w with
+        # M = T[:, :, 2, 2], at least lambda_min(M) |w|^2 >= lambda_min(M)
+        # when the largest |w_a| is 1.
+        assert np.linalg.eigvalsh(_unit_tensor(2)[:, :, 2, 2])[0] >= 5e-3
+        # Order 3: the condition number of the 2x2 Gram over weight rows
+        # peaked at 5.5e2 on a 2.9e6-point grid of the unit sphere, at
+        # w = (0.085, 0.263, 1), far below the gate's 1e12
+        rng = np.random.default_rng(RNG_SEED + 8)
+        sample = rng.normal(size=(100_000, 3))
+        magnitudes = np.array([0.0, 1e-16, 1e-8, 1e-3, 0.085, 0.263, 1.0])
+        values = np.concatenate([-magnitudes[1:], magnitudes])
+        grid = np.stack(np.meshgrid(values, values, values), axis=-1).reshape(-1, 3)
+        w = np.concatenate([sample, grid[np.abs(grid).max(axis=1) > 0.0], [[0.085, 0.263, 1.0]]])
+        w /= np.abs(w).max(axis=1)[:, None]
+        eig = np.linalg.eigvalsh(np.einsum("ea,eb,abij->eij", w, w, _unit_tensor(3)[:, :, 2:, 2:]))
+        assert (eig[:, 0] > 0.0).all()
+        condition = eig[:, 1] / eig[:, 0]
+        assert condition.max() <= 6e2
+        assert condition[-1] >= 5e2  # the measured peak is in the set
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        eps=LOG_UNIFORM | st.just(0.0),
+        lam=LOG_UNIFORM | st.just(0.0),
+        lengths=st.lists(LOG_UNIFORM | EXTREME, min_size=1, max_size=8),
+    )
+    def test_symmetric_operator_has_zero_b(self, eps, lam, lengths):
+        # for kappa = 0 the two unit-nodal right-hand sides are the same
+        # sums of the same products, so B is exactly zero
+        assume(eps or lam)
+        coeffs = TransportCoefficients(-eps, 0.0, lam)
+        for l in lengths:
+            try:
+                ab = quadratic_ab(coeffs, l)
+            except DegenerateOperatorError:
+                continue
+            assert ab.b_coef == 0.0
 
 
 class TestQuadraticAB:

@@ -36,6 +36,7 @@ from bubblefem.oracles import (
     gauss_rule,
     quadratic_ab_closed,
 )
+from bubblefem.enrichment import _unit_tensor
 from bubblefem.steady import default_quad_points, element_integrals, element_shapes
 
 RNG_SEED = 55441
@@ -987,6 +988,19 @@ class TestTensorKernel:
         assert cd.tolist() == [[[-0.5, 0.5], [-0.5, 0.5]]] * 2
         hat_mass = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6
         assert mm == pytest.approx(lengths[:, None, None] * hat_mass, rel=1e-15)
+
+    def test_order_one_blocks_equal_product_form(self):
+        # order 1 scales the unit tensor's hat blocks with no products; the
+        # product form E^T T E with E = I gives the same floats
+        lengths = np.concatenate(
+            [np.random.default_rng(RNG_SEED).uniform(1e-8, 10.0, 200), [1e-300, 1e300]]
+        )
+        e = np.broadcast_to(np.eye(2), (lengths.size, 2, 2))
+        dd, cd, mm = (e.swapaxes(1, 2) @ _unit_tensor(1)[(1, 2, 2), (1, 1, 2), None]) @ e
+        l = lengths[:, None, None]
+        got = element_integrals(lengths, np.zeros((lengths.size, 0, 2)))
+        for block, want in zip(got, (dd / l, cd, mm * l)):
+            assert block.shape == want.shape and np.array_equal(block, want)
 
     @pytest.mark.parametrize("order", [10, 11])
     def test_high_order_solve(self, order):

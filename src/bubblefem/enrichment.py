@@ -202,8 +202,8 @@ def _unit_bubble(coeffs: TransportCoefficients, l: float, order: int) -> np.ndar
     the (order - 1, 2) unit-nodal coefficients c_k = d_k / l^(k+1) of the
     basis x^k (l - x), raising on a degenerate operator or when the
     conversion leaves the floating-point range."""
-    if not l > 0:
-        raise ValueError(f"element length must be positive, got {l}")
+    if not (l > 0 and math.isfinite(l)):
+        raise ValueError(f"element length must be positive and finite, got {l}")
     unit, degenerate = unit_bubble_coefficients(coeffs, np.array([l], dtype=float), order)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         x_coeffs = unit[0] / l ** np.arange(2, order + 1)[:, None]

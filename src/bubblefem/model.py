@@ -137,20 +137,24 @@ class Mesh1D:
     def element_index(self, x: float) -> int:
         """Index of the element containing x: right-open, so a node starts the
         element to its right, except b, which belongs to the last element.
-        x outside [a, b] or NaN raises ValueError.  A bisection on the nodes
-        as Python floats, with no numpy call."""
+        x outside [a, b] or NaN raises ValueError.  The index
+        :meth:`_locate` finds."""
+        return self._locate(x)[0]
+
+    def _locate(self, x: float) -> tuple[int, float, float]:
+        """The element index of x (see :meth:`element_index`) with the local
+        coordinate x - x_j and the length of that element, in Python floats;
+        the length is x_{j+1} - x_j, the subtraction ``lengths`` holds.
+
+        One bisection on the nodes as Python floats, with no numpy call.  Its
+        upper bound leaves b out of the search, so b falls in the last
+        element; x outside [a, b] or NaN raises ValueError."""
         nodes = self._node_list
         if not nodes[0] <= x <= nodes[-1]:
             raise ValueError(f"x={x} outside domain [{self.a}, {self.b}]")
-        return min(bisect.bisect_right(nodes, x) - 1, len(nodes) - 2)
-
-    def _locate(self, x: float) -> tuple[int, float, float]:
-        """``element_index(x)`` with the local coordinate x - x_j and the
-        length of that element, in Python floats; the length is
-        x_{j+1} - x_j, the subtraction ``lengths`` holds."""
-        j = self.element_index(x)
-        left = self._node_list[j]
-        return j, x - left, self._node_list[j + 1] - left
+        j = bisect.bisect_right(nodes, x, 0, len(nodes) - 1) - 1
+        left = nodes[j]
+        return j, x - left, nodes[j + 1] - left
 
     def __repr__(self):
         return f"Mesh1D({self.n_elements} elements on [{self.a}, {self.b}])"
@@ -207,30 +211,6 @@ class TransientProblem:
                 raise ValueError(
                     f"initial profile must vanish at the boundary: f({end}) = {v}"
                 )
-
-
-def _poly_terms(coeffs: np.ndarray | list) -> list:
-    """The coefficients d_1, d_2, ... of :func:`bubble_poly` one by one: a
-    list as it is, an array's last axis as slices that broadcast against s."""
-    if isinstance(coeffs, list):
-        return coeffs
-    return [coeffs[..., k, None] for k in range(coeffs.shape[-1])]
-
-
-def bubble_poly(coeffs: np.ndarray | list, s: np.ndarray | float) -> np.ndarray | float:
-    """p(s) = d_1 + d_2 s + ... by Horner's rule, the polynomial that
-    multiplies the unit-element bubble factor s (1 - s).
-
-    ``coeffs`` is an array that carries the polynomial coefficients on its
-    last axis, whose leading axes broadcast against ``s`` without the last
-    one, so one call serves a single element or all of them; or it is a
-    list of the coefficients: Python floats with a float ``s`` evaluate one
-    point with no numpy call, by the same operations.
-    """
-    poly = 0.0
-    for d in reversed(_poly_terms(coeffs)):
-        poly = poly * s + d
-    return poly
 
 
 class SolutionField:
@@ -296,29 +276,35 @@ class SolutionField:
         return out.reshape(local.shape)
 
     @cached_property
-    def _rows(self) -> tuple[list[float], list[float], int]:
+    def _rows(self) -> tuple[list[float], list[list[float]]]:
         """What the scalar :meth:`value` reads, built on its first call: the
-        nodal values and the amplitudes, flattened, as Python lists, and the
-        number of amplitudes per element."""
-        return (self.nodal_values.tolist(), self.bubble_coeffs.ravel().tolist(),
-                self.bubble_coeffs.shape[1])
+        nodal values as a Python list, and the amplitudes as one list per
+        element (:func:`_element_rows`)."""
+        return self.nodal_values.tolist(), _element_rows(self.bubble_coeffs)
 
     def value(self, x: float) -> float:
         """Field value at one point x, as a Python float; x outside the mesh,
         NaN or infinite raises ValueError.
 
-        A bisection for the element and :func:`element_values` on Python
-        floats, with no numpy call, so the value is the one
+        One locate (:meth:`Mesh1D._locate`, a bisection on the nodes) and
+        one :func:`element_values` call on Python floats and the element's
+        row of amplitudes, with no numpy call, so the value is the one
         :meth:`eval_on_element` gives at x - x_j.  It is the stored nodal
-        value exactly at nodes: ``element_index`` is right-open, so s = 0
-        exactly at a node, and at b t is the same subtraction as the last
-        length, so s = 1 exactly."""
+        value exactly at nodes: the locate is right-open, so s = 0 exactly
+        at a node, and at b t is the same subtraction as the last length, so
+        s = 1 exactly."""
         j, t, l = self.mesh._locate(float(x))
-        u, coeffs, n = self._rows
-        return element_values(l, u[j], u[j + 1], coeffs[n * j : n * j + n], t)
+        u, rows = self._rows
+        return element_values(l, u[j], u[j + 1], rows[j], t)
 
-    def __call__(self, x: float) -> float:
-        return self.value(x)
+    __call__ = value
+
+
+def _element_rows(per_element: np.ndarray) -> list[list]:
+    """``per_element.tolist()``, one row per element, for the scalar
+    evaluations; when the rows are empty (order 1), one empty list that
+    every element shares, so that no list is made per element."""
+    return per_element.tolist() if per_element.size else [[]] * len(per_element)
 
 
 def element_values(
@@ -329,16 +315,21 @@ def element_values(
     t: np.ndarray | float,
 ) -> np.ndarray | float:
     """The one evaluation kernel: u0 (1 - s) + u1 s + s (1 - s) p(s) with
-    s = t / l at local coordinates ``t``, and p the :func:`bubble_poly` of
-    the unit-element amplitudes ``coeffs``.  ``l``, ``u0`` and ``u1``
-    broadcast against ``t``, as ``coeffs`` without its last axis does.
+    s = t / l at local coordinates ``t``, and p(s) = d_1 + d_2 s + ... the
+    polynomial of the unit-element amplitudes ``coeffs``, by Horner's rule.
+    ``l``, ``u0`` and ``u1`` broadcast against ``t``, as ``coeffs`` without
+    its last axis does, so one call serves a single element or all of them.
     Python floats for ``l``, ``u0``, ``u1`` and ``t`` with a list of floats
-    for ``coeffs`` evaluate one point in floats, bit for bit as an array
+    for ``coeffs`` (taken as it is) evaluate one point in floats, with no
+    numpy call and no Python-level call, bit for bit as an array
     call would: the same operations in the same order, none fused."""
     s = t / l
     out = u0 * (1.0 - s) + u1 * s
-    terms = _poly_terms(coeffs)
-    if terms:
-        out = out + s * (1.0 - s) * bubble_poly(terms, s)
+    if not isinstance(coeffs, list):
+        coeffs = [coeffs[..., k, None] for k in range(coeffs.shape[-1])]
+    if coeffs:
+        poly = 0.0
+        for d in reversed(coeffs):
+            poly = poly * s + d
+        out = out + s * (1.0 - s) * poly
     return out
-

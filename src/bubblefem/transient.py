@@ -37,6 +37,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,7 @@ from .model import (
     SolutionField,
     TransientProblem,
     TransportCoefficients,
+    _element_rows,
     element_values,
     uniform_mesh,
 )
@@ -307,9 +309,9 @@ class Trajectory:
         self.system = system
         self._time_list = self.times.tolist()
 
-    def _state_at(self, t: float) -> np.ndarray:
-        """Interior state at the stored time nearest to t, for any finite t,
-        also one outside the stored range; on a tie, the earlier one.
+    def _level(self, t: float) -> int:
+        """Index of the stored time nearest to t, for any finite t, also one
+        outside the stored range; on a tie, the earlier one.
 
         A bisection finds the stored times on either side of t and keeps the
         nearer by the same rounded distances |t_k - t| that an argmin over
@@ -324,7 +326,12 @@ class Trajectory:
         k = bisect.bisect_left(times, t)
         if k == len(times) or (k > 0 and abs(times[k - 1] - t) <= abs(times[k] - t)):
             k -= 1
-        return self.states[k]
+        return k
+
+    def _state_at(self, t: float) -> np.ndarray:
+        """Interior state at the stored time nearest to t (:meth:`_level`),
+        the row :meth:`field_at` reconstructs."""
+        return self.states[self._level(t)]
 
     def field_at(self, t: float) -> SolutionField:
         """Solution field at the stored time nearest to t (any finite t)."""
@@ -333,17 +340,30 @@ class Trajectory:
         bubbles = element_bubbles(s.shapes, nodal)
         return SolutionField(s.mesh, nodal, s.enrichment, bubbles)
 
+    @cached_property
+    def _shape_rows(self) -> list[list]:
+        """The element shapes as one Python list per element
+        (:func:`~bubblefem.model._element_rows`), built on the first call of
+        :meth:`value`."""
+        return _element_rows(self.system.shapes)
+
     def value(self, x: float, t: float) -> float:
         """``field_at(t).value(x)`` bit for bit, from the element holding x
-        only: the stored time nearest to t, for any finite t.  The element's
-        two nodal values and its amplitudes p0 u0 + p1 u1
+        only: the stored time nearest to t, for any finite t.
+
+        One level lookup (:meth:`_level`), one locate
+        (:meth:`~bubblefem.model.Mesh1D._locate`) and one
+        :func:`~bubblefem.model.element_values` call, with no numpy call
+        beyond reading the element's two nodal values from the stored
+        states; the amplitudes p0 u0 + p1 u1
         (:func:`~bubblefem.steady.element_bubbles`) are formed in Python
-        floats, and :func:`~bubblefem.model.element_values` evaluates them."""
-        s, state = self.system, self._state_at(t)
-        j, local, l = s.mesh._locate(float(x))
-        u0 = state[j - 1].item() if j > 0 else 0.0
-        u1 = state[j].item() if j < state.size else 0.0
-        bubbles = [p0 * u0 + p1 * u1 for p0, p1 in s.shapes[j].tolist()]
+        floats from the element's row of shapes."""
+        k = self._level(t)
+        j, local, l = self.system.mesh._locate(float(x))
+        states = self.states
+        u0 = states.item(k, j - 1) if j > 0 else 0.0
+        u1 = states.item(k, j) if j < states.shape[1] else 0.0
+        bubbles = [p0 * u0 + p1 * u1 for p0, p1 in self._shape_rows[j]]
         return element_values(l, u0, u1, bubbles, local)
 
 

@@ -424,6 +424,19 @@ class TestQuadraticAB:
             assert abs(canonical.a_coef - closed.a_coef) <= 1e-10 * scale
             assert abs(canonical.b_coef - closed.b_coef) <= 1e-10 * scale
 
+    @pytest.mark.parametrize("l", [math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "entry",
+        [lambda c, l: quadratic_ab(c, l), lambda c, l: ls_bubble(c, l, 0.0, 1.0, order=2),
+         lambda c, l: ls_bubble(c, l, 0.0, 1.0, order=3)],
+        ids=["quadratic_ab", "ls_bubble-2", "ls_bubble-3"],
+    )
+    def test_non_finite_length_rejected(self, entry, l):
+        # both entry points check the length before the minimiser, with the
+        # message of residual_functional
+        with pytest.raises(ValueError, match="element length must be positive and finite"):
+            entry(TransportCoefficients(-1.0, 1.0, 1.0), l)
+
     def test_closed_coefficient_helper(self):
         coeffs = TransportCoefficients(-0.4, 1.3, 2.0)
         got = quadratic_ab_closed(coeffs, 0.8).coefficient(0.5, -1.0)

@@ -105,6 +105,31 @@ class TestMesh1D:
             with pytest.raises(ValueError):
                 mesh.element_index(outside)
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        start=st.floats(-1e3, 1e3),
+        lengths=st.lists(st.floats(1e-6, 10.0), min_size=1, max_size=40),
+        data=st.data(),
+    )
+    def test_locate_matches_searchsorted(self, start, lengths, data):
+        # right-open elements, b in the last one: searchsorted "right" with
+        # the last element's index as its cap
+        mesh = Mesh1D(start + np.cumsum([0.0] + lengths))
+        nodes, a, b = mesh.nodes, mesh.a, mesh.b
+        points = data.draw(st.lists(st.floats(a, b), max_size=30))
+        for x in points + nodes.tolist() + [a, b, float(np.nextafter(b, a))]:
+            expected = min(int(np.searchsorted(nodes, x, "right")) - 1, mesh.n_elements - 1)
+            assert mesh.element_index(x) == expected
+            j, local, length = mesh._locate(x)
+            assert j == expected
+            assert np.float64(local).tobytes() == np.float64(x - nodes[j]).tobytes()
+            assert np.float64(length).tobytes() == mesh.lengths[j].tobytes()
+        below, above = float(np.nextafter(a, -math.inf)), float(np.nextafter(b, math.inf))
+        for outside in (math.nan, math.inf, -math.inf, below, above):
+            for locate in (mesh.element_index, mesh._locate):
+                with pytest.raises(ValueError, match="outside domain"):
+                    locate(outside)
+
 
 class TestProblems:
     def test_steady_needs_a_dirichlet_end(self):

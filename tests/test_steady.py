@@ -29,7 +29,7 @@ from bubblefem import (
 )
 from bubblefem import linalg, steady
 from bubblefem.linalg import _BLOCK, factor_tridiagonal, tridiagonal_matvec
-from bubblefem.model import SolutionField, bubble_poly
+from bubblefem.model import SolutionField
 from bubblefem.oracles import (
     element_stiffness_closed,
     exact_steady_benchmark,
@@ -75,6 +75,16 @@ def basis_at(coeffs, l, enrichment, x):
         )
         for i, nodal in enumerate(([1.0, 0.0], [0.0, 1.0]))
     )
+
+
+def bubble_poly(coeffs, x):
+    """poly(c) = c_1 + c_2 x + ... by Horner's rule, with the coefficients on
+    the last axis of ``coeffs``, whose leading axes broadcast against ``x``
+    without the last one."""
+    poly = 0.0
+    for k in reversed(range(coeffs.shape[-1])):
+        poly = poly * x + coeffs[..., k, None]
+    return poly
 
 
 def element_basis(lengths, shapes, x):

@@ -772,17 +772,19 @@ class TestSolveTransient:
         x = math.pi / 2
         assert trajectory.value(x, 0.5) == pytest.approx(math.exp(-1.0), abs=2e-3)
 
-    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("order", [1, 2, 3, 5])
     def test_value_equals_field_value(self, order):
-        # byte for byte at random (x, t); dt = 1/8 makes the midpoints
-        # between levels exact ties, which go to the earlier level
+        # byte for byte at random (x, t), at every node, b and the points
+        # next to the ends, and at every stored level; dt = 1/8 makes the
+        # midpoints between levels exact ties, which go to the earlier level
         problem = transient_benchmark_problem()
         rng = np.random.default_rng(RNG_SEED + order)
         mesh = Mesh1D(np.concatenate(([0.0], np.sort(rng.uniform(0.0, math.pi, 9)), [math.pi])))
         trajectory = solve_transient(problem, mesh, EnrichmentKind(order), dt=0.125, t_end=1.0)
         times = trajectory.times
         midpoints = 0.5 * (times[:-1] + times[1:])
-        xs = np.concatenate((mesh.nodes, rng.uniform(0.0, math.pi, 40))).tolist()
+        ends = [mesh.b, float(np.nextafter(mesh.a, mesh.b)), float(np.nextafter(mesh.b, mesh.a))]
+        xs = np.concatenate((mesh.nodes, rng.uniform(0.0, math.pi, 40), ends)).tolist()
         ts = np.concatenate((rng.uniform(-0.5, 1.5, 20), midpoints, times, [-3.0, 40.0]))
         for t in ts.tolist():
             field = trajectory.field_at(t)

@@ -62,10 +62,11 @@ from .model import (
 )
 from .steady import (
     _check_mesh_covers,
+    _distinct_shapes,
+    _gather,
     _scatter,
     element_bubbles,
     element_integrals,
-    element_shapes,
 )
 
 _EIG_TOL = 1e-10
@@ -107,8 +108,21 @@ def assemble_transient(
     The nodal shapes are the least-squares ones of the operator with
     kappa = 0 (:func:`~bubblefem.steady.element_shapes`).
     ``sign_compat`` negates them, matching the sign convention of the
-    published two-element transient solution.
+    published two-element transient solution.  Where element lengths
+    repeat, the element kernel runs once per distinct length
+    (:func:`~bubblefem.steady._distinct_shapes`) and its stiffness and
+    mass blocks are gathered to the elements before the scatter, bit for
+    bit the blocks of the kernel run per element; the system keeps the
+    shapes per element.
     """
+    return _assemble_transient(problem, mesh, enrichment, sign_compat)
+
+
+def _assemble_transient(
+    problem: TransientProblem, mesh: Mesh1D, enrichment: EnrichmentKind, sign_compat: bool
+) -> TransientSystem:
+    """:func:`assemble_transient`.  Every public entry point calls it
+    directly, so a fallback warning three frames up names their caller."""
     _check_mesh_covers(problem.domain, mesh)
     if mesh.n_elements < 2:
         raise ValueError("transient mesh needs at least one interior node")
@@ -116,17 +130,18 @@ def assemble_transient(
     if problem.epsilon == problem.lambda_ == 0.0:
         # du/dt = 0: every bubble minimises the null residual, so keep the
         # zero shapes of a degenerate operator
-        shapes = np.zeros((mesh.n_elements, enrichment.bubble_count, 2))
+        lengths, index = mesh.lengths, None
+        unit = np.zeros((mesh.n_elements, enrichment.bubble_count, 2))
     else:
         coeffs = TransportCoefficients(epsilon=problem.epsilon, kappa=0.0, lambda_=problem.lambda_)
-        shapes = element_shapes(coeffs, mesh, enrichment)
+        lengths, unit, index = _distinct_shapes(coeffs, mesh, enrichment, stacklevel=3)
         if sign_compat:
-            shapes = -shapes
-    stiff, _, mass = element_integrals(mesh.lengths, shapes)
+            unit = -unit
+    stiff, _, mass = element_integrals(lengths, unit)
     stiff *= -problem.epsilon
     # homogeneous Dirichlet ends: drop the boundary rows and columns
-    _, mass_diag, mass_off = (v[1:-1] for v in _scatter(mass))
-    _, stiff_diag, stiff_off = (v[1:-1] for v in _scatter(stiff))
+    _, mass_diag, mass_off = (v[1:-1] for v in _scatter(_gather(mass, index)))
+    _, stiff_diag, stiff_off = (v[1:-1] for v in _scatter(_gather(stiff, index)))
     return TransientSystem(
         mass_diag=mass_diag,
         mass_off=mass_off,
@@ -134,7 +149,7 @@ def assemble_transient(
         op_off=problem.lambda_ * mass_off + stiff_off,
         mesh=mesh,
         enrichment=enrichment,
-        shapes=shapes,
+        shapes=_gather(unit, index),
     )
 
 
@@ -419,7 +434,7 @@ def solve_transient(
             f"{levels} stored levels of {rows} interior rows are {levels * rows:.3g} values, "
             f"more than {_MAX_STORED:.0e}; raise the store stride or coarsen the march"
         )
-    system = assemble_transient(problem, mesh, enrichment, sign_compat)
+    system = _assemble_transient(problem, mesh, enrichment, sign_compat)
     state = np.array([problem.initial_profile(x) for x in mesh.nodes[1:-1]], dtype=float)
     half = 0.5 * dt
     lhs_off = system.mass_off + half * system.op_off
@@ -454,7 +469,7 @@ def semi_analytic_two_element(
     """
     a, b = problem.domain
     mesh = uniform_mesh(a, b, 2)
-    system = assemble_transient(problem, mesh, enrichment, sign_compat)
+    system = _assemble_transient(problem, mesh, enrichment, sign_compat)
     omega = slowest_decay_rate(system)
     amplitude = float(problem.initial_profile(mesh.nodes[1]))
     nodal = np.array([0.0, 1.0, 0.0])

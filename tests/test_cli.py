@@ -167,7 +167,7 @@ class TestTransient:
         def assemble(*args):
             raise AssertionError("assembled")
 
-        monkeypatch.setattr(transient, "assemble_transient", assemble)
+        monkeypatch.setattr(transient, "_assemble_transient", assemble)
         assert main(["transient", "--dt", "1e-300", "--t-end", "1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -178,7 +178,7 @@ class TestTransient:
         def assemble(*args):
             raise AssertionError("assembled")
 
-        monkeypatch.setattr(transient, "assemble_transient", assemble)
+        monkeypatch.setattr(transient, "_assemble_transient", assemble)
         flags = ["--elements", "100000", "--dt", "1e-6", "--t-end", "100", "--t-stride", "1"]
         assert main(["transient", *flags]) == 1
         captured = capsys.readouterr()

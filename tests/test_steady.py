@@ -16,13 +16,16 @@ from bubblefem import (
     Mesh1D,
     QUADRATIC_BUBBLE,
     SteadyProblem,
+    TransientProblem,
     TransportCoefficients,
     TridiagonalSystem,
     assemble_steady,
+    assemble_transient,
     ls_bubble,
     polynomial_bubble,
     quadratic_ab,
     solve_steady,
+    solve_transient,
     solve_tridiagonal,
     steady_benchmark_problem,
     uniform_mesh,
@@ -37,7 +40,7 @@ from bubblefem.oracles import (
     quadratic_ab_closed,
 )
 from bubblefem.enrichment import _unit_tensor
-from bubblefem.steady import default_quad_points, element_integrals, element_shapes
+from bubblefem.steady import _scatter, default_quad_points, element_integrals, element_shapes
 
 RNG_SEED = 55441
 
@@ -1105,3 +1108,125 @@ class TestFineElements:
         assert len(fallbacks) == 1
         assert "4 lengths" in str(fallbacks[0].message)
         assert not shapes.any()
+
+    @pytest.mark.parametrize("entry", ["element_shapes", "assemble_steady", "solve_steady",
+                                       "assemble_transient", "solve_transient"])
+    def test_fallback_warning_names_the_caller(self, entry):
+        # eps / l^2 overflows for l = 1e-160, for the steady operator and for
+        # the transient one (kappa = 0, lambda = 1)
+        mesh = Mesh1D([0.0, 1e-160, 1.0])
+        steady_problem = SteadyProblem(
+            coefficients=self.COEFFS,
+            domain=(0.0, 1.0),
+            bc_left=BoundaryCondition.dirichlet(1.0),
+            bc_right=BoundaryCondition.dirichlet(0.0),
+        )
+        transient_problem = TransientProblem(-1.0, (0.0, 1.0), lambda x: math.sin(math.pi * x))
+        calls = {
+            "element_shapes": lambda: element_shapes(self.COEFFS, mesh, CUBIC_BUBBLE),
+            "assemble_steady": lambda: assemble_steady(steady_problem, mesh, CUBIC_BUBBLE),
+            "solve_steady": lambda: solve_steady(steady_problem, mesh, CUBIC_BUBBLE),
+            "assemble_transient": lambda: assemble_transient(transient_problem, mesh, CUBIC_BUBBLE),
+            "solve_transient": lambda: solve_transient(
+                transient_problem, mesh, CUBIC_BUBBLE, dt=0.01, t_end=0.02
+            ),
+        }
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            calls[entry]()
+        fallbacks = [w for w in caught if "falling back to linear" in str(w.message)]
+        assert [str(w.message) for w in fallbacks] == [
+            "bubble coefficients degenerate for l=1e-160; "
+            "falling back to linear elements on 1 of 2 elements"
+        ]
+        assert fallbacks[0].filename == __file__
+
+
+@st.composite
+def kernel_meshes(draw):
+    """Meshes of three kinds: a few repeated dyadic lengths, whose node sums
+    are exact, so the lengths repeat exactly; ``uniform_mesh`` up to
+    N = 1e3; and graded meshes whose lengths are all distinct.  Some begin
+    with an element of length 1e-160, on which eps / l^2 overflows."""
+    kind = draw(st.sampled_from(["repeated", "uniform", "graded"]))
+    if kind == "repeated":
+        pool = draw(st.lists(st.integers(1, 64), min_size=1, max_size=4, unique=True))
+        picks = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=200))
+        nodes = np.concatenate(([0.0], np.cumsum(picks) / 64.0))
+    elif kind == "uniform":
+        nodes = uniform_mesh(0.0, draw(st.sampled_from([1.0, 3.0, 10.0])), draw(st.integers(2, 1000))).nodes
+    else:
+        n = draw(st.integers(2, 200))
+        s = np.linspace(0.0, 1.0, n + 1)
+        s[1:-1] += np.random.default_rng(draw(st.integers(0, 2**16))).uniform(-0.3, 0.3, n - 1) / n
+        nodes = 2.0 * s**2
+        assume(np.unique(np.diff(nodes)).size == n)
+    if draw(st.booleans()):
+        nodes = np.concatenate(([0.0, 1e-160], nodes[1:]))
+    return Mesh1D(nodes)
+
+
+class TestDistinctLengthKernel:
+    """Assembly runs the element kernel once per distinct length and gathers
+    the blocks to the elements; the systems equal the scatter of the kernel
+    run on every element bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mesh=kernel_meshes(),
+        order=st.integers(1, 6),
+        coeffs=st.sampled_from([TransportCoefficients(-1.0, 20.0, 0.0),
+                                TransportCoefficients(-0.2, 1.5, 3.0),
+                                TransportCoefficients(-1.0, 1.0, -2.0)]),
+    )
+    def test_steady_equals_per_element_scatter(self, mesh, order, coeffs):
+        enrichment = LINEAR if order == 1 else polynomial_bubble(order)
+        problem = SteadyProblem(
+            coefficients=coeffs,
+            domain=(mesh.a, mesh.b),
+            bc_left=BoundaryCondition.dirichlet(0.0),
+            bc_right=BoundaryCondition.neumann_flux(-2.0),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            system = assemble_steady(problem, mesh, enrichment)
+            shapes = element_shapes(coeffs, mesh, enrichment)
+        dd, cd, mm = element_integrals(mesh.lengths, shapes)
+        k = -coeffs.epsilon * dd + coeffs.kappa * cd + coeffs.lambda_ * mm
+        sub, diag, sup = _scatter(k)
+        # the Dirichlet row u = 0 on the blocks' scale, and the flux term
+        sub[0], diag[0], sup[0] = 0.0, np.ldexp(1.0, np.frexp(np.abs(k).max())[1] - 1), 0.0
+        rhs = np.zeros_like(diag)
+        rhs[-1] = -coeffs.epsilon * -2.0
+        for got, want in zip((system.sub, system.diag, system.sup, system.rhs), (sub, diag, sup, rhs)):
+            assert np.array_equal(got, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mesh=kernel_meshes(),
+        order=st.integers(1, 6),
+        epsilon_lambda=st.sampled_from([(-1.0, 1.0), (-0.5, 0.0), (0.0, 2.0), (0.0, 0.0)]),
+        sign_compat=st.booleans(),
+    )
+    def test_transient_equals_per_element_scatter(self, mesh, order, epsilon_lambda, sign_compat):
+        epsilon, lambda_ = epsilon_lambda
+        enrichment = LINEAR if order == 1 else polynomial_bubble(order)
+        a, b = mesh.a, mesh.b
+        problem = TransientProblem(epsilon, (a, b), lambda x: math.sin(math.pi * (x - a) / (b - a)), lambda_)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            system = assemble_transient(problem, mesh, enrichment, sign_compat=sign_compat)
+            if epsilon == lambda_ == 0.0:
+                shapes = np.zeros((mesh.n_elements, enrichment.bubble_count, 2))
+            else:
+                coeffs = TransportCoefficients(epsilon, 0.0, lambda_)
+                shapes = element_shapes(coeffs, mesh, enrichment)
+                shapes = -shapes if sign_compat else shapes
+        stiff, _, mass = element_integrals(mesh.lengths, shapes)
+        _, mass_diag, mass_off = (v[1:-1] for v in _scatter(mass))
+        _, stiff_diag, stiff_off = (v[1:-1] for v in _scatter(-epsilon * stiff))
+        want = (mass_diag, mass_off, lambda_ * mass_diag + stiff_diag,
+                lambda_ * mass_off + stiff_off, shapes)
+        got = (system.mass_diag, system.mass_off, system.op_diag, system.op_off, system.shapes)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g, w)

@@ -699,7 +699,7 @@ class TestSolveTransient:
         def assemble(*args):
             raise AssertionError("assembled")
 
-        monkeypatch.setattr(transient, "assemble_transient", assemble)
+        monkeypatch.setattr(transient, "_assemble_transient", assemble)
         with pytest.raises(ValueError, match="step count"):
             solve_transient(transient_benchmark_problem(), two_element_mesh(), LINEAR, dt=dt, t_end=t_end)
 
@@ -715,7 +715,7 @@ class TestSolveTransient:
         def assemble(*args):
             raise AssertionError("assembled")
 
-        monkeypatch.setattr(transient, "assemble_transient", assemble)
+        monkeypatch.setattr(transient, "_assemble_transient", assemble)
         mesh = uniform_mesh(0.0, math.pi, 1001)
         with pytest.raises(ValueError if rejected else AssertionError, match="values|assembled"):
             solve_transient(transient_benchmark_problem(), mesh, LINEAR, dt=1.0, t_end=t_end,

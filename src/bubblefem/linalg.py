@@ -75,38 +75,66 @@ def factor_tridiagonal(
     the Thomas algorithm.
 
     The first call of ``solve`` forms R v by one explicit product (none
-    without ``right``) and sweeps the rows as ``dgttrs`` does: a one-shot
-    solve (``solve_tridiagonal``) makes only that call, and a march
-    (``solve_transient``) makes it for its first step.  A second call shows
-    that the factors are being reused, as in a time march.  If the
-    factorisation interchanged no row, it turns them and R into block
-    operators on blocks of ``_BLOCK`` rows, and it and every later call
-    apply those (:func:`_block_operators`) instead of a Python loop over
-    the rows: v is copied into one padded buffer, one batched product over
-    its overlapping windows gives every block's x without carries, one
-    interface operator per group of ``_BLOCK`` blocks gives every block's
-    carries, and one more product adds them in.  Only a chain of two
-    numbers per group of ``_BLOCK``^2 rows is left in Python.  The
-    operators take O(N ``_BLOCK``) memory and cost a few row sweeps to
-    build, which is why a factorisation solved once never builds them.
-    ``_BLOCK`` is fixed and small: the products' cost per row grows with
-    it, and an explicit inverse of a block of U is only as accurate as the
-    block is short.  A factorisation that interchanged a row, or whose
-    operators overflow, sweeps the rows on every call.  Of the trapezoidal
-    step matrices Mg + dt/2 A of :mod:`~bubblefem.transient`, only those
-    of a backward heat equation (epsilon > 0) or with dt lambda <= -2 were
-    seen to interchange rows; each of their steps is a row sweep, about
-    12 times a block step at N = 1e3 (134 against 11 us).
+    without ``right``) and sweeps the rows as ``dgttrs`` does; a one-shot
+    solve (``solve_tridiagonal``) makes only that call.  A second call shows
+    that the factors are reused: if no row was interchanged, it builds
+    block operators on blocks of ``_BLOCK`` rows (:func:`_block_operators`),
+    which it and every later call apply instead of a loop over the rows; a
+    time march builds them before its first step (:func:`_march_step`).
+    They take O(N ``_BLOCK``) memory and about four row sweeps to build
+    (1.2-1.6 ms at N = 1e3, a row sweep 0.34-0.46 ms, on a loaded 2-core
+    AMD EPYC), so a one-shot solve never builds them.  ``_BLOCK`` is fixed
+    and small: the products' cost per row grows with it, and an operator
+    over a block of U is only as accurate as the block is short.  A
+    factorisation that interchanged a row, or whose operators overflow,
+    sweeps the rows on every call.  Of the trapezoidal step
+    matrices Mg + dt/2 A of :mod:`~bubblefem.transient`, only those of a
+    backward heat equation (epsilon > 0) or with dt lambda <= -2 were seen
+    to interchange rows; each of their steps is a row sweep, about 15 times
+    a block step at N = 1e3 (0.34-0.46 ms against 22-28 us).
 
     A pivot of U at most ``_PIVOT_TOL`` times the largest entry of L raises
     LinearSolveError; this pivot rule replaces the SVD condition gate of a
     dense fallback.  ``solve`` raises it for non-finite results.  The row
     sweep runs over Python floats and raises with no numpy warning; a block
-    solve fed an inf meets inf - inf in its products, so numpy warns
-    "invalid value encountered in matmul" before the LinearSolveError.  No
-    ``np.errstate`` hides that: at about 0.6 us a call it would add some
-    5% to an 11 us step (N = 1e3).
+    solve fed an inf meets inf - inf in its products, and numpy warns
+    "invalid value encountered in matmul" before the LinearSolveError: an
+    ``np.errstate`` to hide that would cost about 0.6 us a call.
     """
+    n = len(diag)
+    sweep_rows, factors = _factorise(sub, diag, sup, right)
+    calls, blocked = 0, None  # blocked: the block operators, built by the second call
+
+    def solve(v: np.ndarray) -> np.ndarray:
+        nonlocal calls, blocked
+        v = np.asarray(v, dtype=float)
+        if v.shape != (n,):
+            raise ValueError(f"right-hand side has shape {v.shape}, expected ({n},)")
+        calls += 1
+        if calls == 2 and factors:
+            blocked = _block_operators(*factors)
+        x = np.empty(n)
+        (blocked or sweep_rows)(v, x)
+        if not np.isfinite(x).all():
+            raise LinearSolveError("linear solve produced non-finite values")
+        return x
+
+    return solve
+
+
+def _march_step(sub, diag, sup, right) -> Callable[[np.ndarray, np.ndarray], None]:
+    """``step(v, out)``, writing L^-1 R v of :func:`factor_tridiagonal` into
+    ``out`` (which may be v), for a march: block operators built at once,
+    or the row sweep if a row was interchanged or an operator overflows.
+    It checks neither v's shape nor the result; the march does."""
+    sweep_rows, factors = _factorise(sub, diag, sup, right)
+    return (factors and _block_operators(*factors)) or sweep_rows
+
+
+def _factorise(sub, diag, sup, right):
+    """The factorisation of :func:`factor_tridiagonal`: its row sweep
+    ``sweep_rows(v, out)``, and the arguments of :func:`_block_operators`,
+    None if a row was interchanged."""
     n = len(diag)
     if right is not None:
         right = tuple(np.asarray(a, dtype=float) for a in right)
@@ -131,7 +159,7 @@ def factor_tridiagonal(
         if swap[i]:
             u1[i + 1] -= low[i] * u2[i]
 
-    def sweep_rows(v: np.ndarray) -> np.ndarray:
+    def sweep_rows(v: np.ndarray, out: np.ndarray) -> None:
         b = (v if right is None else tridiagonal_matvec(*right, v)).tolist() + [0.0, 0.0]
         for i in range(n - 1):
             if swap[i]:
@@ -140,62 +168,46 @@ def factor_tridiagonal(
                 b[i + 1] -= low[i] * b[i]
         for i in range(n - 1, -1, -1):
             b[i] = (b[i] - u1[i] * b[i + 1] - u2[i] * b[i + 2]) / d[i]
-        return np.array(b[:n])
+        out[:] = b[:n]
 
-    calls = 0
-    blocked = None  # the block operators, built by the second call
-
-    def solve(v: np.ndarray) -> np.ndarray:
-        nonlocal calls, blocked
-        v = np.asarray(v, dtype=float)
-        if v.shape != (n,):
-            raise ValueError(f"right-hand side has shape {v.shape}, expected ({n},)")
-        calls += 1
-        if calls == 2 and not any(swap):
-            blocked = _block_operators(d[:n], low[:n], u1[:n], right)
-        x = (blocked or sweep_rows)(v)
-        if not np.isfinite(x).all():
-            raise LinearSolveError("linear solve produced non-finite values")
-        return x
-
-    return solve
+    return sweep_rows, None if any(swap) else (d[:n], low[:n], u1[:n], right)
 
 
-def _block_operators(d, low, u1, right) -> Callable[[np.ndarray], np.ndarray] | None:
-    """``solve`` by blocks of ``_BLOCK`` rows for the factors U (diagonal
-    ``d``, superdiagonal ``u1``) and multipliers ``low`` of a
-    :func:`factor_tridiagonal` that interchanged no row, and its right
-    factor R (``right``, as (sub, diag, sup), or None for the identity);
-    None if an operator overflows, so that the row sweep stays.
+def _block_operators(d, low, u1, right) -> Callable[[np.ndarray, np.ndarray], None] | None:
+    """``solve(v, out)`` by blocks of ``_BLOCK`` rows, writing x into out,
+    for the factors U (diagonal ``d``, superdiagonal ``u1``) and
+    multipliers ``low`` of a :func:`factor_tridiagonal` that interchanged
+    no row, and its right factor R (``right``, as (sub, diag, sup), or None
+    for the identity); None if an operator overflows, so that the row sweep
+    stays.
 
-    Forward sweep over r = R v: row i carries c_i = y_i, with c_0 = r_0
-    and c_{i+1} = r_{i+1} - l_i c_i.  No interchange means |l_i| <= 1.  A
-    block's y and outgoing carry are therefore one (B+1) x (B+1) matrix
-    times its incoming carry and its B entries of r.  Backward sweep: a
-    block's x is the inverse of its B x B block of U times its y, plus a
-    B x 1 response to the first x of the next block.  Rows past N, up to
-    whole blocks (and whole groups of blocks, when there are several), are
-    identity rows of L and zero rows of R.  A system of at most ``_BLOCK``
-    rows is one block with nothing to carry, so its operators multiply
-    into the one matrix L^-1 R.
+    Forward sweep over r = R v: y_0 = r_0 and y_{i+1} = r_{i+1} - l_i y_i,
+    with |l_i| <= 1 as no row was interchanged; backward sweep:
+    x_i = (y_i - u_i x_{i+1}) / d_i.  Block k's r_{kB+1..kB+B} are R's
+    rows times its window v_{kB..kB+B+1} of B + 2 entries, and block 0's
+    y_0 = r_0 = R_00 v_0 + R_01 v_1 lies in its window too.  So each y and
+    x of a block is a linear form in B + 4 columns: the window, the
+    incoming forward carry y_0 (r_0 in block 0) and the x carried in from
+    the next block.  Both sweeps run once on those forms, for all blocks
+    at once: B steps forward from y_0 and B back from x_B.  Rows past N, up
+    to whole blocks (and whole groups of blocks, when there are several),
+    are identity rows of L and zero rows of R.  A system of at most
+    ``_BLOCK`` rows is one block with nothing to carry: its x over its
+    window is L^-1 R.
 
-    Otherwise the inverse is premultiplied into the forward operator, and
-    R after it.  Block k's entries r_{kB+1..kB+B} are R_k times the window
-    v_{kB..kB+B+1} of B + 2 entries, and block 0's incoming carry
-    r_0 = R_00 v_0 + R_01 v_1 lies in its window too.  So one fused
-    (B+1) x (B+2) product G_k per block gives, from its own window alone,
-    its outgoing forward partial w and its carry-free x, z, with r_0
-    folded into G_0; x is z plus a B x 2 response to the block's two
-    carries, the incoming forward carry and the x carried in.  Those
-    carries are the two sweeps' chains over the blocks, which is a reduced
-    interface system as in the SPIKE partition (Polizzi-Sameh, Parallel
-    Computing 2006).  Over a group of ``_BLOCK`` blocks they are one fixed
-    linear map of the group's (w, z_0), rows 0-1 of its products, and of
-    the two carries that enter the group: its forward carry, zero for the
-    first group, and the first x after it, zero after the last group.  A
-    solve applies that interface operator as one batched matrix-vector
-    product; only the chain of those two numbers from group to group runs
-    in Python, O(N / ``_BLOCK``^2) steps and none up to ``_BLOCK``^2 rows.
+    Otherwise the sweeps give, per block, one (B+1) x (B+2) matrix G_k of
+    its outgoing forward partial w = y_B and its carry-free x, z, over its
+    window, applied by one batched product, and the B x 2 response of x to
+    the block's two carries.  Those carries are the two sweeps' chains
+    over the blocks, which is a reduced interface system as in the SPIKE
+    partition (Polizzi-Sameh, Parallel Computing 2006).  Over a group of
+    ``_BLOCK`` blocks they are one fixed linear map of the group's
+    (w, z_0), rows 0-1 of its products, and of the two carries that enter
+    the group: its forward carry, zero for the first group, and the first
+    x after it, zero after the last group.  A solve applies that interface
+    operator as one batched matrix-vector product; only the chain of those
+    two numbers from group to group runs in Python, O(N / ``_BLOCK``^2)
+    steps and none up to ``_BLOCK``^2 rows.
     """
     n = len(d)
     if right is None:
@@ -205,54 +217,39 @@ def _block_operators(d, low, u1, right) -> Callable[[np.ndarray], np.ndarray] | 
     group = min(_BLOCK, blocks)
     blocks = -(-blocks // group) * group  # whole groups
 
-    def by_block(values, fill):
+    def by_block(values, fill):  # entry [j, k] is row j of block k
         out = np.full(blocks * size, fill)
         out[:len(values)] = values
-        return out.reshape(blocks, size)
+        return out.reshape(blocks, size).T
 
-    mult = by_block(low, 0.0)
-    # forward[:, j] is y of block row j, forward[:, size] the outgoing carry,
-    # over (incoming carry, the block's r)
-    forward = np.empty((blocks, size + 1, size + 1))
-    carry = np.zeros((blocks, size + 1))
-    carry[:, 0] = 1.0
-    for j in range(size):
-        forward[:, j] = carry
-        carry *= -mult[:, j, None]
-        carry[:, j + 1] += 1.0
-    forward[:, size] = carry
-
-    pivot, first = by_block(d, 1.0), by_block(u1, 0.0)
-    # inverse[:, j] is x of block row j over (the block's y, the x carried
-    # in); back substitution as in the row sweep, on unit vectors
-    inverse = np.tile(np.eye(size + 1), (blocks, 1, 1))
-    # R's rows 1 .. blocks * size, which give the blocks' r; zero past N
-    r_sub, r_diag, r_sup = (by_block(a, 0.0) for a in (right[0], right[1][1:], right[2][1:]))
+    # sweeps[1 + j, k] is y_j, then x_j, of block k over its basis: window
+    # columns 0 .. B + 1, the incoming forward carry, the carried-in x
+    carry_in = size + 2
+    sweeps = np.zeros((size + 2, blocks, size + 4))
+    sweeps[1, 1:, carry_in] = 1.0
+    sweeps[1, 0, :2] = right[1][0], right[2][0] if n > 1 else 0.0
+    j = np.arange(1, size + 1)  # r_j: R's sub, diag and sup in window columns j - 1, j, j + 1
+    for column, values in ((j - 1, right[0]), (j, right[1][1:]), (j + 1, right[2][1:])):
+        sweeps[j + 1, :, column] = by_block(values, 0.0)
+    mult, pivot, first = by_block(low, 0.0), by_block(d, 1.0), by_block(u1, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(size):
+            sweeps[j + 2] -= mult[j, :, None] * sweeps[j + 1]
+        # y_B, the outgoing partial w, moves to row 0; x_B is the carried-in x
+        sweeps[0] = sweeps[-1]
+        sweeps[-1] = 0.0
+        sweeps[-1, :, -1] = 1.0
         for j in range(size - 1, -1, -1):
-            row = inverse[:, j, j:]
-            row -= inverse[:, j + 1, j:] * first[:, j, None]
-            row /= pivot[:, j, None]
+            sweeps[j + 1] -= first[j, :, None] * sweeps[j + 2]
+            sweeps[j + 1] /= pivot[j, :, None]
         if blocks == 1:
-            whole = inverse[0, :n, :n] @ forward[0, :n, :n]
-            whole_r = whole @ (np.diag(right[1]) + np.diag(right[0], -1) + np.diag(right[2], 1))
-            return (lambda v: whole_r @ v) if np.isfinite(whole_r).all() else None
-        # fused[:, 0] is w and fused[:, 1:] is z, over (incoming forward
-        # carry, the block's r); the carry column is x's response to it
-        fused = np.concatenate((forward[:, size:], inverse[:, :size, :size] @ forward[:, :size]), axis=1)
-        response = np.concatenate((fused[:, 1:, :1], inverse[:, :size, size:]), axis=2)
-        # g is fused R_k over the block's window of v; block 0's incoming
-        # carry r_0 = R_00 v_0 + R_01 v_1 is in its own window
-        g = np.zeros((blocks, size + 1, size + 2))
-        g[:, :, :-2] += fused[:, :, 1:] * r_sub[:, None]
-        g[:, :, 1:-1] += fused[:, :, 1:] * r_diag[:, None]
-        g[:, :, 2:] += fused[:, :, 1:] * r_sup[:, None]
-        g[0, :, :2] += fused[0, :, :1] * (right[1][0], right[2][0])
-        # each G_k stored column by column: at N = 1e5 the batched product
-        # reads it about 14% faster than row by row (AMD EPYC, OpenBLAS 0.3
-        # at one thread)
-        g = np.ascontiguousarray(g.transpose(0, 2, 1)).transpose(0, 2, 1)
-        interface, summary = _interface_operators(forward[:, size, 0], response[:, 0], group)
+            whole = np.ascontiguousarray(sweeps[1:-1, 0, :n])
+            return (lambda v, out: np.matmul(whole, v, out=out)) if np.isfinite(whole).all() else None
+        # each G_k stored column by column, which the batched product read 14%
+        # faster at N = 1e5 than row by row (AMD EPYC, OpenBLAS 0.3, one thread)
+        g = np.ascontiguousarray(sweeps[:-1, :, :carry_in].transpose(1, 2, 0)).transpose(0, 2, 1)
+        response = np.ascontiguousarray(sweeps[1:-1, :, carry_in:].transpose(1, 0, 2))
+        interface, summary = _interface_operators(sweeps[0, :, carry_in], response[:, 0], group)
     if not all(np.isfinite(a).all() for a in (g, response, interface, summary)):
         return None
 
@@ -266,10 +263,12 @@ def _block_operators(d, low, u1, right) -> Callable[[np.ndarray], np.ndarray] | 
     from_next = summary[:, 1, 1].tolist()
     padded = np.zeros(blocks * size + 2)
     windows = sliding_window_view(padded, size + 2)[::size, :, None]
+    wz, x = np.empty((blocks, size + 1, 1)), np.empty((blocks, size, 1))
+    carry_free, rows = wz[:, 1:], x.reshape(-1)[:n]
 
-    def solve_blocks(v: np.ndarray) -> np.ndarray:
+    def solve_blocks(v: np.ndarray, out: np.ndarray) -> None:
         padded[:n] = v
-        wz = np.matmul(g, windows)
+        np.matmul(g, windows, out=wz)
         data = wz[:, :2].reshape(groups, 2 * group, 1)
         coupled = np.matmul(from_data, data)
         if groups > 1:
@@ -286,8 +285,9 @@ def _block_operators(d, low, u1, right) -> Callable[[np.ndarray], np.ndarray] | 
                 heads.append((c, head))
                 head = z + f * c + a * head
             coupled += np.matmul(from_carries, np.array(heads[::-1])[:, :, None])
-        x = wz[:, 1:] + np.matmul(response, coupled.reshape(blocks, 2, 1))
-        return x.reshape(-1)[:n]
+        np.matmul(response, coupled.reshape(blocks, 2, 1), out=x)
+        np.add(x, carry_free, out=x)
+        out[:] = rows
 
     return solve_blocks
 

@@ -300,9 +300,10 @@ def interchanges(sub, diag, sup):
 
 @contextlib.contextmanager
 def recorded_block_operators(block=_BLOCK):
-    """Blocks of ``block`` rows, and a list that gets what each
-    ``factor_tridiagonal`` builds on its second solve: block operators, or
-    None where one overflows."""
+    """Blocks of ``block`` rows, and a list that gets the block operators
+    each factorisation builds, or None where one overflows:
+    ``factor_tridiagonal`` builds them on its second solve, and a march
+    before its first step."""
     built = []
 
     def recording(*args, _build=linalg._block_operators):

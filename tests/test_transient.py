@@ -1,8 +1,10 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bubblefem import (
     AssemblyError,
@@ -126,9 +128,9 @@ def long_double_march(system, dt, state, steps):
 
 
 def recorded_block_operators(monkeypatch):
-    """A list that gets what each ``factor_tridiagonal`` builds on its
-    second solve from now on: block operators, or None where one
-    overflows."""
+    """A list that gets the block operators each factorisation builds from
+    now on, or None where one overflows: a march builds them before its
+    first step, and ``factor_tridiagonal`` on its second solve."""
     built = []
 
     def recording(*args, _build=linalg._block_operators):
@@ -137,6 +139,24 @@ def recorded_block_operators(monkeypatch):
 
     monkeypatch.setattr(linalg, "_block_operators", recording)
     return built
+
+
+def recorded_row_sweeps(monkeypatch):
+    """A list that gets one entry for each row sweep of every factorisation
+    made from now on."""
+    swept = []
+
+    def factorise(*args, _factorise=linalg._factorise):
+        sweep_rows, factors = _factorise(*args)
+
+        def counting(v, out):
+            swept.append(1)
+            sweep_rows(v, out)
+
+        return counting, factors
+
+    monkeypatch.setattr(linalg, "_factorise", factorise)
+    return swept
 
 
 def kernel_entries(epsilon, l, c):
@@ -583,9 +603,9 @@ class TestTwistedCount:
 
 
 class TestStepTrapezoidal:
-    """Trapezoidal steps, as ``solve_transient`` takes them: its first step
-    sweeps the rows of the factorisation, and every later one applies the
-    block operators (one block here, n <= 32 rows)."""
+    """Trapezoidal steps, as ``solve_transient`` takes them: every step
+    applies the block operators built before the first (one block here,
+    n <= 32 rows)."""
 
     def test_scalar_recurrence(self):
         dt = 0.05
@@ -704,22 +724,45 @@ class TestSolveTransient:
             solve_transient(transient_benchmark_problem(), two_element_mesh(), LINEAR, dt=dt, t_end=t_end)
 
     @pytest.mark.parametrize("t_end, store_stride, rejected", [
-        (999999.0, 1, False),  # 10^6 levels of 1000 rows: 10^9 values
-        (1e6, 1, True),
-        (1999998.0, 2, False),  # 10^6 levels, the last one a stride level
-        (1999999.0, 2, True),  # one more: the last level is always stored
+        (9.0, 1, False),  # 10 levels of 1000 rows: the limit of 10^4 values
+        (10.0, 1, True),
+        (18.0, 2, False),  # 10 levels, the last one a stride level
+        (19.0, 2, True),  # one more: the last level is always stored
     ])
     def test_rejects_more_stored_values_than_the_limit_before_assembling(
         self, monkeypatch, t_end, store_stride, rejected
     ):
+        # the march stores its levels in one array allocated up front, so
+        # the limit is scaled down to a march of milliseconds
+        assembled = []
+
+        def assemble(*args, _assemble=transient._assemble_transient):
+            assembled.append(1)
+            return _assemble(*args)
+
+        monkeypatch.setattr(transient, "_MAX_STORED", 10**4)
+        monkeypatch.setattr(transient, "_assemble_transient", assemble)
+        mesh = uniform_mesh(0.0, math.pi, 1001)
+        arguments = {"dt": 1.0, "t_end": t_end, "store_stride": store_stride}
+        if rejected:
+            with pytest.raises(ValueError, match="values"):
+                solve_transient(transient_benchmark_problem(), mesh, LINEAR, **arguments)
+            assert assembled == []
+        else:
+            trajectory = solve_transient(transient_benchmark_problem(), mesh, LINEAR, **arguments)
+            assert trajectory.states.shape == (10, 1000) and assembled == [1]
+
+    def test_stored_values_limit_is_a_billion(self, monkeypatch):
         def assemble(*args):
             raise AssertionError("assembled")
 
         monkeypatch.setattr(transient, "_assemble_transient", assemble)
-        mesh = uniform_mesh(0.0, math.pi, 1001)
-        with pytest.raises(ValueError if rejected else AssertionError, match="values|assembled"):
-            solve_transient(transient_benchmark_problem(), mesh, LINEAR, dt=1.0, t_end=t_end,
-                            store_stride=store_stride)
+        assert transient._MAX_STORED == 10**9
+        message = ("1000001 stored levels of 1000 interior rows are 1e+09 values, more than 1e+09; "
+                   "raise the store stride or coarsen the march")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            solve_transient(transient_benchmark_problem(), uniform_mesh(0.0, math.pi, 1001), LINEAR,
+                            dt=1.0, t_end=1e6)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("n", [8, 200, 2100])  # one block, several, several groups
@@ -728,9 +771,9 @@ class TestSolveTransient:
         mesh = uniform_mesh(0.0, math.pi, n)
         node = mesh.nodes[n // 3]
         start = replace(problem, initial_profile=lambda x: bad if x == node else math.sin(x))
-        # the first step sweeps the rows as Python floats and meets the value
-        # there, with no numpy warning
-        with pytest.raises(LinearSolveError):
+        # the interpolated state is checked before the first step, so no
+        # product meets the value and numpy does not warn
+        with pytest.raises(LinearSolveError, match="initial state"):
             solve_transient(start, mesh, LINEAR, dt=0.01, t_end=0.05)
         # the same step matrices meet it in the block operators of a later
         # step, where inf - inf in the products is NaN, which numpy reports
@@ -816,6 +859,14 @@ class TestSolveTransient:
         states[:] = 7.0
         assert trajectory.value(1.0, 0.0) == before
         assert not trajectory.states.flags.writeable
+        # a march's own trajectory keeps its states without a copy, and
+        # read-only; the constructor copies them
+        marched = solve_transient(transient_benchmark_problem(), system.mesh, LINEAR, dt=0.1, t_end=0.3)
+        assert not marched.states.flags.writeable and not marched.times.flags.writeable
+        copied = Trajectory(marched.times, marched.states, system)
+        assert not np.shares_memory(copied.states, marched.states)
+        assert np.array_equal(copied.states, marched.states)
+        assert not copied.states.flags.writeable
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_times(self, bad):
@@ -862,9 +913,9 @@ class TestSolveTransient:
 
     # (epsilon, dt lambda, elements, dt, mesh, order, sign_compat, blocks):
     # well-posed step matrices Mg + dt/2 A interchange no row, so the
-    # second step builds block operators; a backward heat equation
-    # (epsilon > 0) and dt lambda <= -2 interchange rows and keep the row
-    # sweep on every step
+    # march builds block operators before its first step and sweeps no
+    # row; a backward heat equation (epsilon > 0) and dt lambda <= -2
+    # interchange rows and sweep them on every step
     @pytest.mark.parametrize("epsilon, dt_lambda, n, dt, graded, order, compat, blocks", [
         # the benchmark march: N = 1e3, dt = 1e-3, linear and quadratic sign-compat
         (-1.0, 1e-3, 1000, 1e-3, False, 1, False, True),
@@ -883,13 +934,16 @@ class TestSolveTransient:
         s = np.linspace(0.0, 1.0, n + 1)
         mesh = Mesh1D(math.pi * s**3) if graded else uniform_mesh(0.0, math.pi, n)
         built = recorded_block_operators(monkeypatch)
+        swept = recorded_row_sweeps(monkeypatch)
         steps = 10
         trajectory = solve_transient(problem, mesh, EnrichmentKind(order), dt=dt, t_end=steps * dt,
                                      sign_compat=compat)
         if blocks:
             assert len(built) == 1 and built[0] is not None
+            assert swept == []
         else:
             assert built == []
+            assert len(swept) == steps
         # each step against one dense np.linalg.solve from the march's own
         # previous state, within 1e-13 relative to it; these cases read at
         # most 2.3e-14 (dt lambda = -3, linear).  A dense march is no
@@ -901,6 +955,74 @@ class TestSolveTransient:
         for before, state in zip(trajectory.states, trajectory.states[1:]):
             exact = np.linalg.solve(lhs, rhs @ before)
             assert np.linalg.norm(state - exact) <= 1e-13 * np.linalg.norm(exact)
+
+    @pytest.mark.parametrize("rows", [33, 1025, 2100])  # two blocks, two groups, three groups
+    def test_march_builds_before_its_first_step_and_sweeps_no_row(self, monkeypatch, rows):
+        built = recorded_block_operators(monkeypatch)
+        swept = recorded_row_sweeps(monkeypatch)
+        trajectory = solve_transient(transient_benchmark_problem(), uniform_mesh(0.0, math.pi, rows + 1),
+                                     QUADRATIC_BUBBLE, dt=0.01, t_end=0.1, sign_compat=True)
+        assert trajectory.states.shape == (11, rows)
+        assert len(built) == 1 and built[0] is not None
+        assert swept == []
+
+    @pytest.mark.parametrize("rows", [1, 31, 33, 1025, 2100])  # one block, then one to three groups
+    def test_march_step_is_the_reused_solve_bit_for_bit(self, rows):
+        # the march's step writes into its output, also in place, what the
+        # later solves of factor_tridiagonal return for the same operators
+        system = assemble_transient(transient_benchmark_problem(), uniform_mesh(0.0, math.pi, rows + 1),
+                                    QUADRATIC_BUBBLE, sign_compat=True)
+        (l_diag, l_off), (r_diag, r_off) = step_matrix(system, 0.01), step_matrix(system, -0.01)
+        solve = factor_tridiagonal(l_off, l_diag, l_off, right=(r_off, r_diag, r_off))
+        step = linalg._march_step(l_off, l_diag, l_off, (r_off, r_diag, r_off))
+        state = np.sin(system.mesh.nodes[1:-1])
+        solve(state)  # the first call sweeps the rows
+        out = np.empty(rows)
+        for _ in range(3):
+            x = solve(state)
+            step(state, out)
+            assert np.array_equal(out, x)
+            step(state, state)
+            assert np.array_equal(state, x)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(size=st.sampled_from([1, 31, 32, 33, 1024, 1025, 3073]) | st.integers(1, 1100),
+           seed=st.integers(0, 2**32 - 1))
+    def test_march_with_a_random_right_factor_matches_dense_solves(self, size, seed):
+        # Mg and A such that dt = 2 makes the step matrix L = Mg + A a random
+        # symmetric tridiagonal whose diagonal exceeds the rest of its row by
+        # 1 to 2 (so no interchange, and ||L^-1||_inf <= 1) and its right
+        # factor R = Mg - A a random symmetric tridiagonal
+        rng = np.random.default_rng(seed)
+        off = rng.uniform(-1.0, 1.0, size - 1)
+        rest = np.abs(np.append(off, 0.0)) + np.abs(np.append(0.0, off))
+        l_diag = rng.choice([-1.0, 1.0], size) * (rest + rng.uniform(1.0, 2.0, size))
+        r_diag, r_off = rng.uniform(-2.0, 2.0, size), rng.uniform(-2.0, 2.0, size - 1)
+        mesh = uniform_mesh(0.0, math.pi, size + 1)
+        system = TransientSystem(
+            mass_diag=0.5 * (l_diag + r_diag), mass_off=0.5 * (off + r_off),
+            op_diag=0.5 * (l_diag - r_diag), op_off=0.5 * (off - r_off),
+            mesh=mesh, enrichment=LINEAR, shapes=np.zeros((size + 1, 0, 2)),
+        )
+        nodal = np.concatenate(([0.0], rng.uniform(-1.0, 1.0, size), [0.0]))
+        problem = TransientProblem(epsilon=-1.0, domain=(0.0, math.pi),
+                                   initial_profile=lambda x: float(np.interp(x, mesh.nodes, nodal)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(transient, "_assemble_transient", lambda *args: system)
+            swept = recorded_row_sweeps(patch)
+            every, strided = [solve_transient(problem, mesh, LINEAR, dt=2.0, t_end=14.0, store_stride=stride)
+                              for stride in (1, 3)]
+        assert swept == []
+        assert np.array_equal(every.states[0], nodal[1:-1])
+        # every third step stored, and the last: the same states bit for bit
+        assert np.array_equal(strided.states, every.states[[0, 3, 6, 7]])
+        # each step against one dense solve from the march's own previous
+        # state, within 1e-13 relative to it
+        (lhs_diag, lhs_off), (rhs_diag, rhs_off) = step_matrix(system, 2.0), step_matrix(system, -2.0)
+        products = [tridiagonal_matvec(rhs_off, rhs_diag, rhs_off, state) for state in every.states[:-1]]
+        exact = np.linalg.solve(full_matrix(lhs_diag, lhs_off), np.transpose(products)).T
+        for state, x in zip(every.states[1:], exact):
+            assert np.linalg.norm(state - x) <= 1e-13 * np.linalg.norm(x)
 
     def test_energy_never_grows_along_the_march(self):
         # a march of 100 elements reuses its factorisation across blocks

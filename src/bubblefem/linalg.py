@@ -4,7 +4,8 @@ inertia count of a symmetric tridiagonal.
 A one-shot solve (:func:`solve_tridiagonal`) of a diagonally dominant
 matrix is an odd-even cyclic reduction in numpy; any other matrix, and any
 matrix that is solved again (a time march), is factorised once with partial
-pivoting (:func:`factor_tridiagonal`).  The count has one kernel, the count
+pivoting (:func:`factor_tridiagonal`); a march applies the factors as block
+operators (:func:`_march_step`).  The count has one kernel, the count
 of a twisted factorisation at any row with its twisted pivot
 (:func:`twisted_count`), whose last-row case is the plain count
 (:func:`nonpositive_pivots`)."""
@@ -21,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import LinearSolveError
 
 _PIVOT_TOL = 1e-14
-_BLOCK = 32  # rows per block of a reused factorisation (factor_tridiagonal)
+_BLOCK = 32  # rows per block of a march's block operators (_march_step)
 _TINY = sys.float_info.min
 
 
@@ -74,47 +75,26 @@ def factor_tridiagonal(
     then the identity.  O(N) time and memory; with no interchange this is
     the Thomas algorithm.
 
-    The first call of ``solve`` forms R v by one explicit product (none
-    without ``right``) and sweeps the rows as ``dgttrs`` does; a one-shot
-    solve (``solve_tridiagonal``) makes only that call.  A second call shows
-    that the factors are reused: if no row was interchanged, it builds
-    block operators on blocks of ``_BLOCK`` rows (:func:`_block_operators`),
-    which it and every later call apply instead of a loop over the rows; a
-    time march builds them before its first step (:func:`_march_step`).
-    They take O(N ``_BLOCK``) memory and about four row sweeps to build
-    (1.2-1.6 ms at N = 1e3, a row sweep 0.34-0.46 ms, on a loaded 2-core
-    AMD EPYC), so a one-shot solve never builds them.  ``_BLOCK`` is fixed
-    and small: the products' cost per row grows with it, and an operator
-    over a block of U is only as accurate as the block is short.  A
-    factorisation that interchanged a row, or whose operators overflow,
-    sweeps the rows on every call.  Of the trapezoidal step
-    matrices Mg + dt/2 A of :mod:`~bubblefem.transient`, only those of a
-    backward heat equation (epsilon > 0) or with dt lambda <= -2 were seen
-    to interchange rows; each of their steps is a row sweep, about 15 times
-    a block step at N = 1e3 (0.34-0.46 ms against 22-28 us).
+    Each call of ``solve`` forms R v by one explicit product (none without
+    ``right``) and sweeps the rows as ``dgttrs`` does.  The one-shot solves
+    (``solve_tridiagonal`` and its cyclic-reduction tail) call it once; a
+    time march, which reuses one factorisation at every step, applies block
+    operators instead (:func:`_march_step`).
 
     A pivot of U at most ``_PIVOT_TOL`` times the largest entry of L raises
     LinearSolveError; this pivot rule replaces the SVD condition gate of a
     dense fallback.  ``solve`` raises it for non-finite results.  The row
-    sweep runs over Python floats and raises with no numpy warning; a block
-    solve fed an inf meets inf - inf in its products, and numpy warns
-    "invalid value encountered in matmul" before the LinearSolveError: an
-    ``np.errstate`` to hide that would cost about 0.6 us a call.
+    sweep runs over Python floats and raises with no numpy warning.
     """
     n = len(diag)
-    sweep_rows, factors = _factorise(sub, diag, sup, right)
-    calls, blocked = 0, None  # blocked: the block operators, built by the second call
+    sweep_rows = _factorise(sub, diag, sup, right)[0]
 
     def solve(v: np.ndarray) -> np.ndarray:
-        nonlocal calls, blocked
         v = np.asarray(v, dtype=float)
         if v.shape != (n,):
             raise ValueError(f"right-hand side has shape {v.shape}, expected ({n},)")
-        calls += 1
-        if calls == 2 and factors:
-            blocked = _block_operators(*factors)
         x = np.empty(n)
-        (blocked or sweep_rows)(v, x)
+        sweep_rows(v, x)
         if not np.isfinite(x).all():
             raise LinearSolveError("linear solve produced non-finite values")
         return x
@@ -124,9 +104,27 @@ def factor_tridiagonal(
 
 def _march_step(sub, diag, sup, right) -> Callable[[np.ndarray, np.ndarray], None]:
     """``step(v, out)``, writing L^-1 R v of :func:`factor_tridiagonal` into
-    ``out`` (which may be v), for a march: block operators built at once,
-    or the row sweep if a row was interchanged or an operator overflows.
-    It checks neither v's shape nor the result; the march does."""
+    ``out`` (which may be v), for a march that reuses one factorisation at
+    every step.  If no row was interchanged, the factors become block
+    operators on blocks of ``_BLOCK`` rows before the first step
+    (:func:`_block_operators`), which every step applies instead of a loop
+    over the rows.  They take O(N ``_BLOCK``) memory and about four row
+    sweeps to build (1.2-1.6 ms at N = 1e3, a row sweep 0.34-0.46 ms, on a
+    loaded 2-core AMD EPYC), so a one-shot solve never builds them.
+    ``_BLOCK`` is fixed and small: the products' cost per row grows with
+    it, and an operator over a block of U is only as accurate as the block
+    is short.  A factorisation that interchanged a row, or whose operators
+    overflow, sweeps the rows at every step.  Of the trapezoidal step
+    matrices Mg + dt/2 A of :mod:`~bubblefem.transient`, only those of a
+    backward heat equation (epsilon > 0) or with dt lambda <= -2 were seen
+    to interchange rows; each of their steps is a row sweep, about 15 times
+    a block step at N = 1e3 (0.34-0.46 ms against 22-28 us).
+
+    ``step`` checks neither v's shape nor the result; the march does.  A
+    block step fed an inf meets inf - inf in its products, and numpy warns
+    "invalid value encountered in matmul": an ``np.errstate`` to hide that
+    would cost about 0.6 us a step.
+    """
     sweep_rows, factors = _factorise(sub, diag, sup, right)
     return (factors and _block_operators(*factors)) or sweep_rows
 

@@ -19,7 +19,7 @@ built before the first step, and every step applies them with three
 batched products and no Python loop over rows or blocks: one product per
 block of rows straight from the state, one interface operator that
 couples the blocks, and one response that adds the coupling in
-(:func:`~bubblefem.linalg.factor_tridiagonal`).  No well-posed step
+(:func:`~bubblefem.linalg._march_step`).  No well-posed step
 matrix (epsilon <= 0, dt lambda > -2) interchanged a row in a sweep over
 uniform, graded and jittered meshes and enrichment orders 1-9.  Rows were
 interchanged for a backward heat equation (epsilon > 0) and for
@@ -403,7 +403,7 @@ def solve_transient(
     interpolation of the initial profile:
     (Mg + dt/2 A) a_{k+1} = (Mg - dt/2 A) a_k, with Mg + dt/2 A factorised
     once and Mg - dt/2 A as its right factor, so that each step is
-    a_{k+1} = step(a_k) (:func:`~bubblefem.linalg.factor_tridiagonal`).
+    a_{k+1} = step(a_k) (:func:`~bubblefem.linalg._march_step`).
     Second order, and the energy a^T Mg a never grows when A is positive
     semidefinite.  A non-finite initial state raises LinearSolveError
     before the first step, and a state that turns non-finite at the step

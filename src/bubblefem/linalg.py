@@ -109,16 +109,16 @@ def _march_step(sub, diag, sup, right) -> Callable[[np.ndarray, np.ndarray], Non
     operators on blocks of ``_BLOCK`` rows before the first step
     (:func:`_block_operators`), which every step applies instead of a loop
     over the rows.  They take O(N ``_BLOCK``) memory and about four row
-    sweeps to build (1.2-1.6 ms at N = 1e3, a row sweep 0.34-0.46 ms, on a
-    loaded 2-core AMD EPYC), so a one-shot solve never builds them.
+    sweeps to build (0.85-1.45 ms at N = 1e3, a row sweep 0.25-0.41 ms, on
+    a loaded 2-core AMD EPYC), so a one-shot solve never builds them.
     ``_BLOCK`` is fixed and small: the products' cost per row grows with
     it, and an operator over a block of U is only as accurate as the block
     is short.  A factorisation that interchanged a row, or whose operators
     overflow, sweeps the rows at every step.  Of the trapezoidal step
     matrices Mg + dt/2 A of :mod:`~bubblefem.transient`, only those of a
     backward heat equation (epsilon > 0) or with dt lambda <= -2 were seen
-    to interchange rows; each of their steps is a row sweep, about 15 times
-    a block step at N = 1e3 (0.34-0.46 ms against 22-28 us).
+    to interchange rows; each of their steps is a row sweep, about 18 times
+    a block step at N = 1e3 (0.25-0.41 ms against 14-21 us).
 
     ``step`` checks neither v's shape nor the result; the march does.  A
     block step fed an inf meets inf - inf in its products, and numpy warns
@@ -139,11 +139,14 @@ def _factorise(sub, diag, sup, right):
         if [a.shape for a in right] != [(n - 1,), (n,), (n - 1,)]:
             raise ValueError(f"right factor has shapes {[a.shape for a in right]}, expected N = {n}")
     # a trailing zero on each diagonal spares the last row its special cases
-    d, low, u1 = (np.append(np.asarray(a, dtype=float), 0.0).tolist() for a in (diag, sub, sup))
+    packed = np.concatenate((diag, [0.0], sub, [0.0], sup, [0.0]), dtype=float)
+    values = packed.tolist()
+    d, low, u1 = values[:n + 1], values[n + 1:2 * n + 1], values[2 * n + 1:]
     u2 = [0.0] * n  # the second superdiagonal, filled by interchanges
     swap = [False] * n
-    # the whole matrix sets the scale: a row cancelled to round-off is not regular
-    limit = _PIVOT_TOL * max(map(abs, d + low + u1))
+    # the whole matrix sets the scale: a row cancelled to round-off is not
+    # regular; the largest |entry| is max(max, -min), NaN if any entry is
+    limit = _PIVOT_TOL * float(max(packed.max(), -packed.min()))
     for i in range(n):
         if abs(low[i]) > abs(d[i]):
             swap[i] = True
@@ -193,19 +196,21 @@ def _block_operators(d, low, u1, right) -> Callable[[np.ndarray, np.ndarray], No
     ``_BLOCK`` rows is one block with nothing to carry: its x over its
     window is L^-1 R.
 
-    Otherwise the sweeps give, per block, one (B+1) x (B+2) matrix G_k of
-    its outgoing forward partial w = y_B and its carry-free x, z, over its
-    window, applied by one batched product, and the B x 2 response of x to
-    the block's two carries.  Those carries are the two sweeps' chains
-    over the blocks, which is a reduced interface system as in the SPIKE
-    partition (Polizzi-Sameh, Parallel Computing 2006).  Over a group of
-    ``_BLOCK`` blocks they are one fixed linear map of the group's
-    (w, z_0), rows 0-1 of its products, and of the two carries that enter
+    Otherwise x depends on the block's two carries, which are the two
+    sweeps' chains over the blocks: a reduced interface system, solved
+    before the x are retrieved, as in the SPIKE partition (Polizzi-Sameh,
+    Parallel Computing 2006).  A solve takes two batched products, one
+    per block each.  The first, a thin one, gives each block's outgoing
+    forward partial w = y_B and its carry-free first x, z_0, over its
+    window.  Over a group of ``_BLOCK`` blocks the carries are one fixed
+    linear map of the group's (w, z_0) and of the two carries that enter
     the group: its forward carry, zero for the first group, and the first
-    x after it, zero after the last group.  A solve applies that interface
-    operator as one batched matrix-vector product; only the chain of those
-    two numbers from group to group runs in Python, O(N / ``_BLOCK``^2)
-    steps and none up to ``_BLOCK``^2 rows.
+    x after it, zero after the last group.  That interface operator is one
+    batched matrix-vector product; only the chain of those two numbers
+    from group to group runs in Python, O(N / ``_BLOCK``^2) steps and none
+    up to ``_BLOCK``^2 rows.  The carries are written after the block's
+    window into one column of its B + 4 basis entries, and the second
+    product, of the block's B rows of x over that basis, writes every x.
     """
     n = len(d)
     if right is None:
@@ -243,12 +248,15 @@ def _block_operators(d, low, u1, right) -> Callable[[np.ndarray, np.ndarray], No
         if blocks == 1:
             whole = np.ascontiguousarray(sweeps[1:-1, 0, :n])
             return (lambda v, out: np.matmul(whole, v, out=out)) if np.isfinite(whole).all() else None
-        # each G_k stored column by column, which the batched product read 14%
-        # faster at N = 1e5 than row by row (AMD EPYC, OpenBLAS 0.3, one thread)
-        g = np.ascontiguousarray(sweeps[:-1, :, :carry_in].transpose(1, 2, 0)).transpose(0, 2, 1)
-        response = np.ascontiguousarray(sweeps[1:-1, :, carry_in:].transpose(1, 0, 2))
-        interface, summary = _interface_operators(sweeps[0, :, carry_in], response[:, 0], group)
-    if not all(np.isfinite(a).all() for a in (g, response, interface, summary)):
+        interface, summary = _interface_operators(sweeps[0, :, carry_in], sweeps[1, :, carry_in:], group)
+    # per block: w and z_0 over the window as two columns, as the window (a
+    # row) times them read 2.8 us at N = 1e3 against 4.4 us for two rows
+    # times the window; every x over the basis, column by column, which read
+    # faster than row by row at N = 1e3 and 1e5 (AMD EPYC, OpenBLAS 0.3, one
+    # thread)
+    thin = np.ascontiguousarray(sweeps[:2, :, :carry_in].transpose(1, 2, 0))
+    xrows = np.ascontiguousarray(sweeps[1:-1].transpose(1, 2, 0)).transpose(0, 2, 1)
+    if not all(np.isfinite(a).all() for a in (thin, xrows, interface, summary)):
         return None
 
     groups = blocks // group
@@ -260,20 +268,23 @@ def _block_operators(d, low, u1, right) -> Callable[[np.ndarray, np.ndarray], No
     from_carry = summary[:, 1, 0].tolist()
     from_next = summary[:, 1, 1].tolist()
     padded = np.zeros(blocks * size + 2)
-    windows = sliding_window_view(padded, size + 2)[::size, :, None]
-    wz, x = np.empty((blocks, size + 1, 1)), np.empty((blocks, size, 1))
-    carry_free, rows = wz[:, 1:], x.reshape(-1)[:n]
+    windows = sliding_window_view(padded, size + 2)[::size, None, :]
+    basis = np.empty((blocks, size + 4, 1))  # per block: its window, then its two carries
+    window, carried = basis[:, None, :carry_in, 0], basis[:, carry_in:, 0]
+    data, coupled = np.empty((blocks, 1, 2)), np.empty((groups, 2 * group, 1))
+    x = np.empty((blocks, size, 1))
+    grouped, each, rows = data.reshape(groups, 2 * group, 1), coupled.reshape(blocks, 2), x.reshape(-1)[:n]
 
     def solve_blocks(v: np.ndarray, out: np.ndarray) -> None:
         padded[:n] = v
-        np.matmul(g, windows, out=wz)
-        data = wz[:, :2].reshape(groups, 2 * group, 1)
-        coupled = np.matmul(from_data, data)
+        np.copyto(window, windows)
+        np.matmul(window, thin, out=data)
+        np.matmul(from_data, grouped, out=coupled)
         if groups > 1:
             # the group chain: forward carries in order, then the first x
             # of each group in reverse, x past the last group being zero;
             # r_0 is in block 0's w and z, so the first carry is zero
-            partial = np.matmul(summary_data, data)[:, :, 0].tolist()
+            partial = np.matmul(summary_data, grouped)[:, :, 0].tolist()
             carries = [0.0]
             for t, (w, _) in zip(transfer, partial):
                 carries.append(t * carries[-1] + w)
@@ -282,9 +293,9 @@ def _block_operators(d, low, u1, right) -> Callable[[np.ndarray, np.ndarray], No
             for c, (_, z), f, a in zip(carries[-2::-1], partial[::-1], from_carry[::-1], from_next[::-1]):
                 heads.append((c, head))
                 head = z + f * c + a * head
-            coupled += np.matmul(from_carries, np.array(heads[::-1])[:, :, None])
-        np.matmul(response, coupled.reshape(blocks, 2, 1), out=x)
-        np.add(x, carry_free, out=x)
+            coupled[:] += np.matmul(from_carries, np.array(heads[::-1])[:, :, None])
+        carried[:] = each
+        np.matmul(xrows, basis, out=x)
         out[:] = rows
 
     return solve_blocks

@@ -4,9 +4,10 @@ The package computes bubble coefficients and element matrices only through
 the least-squares minimiser and the exact unit-element tensors.  The
 expressions here are independent cross-checks of those paths: the quadratic
 nodal map, the transient coefficient |c| = 0.206, the cubic pair, the 2D
-bubble, the element matrices of quadratic enrichment, and the exact
-solutions of the two benchmarks.  The acceptance suite, the CLI's
-cross-check rows and the tests read them; none of ``model``,
+bubble, the element matrices of quadratic enrichment, the exact
+solutions of the two benchmarks and the exact trapezoidal march of a
+discrete sine mode on a mesh of equal elements.  The acceptance suite,
+the CLI's cross-check rows and the tests read them; none of ``model``,
 ``enrichment``, ``linalg``, ``steady`` or ``transient`` imports this module.
 """
 
@@ -273,3 +274,39 @@ def exact_transient_benchmark(x: float, t: float) -> float:
     if t < 0.0:
         raise ValueError(f"t={t} must be nonnegative")
     return math.sin(x) * math.exp(-2.0 * t)
+
+
+def sine_mode_march(system, dt: float, steps, k: int = 1) -> np.ndarray:
+    """Exact trapezoidal march of the k-th discrete sine mode on a mesh of N
+    equal elements: one row of interior states per step count in ``steps``.
+
+    ``system`` is a :class:`~bubblefem.transient.TransientSystem`.  Its
+    elements all have one length, so every element has the same blocks,
+    symmetric under reflection, and Mg and A are symmetric Toeplitz
+    tridiagonal, (m_d, m_o) and (a_d, a_o); a system that is not raises
+    ValueError.  With theta = k pi / N, the interpolant v_j = sin(j theta)
+    of sin(k pi (x - a) / (b - a)) at the interior nodes j = 1 .. N - 1 is
+    an eigenvector of both: T v = mu_T v, with mu_T = t_d + 2 t_o cos theta
+    = (t_d + 2 t_o) - 4 t_o sin^2(theta / 2).  A trapezoidal step
+    (Mg + dt/2 A) a' = (Mg - dt/2 A) a multiplies it by
+    r = (mu_M - dt/2 mu_A) / (mu_M + dt/2 mu_A), so after n steps the state
+    is r^n v.  The row sums are formed from the first interior row's
+    stored entries, exactly where t_d and -2 t_o cancel (Sterbenz), so r
+    carries a few rounding errors of O(1) quantities and not of the
+    O(1/h^2) entries: it is the rate of the stored matrices, not of the
+    step matrices a march forms from them in floats.
+    """
+    n = system.size + 1
+    lengths = np.diff(system.mesh.nodes)
+    if not (lengths == lengths[0]).all():
+        raise ValueError("the sine modes are exact only on a mesh of equal elements")
+    eigenvalues = []
+    for diag, off in ((system.mass_diag, system.mass_off), (system.op_diag, system.op_off)):
+        if not ((diag == diag[0]).all() and (off == off[:1]).all()):
+            raise ValueError("the mass and operator matrices are not Toeplitz")
+        t_d, t_o = float(diag[0]), float(off[0]) if off.size else 0.0
+        eigenvalues.append((t_d + 2.0 * t_o) - 4.0 * t_o * math.sin(0.5 * k * math.pi / n) ** 2)
+    mu_m, mu_a = eigenvalues
+    r = (mu_m - 0.5 * dt * mu_a) / (mu_m + 0.5 * dt * mu_a)
+    mode = np.sin(k * math.pi / n * np.arange(1, n))
+    return np.power(r, np.asarray(steps, dtype=float))[:, None] * mode

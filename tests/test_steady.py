@@ -506,8 +506,9 @@ class TestSolveTridiagonal:
         assert_row_sweep_is_kept(data.draw(pivoting_systems(st.just(size))), block, right)
 
     def test_reused_factorisation_where_the_fused_right_factor_overflows(self):
-        # pivots of 0.5 under a right factor of 1e308: each G_k = (block
-        # inverse) R_k overflows, while L^-1 R v is 2e8 for v = 1e-300
+        # pivots of 0.5 under a right factor of 1e308: each block's x over
+        # its window, (block inverse) R_k, overflows, while L^-1 R v is 2e8
+        # for v = 1e-300
         n = 2 * _BLOCK
         factors = np.zeros(n - 1), np.full(n, 0.5), np.zeros(n - 1)
         right = np.zeros(n - 1), np.full(n, 1e308), np.zeros(n - 1)
@@ -555,6 +556,21 @@ class TestSolveTridiagonal:
         regular = TridiagonalSystem([1.0], [1.0, 1.0 + 1e-13], [1.0], [1.0, 2.0])
         x = solve_tridiagonal(regular)
         assert x == pytest.approx([1.0 - 1e13, 1e13], rel=1e-3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("n", [1, 2, 17, 1000])
+    def test_non_finite_matrix_entry_raises_without_a_warning(self, n, bad):
+        # on any diagonal, in the one-shot solve and in a march's step
+        # matrix: the pivot scale is NaN or inf, so no pivot passes its test
+        for which in range(3) if n > 1 else (1,):
+            entries = [np.ones(n - 1), np.full(n, 4.0), np.ones(n - 1)]
+            entries[which][len(entries[which]) // 2] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(LinearSolveError, match="singular"):
+                    factor_tridiagonal(*entries)
+                with pytest.raises(LinearSolveError, match="singular"):
+                    linalg._march_step(*entries, None)
 
     def test_pure_convection_is_solved_in_linear_memory(self):
         # the interior diagonal vanishes, so elimination must interchange

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +31,7 @@ from bubblefem.linalg import (
     twisted_count,
 )
 from bubblefem.model import Mesh1D
-from bubblefem.oracles import transient_coefficient, transient_element_matrices
+from bubblefem.oracles import sine_mode_march, transient_coefficient, transient_element_matrices
 from bubblefem.steady import element_integrals
 
 RNG_SEED = 777002
@@ -803,6 +804,9 @@ class TestSolveTransient:
         assert trajectory.value(x, -5.0) == trajectory.value(x, 0.0)
         assert trajectory.value(x, 1e6) == trajectory.value(x, 0.3)
         assert trajectory.field_at(1e6).value(x) == trajectory.value(x, 0.3)
+        # numpy times, ties between levels included, take the levels of the same floats
+        for t in (-5.0, 0.0, 0.05, 0.15, 0.25, 0.3, 1e6):
+            assert trajectory._level(np.float64(t)) == trajectory._level(t)
 
     def test_initial_state_is_nodal_interpolation(self):
         problem = transient_benchmark_problem()
@@ -1043,6 +1047,105 @@ class TestSolveTransient:
                 assert len(energy) >= 26
                 for before, after in zip(energy, energy[1:]):
                     assert after <= before * (1 + 1e-13)
+
+
+def sine_mode_problem(n, k=1):
+    """The benchmark rescaled to [0, n]: epsilon = -(n / pi)^2, lambda = 1,
+    from the k-th sine mode, on whose ``uniform_mesh(0, n, n)`` the nodes
+    are the integers and every element has length 1."""
+    return TransientProblem(epsilon=-(n / math.pi) ** 2, domain=(0.0, float(n)),
+                            initial_profile=lambda x: math.sin(k * math.pi * x / n), lambda_=1.0)
+
+
+class TestSineModeMarch:
+    @pytest.mark.parametrize("n, k", [(1000, 1), (1000, 500), (10000, 1)])
+    @pytest.mark.parametrize("enrichment", [LINEAR, QUADRATIC_BUBBLE], ids=["linear", "quadratic"])
+    def test_march_follows_the_exact_sine_mode(self, enrichment, n, k):
+        # the stored states against r^n times the mode over 200 steps: the
+        # largest deviation relative to the mode's amplitude stays within 2x
+        # of what was measured.  It grows with n^2, as the condition of the
+        # step matrix Mg + dt/2 A does: a rate taken from the step matrices'
+        # own entries instead reads nearly the same
+        measured = {
+            (1, 1000, 1): 1.62e-12, (2, 1000, 1): 2.61e-12, (1, 1000, 500): 6.43e-13,
+            (2, 1000, 500): 6.09e-13, (1, 10000, 1): 1.63e-10, (2, 10000, 1): 3.87e-11,
+        }[enrichment.order, n, k]
+        dt, steps = 1e-3, 200
+        trajectory = solve_transient(sine_mode_problem(n, k), uniform_mesh(0.0, float(n), n), enrichment,
+                                     dt=dt, t_end=steps * dt, sign_compat=enrichment is QUADRATIC_BUBBLE)
+        exact = sine_mode_march(trajectory.system, dt, np.arange(steps + 1), k)
+        assert trajectory.states.shape == exact.shape
+        deviation = max(float(np.abs(state - want).max() / np.abs(want).max())
+                        for state, want in zip(trajectory.states, exact))
+        assert deviation <= 2 * measured
+
+    @pytest.mark.parametrize("n", [2, 16])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_oracle_against_dense_solves(self, n, order):
+        # ten steps of dense solves of the stored matrices from the oracle's
+        # own first state, for the slowest and the fastest mode; they read
+        # at most 5.1e-15 from the oracle
+        system = assemble_transient(sine_mode_problem(n), uniform_mesh(0.0, float(n), n),
+                                    EnrichmentKind(order), sign_compat=order > 1)
+        lhs, rhs = (full_matrix(*step_matrix(system, h)) for h in (0.05, -0.05))
+        for k in sorted({1, n - 1}):
+            exact = sine_mode_march(system, 0.05, range(11), k)
+            x = exact[0]
+            for want in exact[1:]:
+                x = np.linalg.solve(lhs, rhs @ x)
+                assert np.abs(x - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_oracle_rejects_unequal_elements_and_other_matrices(self):
+        problem = sine_mode_problem(8)
+        with pytest.raises(ValueError, match="equal elements"):
+            sine_mode_march(assemble_transient(problem, Mesh1D(np.arange(9.0) ** 1.5 * 8 / 8**1.5), LINEAR),
+                            1e-3, [1])
+        system = assemble_transient(problem, uniform_mesh(0.0, 8.0, 8), LINEAR)
+        sine_mode_march(system, 1e-3, [1])
+        for field in ("mass_diag", "mass_off", "op_diag", "op_off"):
+            values = getattr(system, field).copy()
+            values[-1] *= 1.0 + 1e-15
+            with pytest.raises(ValueError, match="Toeplitz"):
+                sine_mode_march(replace(system, **{field: values}), 1e-3, [1])
+
+
+class TestMarchScaling:
+    # (n, order, dt lambda): one block, several blocks and several groups
+    # of blocks, and the row sweep of a step matrix that interchanges rows
+    @pytest.mark.parametrize("n, order, dt_lambda", [
+        *((n, order, 0.01) for n in (8, 1000, 2100) for order in (1, 2)),
+        (1000, 1, -3.0), (1000, 2, -3.0),
+    ])
+    def test_power_of_two_profile_scales_every_state_exactly(self, monkeypatch, n, order, dt_lambda):
+        # 2^600 sin x: every product scales exactly, so every state is 2^600
+        # times that of sin x bit for bit; the states' squares overflow, which
+        # the march's finiteness check must take for finite, with no warning
+        scale = 2.0 ** 600
+        problem = TransientProblem(epsilon=-1.0, domain=(0.0, math.pi), initial_profile=math.sin,
+                                   lambda_=dt_lambda / 0.01)
+        mesh, enrichment = uniform_mesh(0.0, math.pi, n), EnrichmentKind(order)
+        swept = recorded_row_sweeps(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plain, scaled = (
+                solve_transient(replace(problem, initial_profile=profile), mesh, enrichment,
+                                dt=0.01, t_end=0.1, sign_compat=order == 2)
+                for profile in (math.sin, lambda x: scale * math.sin(x))
+            )
+        assert np.abs(scaled.states).max() > 2.0**512  # past the square root of the largest float
+        assert np.array_equal(scaled.states, scale * plain.states)
+        assert len(swept) == (20 if dt_lambda == -3.0 else 0)
+
+    def test_overflowing_march_raises_without_a_warning(self):
+        # dt lambda = -3 amplifies the growing modes at every step: the
+        # states pass 1e154, where their squares overflow, and then the
+        # largest float, which raises at the step that makes it
+        problem = TransientProblem(epsilon=-1.0, domain=(0.0, math.pi), initial_profile=math.sin,
+                                   lambda_=-300.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LinearSolveError, match="non-finite"):
+                solve_transient(problem, uniform_mesh(0.0, math.pi, 64), LINEAR, dt=0.01, t_end=2.0)
 
 
 class TestSemiAnalytic:

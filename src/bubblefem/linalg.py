@@ -2,10 +2,11 @@
 inertia count of a symmetric tridiagonal.
 
 A one-shot solve (:func:`solve_tridiagonal`) of a diagonally dominant
-matrix is an odd-even cyclic reduction in numpy; any other matrix, and any
-matrix that is solved again (a time march), is factorised once with partial
-pivoting (:func:`factor_tridiagonal`); a march applies the factors as block
-operators (:func:`_march_step`).  The count has one kernel, the count
+matrix is an odd-even cyclic reduction in numpy; any other matrix is
+factorised with partial pivoting and swept row by row
+(:func:`factor_tridiagonal`).  A time march solves one matrix L at every
+step with a right factor R: it factorises L once in the same way and
+applies the factors and R as block operators (:func:`_march_step`).  The count has one kernel, the count
 of a twisted factorisation at any row with its twisted pivot
 (:func:`twisted_count`), whose last-row case is the plain count
 (:func:`nonpositive_pivots`)."""
@@ -62,24 +63,15 @@ def tridiagonal_matvec(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, v: np
     return out
 
 
-def factor_tridiagonal(
-    sub: np.ndarray,
-    diag: np.ndarray,
-    sup: np.ndarray,
-    right: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> Callable[[np.ndarray], np.ndarray]:
+def factor_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """LU factorisation with partial pivoting of a tridiagonal matrix L, as
     in LAPACK ``dgttrf``: a row interchange fills one second superdiagonal
-    of U.  Returns ``solve(v)``, which gives L^-1 R v for the tridiagonal
-    ``right`` = R, given as (sub, diag, sup), or L^-1 v without it: R is
-    then the identity.  O(N) time and memory; with no interchange this is
-    the Thomas algorithm.
-
-    Each call of ``solve`` forms R v by one explicit product (none without
-    ``right``) and sweeps the rows as ``dgttrs`` does.  The one-shot solves
-    (``solve_tridiagonal`` and its cyclic-reduction tail) call it once; a
-    time march, which reuses one factorisation at every step, applies block
-    operators instead (:func:`_march_step`).
+    of U.  Returns ``solve(v)``, which gives L^-1 v by one sweep of the rows
+    as ``dgttrs`` does.  O(N) time and memory; with no interchange this is
+    the Thomas algorithm.  ``solve_tridiagonal`` calls it once, and the
+    cyclic-reduction tail sweeps its factorisation (:func:`_factorise`)
+    once; a time march, which reuses one factorisation at every step,
+    applies block operators instead (:func:`_march_step`).
 
     A pivot of U at most ``_PIVOT_TOL`` times the largest entry of L raises
     LinearSolveError; this pivot rule replaces the SVD condition gate of a
@@ -87,7 +79,7 @@ def factor_tridiagonal(
     sweep runs over Python floats and raises with no numpy warning.
     """
     n = len(diag)
-    sweep_rows = _factorise(sub, diag, sup, right)[0]
+    sweep_rows = _factorise(sub, diag, sup)[0]
 
     def solve(v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -103,41 +95,40 @@ def factor_tridiagonal(
 
 
 def _march_step(sub, diag, sup, right) -> Callable[[np.ndarray, np.ndarray], None]:
-    """``step(v, out)``, writing L^-1 R v of :func:`factor_tridiagonal` into
-    ``out`` (which may be v), for a march that reuses one factorisation at
-    every step.  If no row was interchanged, the factors become block
-    operators on blocks of ``_BLOCK`` rows before the first step
-    (:func:`_block_operators`), which every step applies instead of a loop
-    over the rows.  They take O(N ``_BLOCK``) memory and about four row
-    sweeps to build (0.85-1.45 ms at N = 1e3, a row sweep 0.25-0.41 ms, on
-    a loaded 2-core AMD EPYC), so a one-shot solve never builds them.
+    """``step(v, out)``, writing L^-1 R v into ``out`` (which may be v), for
+    a march that reuses one factorisation of L = (``sub``, ``diag``,
+    ``sup``) at every step with the tridiagonal right factor R = ``right``,
+    given as (sub, diag, sup).  If no row was interchanged, the factors and
+    R become block operators on blocks of ``_BLOCK`` rows before the first
+    step (:func:`_block_operators`), which every step applies instead of a
+    loop over the rows.  They take O(N ``_BLOCK``) memory and about four
+    row sweeps to build (0.85-1.45 ms at N = 1e3, a row sweep 0.25-0.41 ms,
+    on a loaded 2-core AMD EPYC), so a one-shot solve never builds them.
     ``_BLOCK`` is fixed and small: the products' cost per row grows with
     it, and an operator over a block of U is only as accurate as the block
     is short.  A factorisation that interchanged a row, or whose operators
-    overflow, sweeps the rows at every step.  Of the trapezoidal step
-    matrices Mg + dt/2 A of :mod:`~bubblefem.transient`, only those of a
-    backward heat equation (epsilon > 0) or with dt lambda <= -2 were seen
-    to interchange rows; each of their steps is a row sweep, about 18 times
-    a block step at N = 1e3 (0.25-0.41 ms against 14-21 us).
+    overflow, forms R v by one explicit product and sweeps the rows at
+    every step.  Of the trapezoidal step matrices Mg + dt/2 A of
+    :mod:`~bubblefem.transient`, only those of a backward heat equation
+    (epsilon > 0) or with dt lambda <= -2 were seen to interchange rows;
+    each of their steps is a row sweep, about 18 times a block step at
+    N = 1e3 (0.25-0.41 ms against 14-21 us).
 
     ``step`` checks neither v's shape nor the result; the march does.  A
     block step fed an inf meets inf - inf in its products, and numpy warns
     "invalid value encountered in matmul": an ``np.errstate`` to hide that
     would cost about 0.6 us a step.
     """
-    sweep_rows, factors = _factorise(sub, diag, sup, right)
-    return (factors and _block_operators(*factors)) or sweep_rows
+    sweep_rows, factors = _factorise(sub, diag, sup)
+    return ((factors and _block_operators(*factors, right))
+            or (lambda v, out: sweep_rows(tridiagonal_matvec(*right, v), out)))
 
 
-def _factorise(sub, diag, sup, right):
+def _factorise(sub, diag, sup):
     """The factorisation of :func:`factor_tridiagonal`: its row sweep
-    ``sweep_rows(v, out)``, and the arguments of :func:`_block_operators`,
-    None if a row was interchanged."""
+    ``sweep_rows(v, out)``, writing L^-1 v into out, and the factors that
+    :func:`_block_operators` takes, None if a row was interchanged."""
     n = len(diag)
-    if right is not None:
-        right = tuple(np.asarray(a, dtype=float) for a in right)
-        if [a.shape for a in right] != [(n - 1,), (n,), (n - 1,)]:
-            raise ValueError(f"right factor has shapes {[a.shape for a in right]}, expected N = {n}")
     # a trailing zero on each diagonal spares the last row its special cases
     packed = np.concatenate((diag, [0.0], sub, [0.0], sup, [0.0]), dtype=float)
     values = packed.tolist()
@@ -161,7 +152,7 @@ def _factorise(sub, diag, sup, right):
             u1[i + 1] -= low[i] * u2[i]
 
     def sweep_rows(v: np.ndarray, out: np.ndarray) -> None:
-        b = (v if right is None else tridiagonal_matvec(*right, v)).tolist() + [0.0, 0.0]
+        b = v.tolist() + [0.0, 0.0]
         for i in range(n - 1):
             if swap[i]:
                 b[i], b[i + 1] = b[i + 1], b[i] - low[i] * b[i + 1]
@@ -171,15 +162,15 @@ def _factorise(sub, diag, sup, right):
             b[i] = (b[i] - u1[i] * b[i + 1] - u2[i] * b[i + 2]) / d[i]
         out[:] = b[:n]
 
-    return sweep_rows, None if any(swap) else (d[:n], low[:n], u1[:n], right)
+    return sweep_rows, None if any(swap) else (d[:n], low[:n], u1[:n])
 
 
 def _block_operators(d, low, u1, right) -> Callable[[np.ndarray, np.ndarray], None] | None:
     """``solve(v, out)`` by blocks of ``_BLOCK`` rows, writing x into out,
     for the factors U (diagonal ``d``, superdiagonal ``u1``) and
     multipliers ``low`` of a :func:`factor_tridiagonal` that interchanged
-    no row, and its right factor R (``right``, as (sub, diag, sup), or None
-    for the identity); None if an operator overflows, so that the row sweep
+    no row, and the right factor R of :func:`_march_step` (``right``, as
+    (sub, diag, sup)); None if an operator overflows, so that the row sweep
     stays.
 
     Forward sweep over r = R v: y_0 = r_0 and y_{i+1} = r_{i+1} - l_i y_i,
@@ -213,8 +204,6 @@ def _block_operators(d, low, u1, right) -> Callable[[np.ndarray, np.ndarray], No
     product, of the block's B rows of x over that basis, writes every x.
     """
     n = len(d)
-    if right is None:
-        right = (np.zeros(n - 1), np.ones(n), np.zeros(n - 1))
     size = min(_BLOCK, n)
     blocks = -(-n // size)
     group = min(_BLOCK, blocks)
@@ -381,7 +370,8 @@ def _cyclic_reduction(system: TridiagonalSystem, scale: float) -> np.ndarray:
     odd number of rows, its first and last kept, and the tail left after L
     levels has at most ``_BLOCK`` rows.  The padding rows read scale x = 0;
     there is at least one, and the last row of all is in the tail.  The
-    tail is solved by :func:`factor_tridiagonal`, whose pivot test is
+    tail is swept straight into its rows of x by the factorisation of
+    :func:`factor_tridiagonal` (:func:`_factorise`), whose pivot test is
     therefore on the scale of the whole matrix at least, and the levels
     are then undone in reverse, each x_e from its two neighbours.  Every
     divisor b_e at most ``_PIVOT_TOL`` ``scale`` raises LinearSolveError,
@@ -419,7 +409,7 @@ def _cyclic_reduction(system: TridiagonalSystem, scale: float) -> np.ndarray:
         if not np.abs(rows[3, :-1].reshape(-1, 1 << levels)[:, 1:]).min() > _PIVOT_TOL * scale:
             raise LinearSolveError("tridiagonal system is singular or near-singular")
         x = np.empty(total)
-        x[::1 << levels] = factor_tridiagonal(level[0, 1:], level[3], level[1, :-1])(level[2])
+        _factorise(level[0, 1:], level[3], level[1, :-1])[0](level[2], x[::1 << levels])
         for k in range(levels - 1, -1, -1):
             ratio, known = quotients[k], x[::2 << k]
             x[1 << k::2 << k] = ratio[2] - ratio[0] * known[:-1] - ratio[1] * known[1:]

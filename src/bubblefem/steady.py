@@ -9,11 +9,11 @@ with Bubnov-Galerkin weights equal to the enriched trial basis.  One
 kernel builds the three weight-trial products of many elements at once,
 at any enrichment order, from the exact unit-element tensor that the
 bubble coefficients are solved with; steady and transient assembly both
-combine its blocks.  Where lengths repeat (a uniform mesh has a few
-distinct ones), the coefficients and the kernel run once per distinct
-length and the combined blocks are gathered to the elements; on a mesh
-of mostly distinct lengths they are gathered first and the kernel runs
-per element.  Both give the same blocks bit for bit.
+combine its blocks.  At enrichment orders 2 and above the coefficients
+and the kernel run once per distinct element length (a uniform mesh has a
+few, a graded one one per element) and the combined blocks are gathered
+to the elements, bit for bit the blocks of the kernel run per element;
+linear elements run it per element.
 """
 
 from __future__ import annotations
@@ -42,10 +42,11 @@ def _distinct_shapes(
     """The element lengths to run the kernel on, the unit-element shapes of
     each, shape (n_rows, order - 1, 2), and the index that gathers the rows
     to the elements, so that ``_gather(unit, index)`` is
-    :func:`element_shapes`.  The rows are the distinct lengths when at most
-    half of the lengths are distinct (a uniform mesh has one or a few).
-    Otherwise, and at order 1 with no ``np.unique``, every element is its
-    own row: the lengths are the mesh's and the index is None.
+    :func:`element_shapes`.  At order 2 and above the rows are the sorted
+    distinct lengths (a uniform mesh has one or a few, a graded one as many
+    as it has elements).  At order 1 there are no shapes to share, and
+    every element is its own row with no ``np.unique``: the lengths are
+    the mesh's and the index is None.
 
     The fallback warning is issued ``stacklevel`` frames above the caller of
     this helper, as :func:`warnings.warn` counts them, so that every public
@@ -66,17 +67,12 @@ def _distinct_shapes(
             f"on {count} of {mesh.n_elements} elements",
             stacklevel=stacklevel + 1,
         )
-    if 2 * lengths.size > mesh.n_elements:
-        # mostly distinct: few kernel rows to save, and the gathered blocks
-        # would sit beside the row blocks (an all-distinct N = 1e5 solve
-        # peaked 1.6 MB higher, the same time within noise)
-        return mesh.lengths, _gather(unit, index), None
     return lengths, unit, index
 
 
 def _gather(rows: np.ndarray, index: np.ndarray | None) -> np.ndarray:
     """The rows of the elements, for the ``index`` of :func:`_distinct_shapes`:
-    ``rows`` itself when every element is its own row, else one ``take``
+    ``rows`` itself when every element is its own row (order 1), else one ``take``
     along the first axis, which copies whole rows where fancy indexing
     copies entry by entry (about 7x faster on (n, 2, 2) blocks)."""
     return rows if index is None else rows.take(index, axis=0)

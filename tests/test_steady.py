@@ -40,7 +40,7 @@ from bubblefem.oracles import (
     quadratic_ab_closed,
 )
 from bubblefem.enrichment import _unit_tensor
-from bubblefem.steady import _scatter, default_quad_points, element_integrals, element_shapes
+from bubblefem.steady import _scatter, default_quad_points, element_bubbles, element_integrals, element_shapes
 
 RNG_SEED = 55441
 
@@ -315,10 +315,16 @@ def recorded_block_operators(block=_BLOCK):
         yield built
 
 
+def identity(n):
+    """The n x n identity as a tridiagonal (sub, diag, sup)."""
+    return np.zeros(n - 1), np.ones(n), np.zeros(n - 1)
+
+
 def march_solve(sub, diag, sup, right=None):
-    """``v -> x`` by the step a march takes with this factorisation
-    (``linalg._march_step``), into a new array each call."""
-    step = linalg._march_step(sub, diag, sup, right)
+    """``v -> x`` by the step a march takes with this factorisation and the
+    right factor ``right``, the identity if None (``linalg._march_step``),
+    into a new array each call."""
+    step = linalg._march_step(sub, diag, sup, identity(len(diag)) if right is None else right)
 
     def solve(v):
         x = np.empty(len(diag))
@@ -334,7 +340,7 @@ def assert_row_sweep_is_kept(system, block=_BLOCK, right=None):
     that interchanged none builds them."""
     sub, diag, sup, v = system
     try:
-        swept = factor_tridiagonal(sub, diag, sup, right=right)(v)
+        swept = factor_tridiagonal(sub, diag, sup)(v if right is None else tridiagonal_matvec(*right, v))
     except LinearSolveError:
         return  # singular, or too ill-conditioned for a finite x
     with recorded_block_operators(block) as built:
@@ -494,7 +500,7 @@ class TestSolveTridiagonal:
             np.linalg.norm(reference) + np.linalg.norm(rhs, 2) * np.linalg.norm(v) / np.linalg.norm(lhs, 2))
         bad = v.copy()
         bad[data.draw(st.integers(0, size - 1))] = data.draw(st.sampled_from([math.nan, math.inf]))
-        assert np.linalg.norm(factor_tridiagonal(sub, diag, sup, right=right)(v) - reference) <= bound
+        assert np.linalg.norm(factor_tridiagonal(sub, diag, sup)(tridiagonal_matvec(*right, v)) - reference) <= bound
         with recorded_block_operators(block) as built:
             solve = march_solve(sub, diag, sup, right)
             for _ in range(2):  # every step applies the block operators
@@ -513,13 +519,9 @@ class TestSolveTridiagonal:
         factors = np.zeros(n - 1), np.full(n, 0.5), np.zeros(n - 1)
         right = np.zeros(n - 1), np.full(n, 1e308), np.zeros(n - 1)
         v = np.full(n, 1e-300)
-        first = factor_tridiagonal(*factors, right=right)(v)
+        first = factor_tridiagonal(*factors)(tridiagonal_matvec(*right, v))
         assert np.all(first == 1e308 * 1e-300 / 0.5)
         assert np.array_equal(march_solve(*factors, right)(v), first)
-
-    def test_right_factor_of_the_wrong_length(self):
-        with pytest.raises(ValueError):
-            factor_tridiagonal(np.ones(2), np.full(3, 4.0), np.ones(2), right=(np.ones(2), np.ones(2), np.ones(2)))
 
     def test_reused_factorisation_where_an_interface_operator_overflows(self):
         # superdiagonals of 2.1 over unit pivots: a block's inverse stays
@@ -570,7 +572,7 @@ class TestSolveTridiagonal:
                 with pytest.raises(LinearSolveError, match="singular"):
                     factor_tridiagonal(*entries)
                 with pytest.raises(LinearSolveError, match="singular"):
-                    linalg._march_step(*entries, None)
+                    linalg._march_step(*entries, identity(n))
 
     def test_pure_convection_is_solved_in_linear_memory(self):
         # the interior diagonal vanishes, so elimination must interchange
@@ -1188,6 +1190,19 @@ def kernel_meshes(draw):
     return Mesh1D(nodes)
 
 
+def per_element_system(coeffs, mesh, enrichment):
+    """(sub, diag, sup, rhs) of the kernel run on every element, with
+    u = 0 at the left end and a flux of -2 at the right."""
+    dd, cd, mm = element_integrals(mesh.lengths, element_shapes(coeffs, mesh, enrichment))
+    k = -coeffs.epsilon * dd + coeffs.kappa * cd + coeffs.lambda_ * mm
+    sub, diag, sup = _scatter(k)
+    # the Dirichlet row u = 0 on the blocks' scale, and the flux term
+    sub[0], diag[0], sup[0] = 0.0, np.ldexp(1.0, np.frexp(np.abs(k).max())[1] - 1), 0.0
+    rhs = np.zeros_like(diag)
+    rhs[-1] = -coeffs.epsilon * -2.0
+    return sub, diag, sup, rhs
+
+
 class TestDistinctLengthKernel:
     """Assembly runs the element kernel once per distinct length and gathers
     the blocks to the elements; the systems equal the scatter of the kernel
@@ -1212,16 +1227,36 @@ class TestDistinctLengthKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             system = assemble_steady(problem, mesh, enrichment)
-            shapes = element_shapes(coeffs, mesh, enrichment)
-        dd, cd, mm = element_integrals(mesh.lengths, shapes)
-        k = -coeffs.epsilon * dd + coeffs.kappa * cd + coeffs.lambda_ * mm
-        sub, diag, sup = _scatter(k)
-        # the Dirichlet row u = 0 on the blocks' scale, and the flux term
-        sub[0], diag[0], sup[0] = 0.0, np.ldexp(1.0, np.frexp(np.abs(k).max())[1] - 1), 0.0
-        rhs = np.zeros_like(diag)
-        rhs[-1] = -coeffs.epsilon * -2.0
-        for got, want in zip((system.sub, system.diag, system.sup, system.rhs), (sub, diag, sup, rhs)):
-            assert np.array_equal(got, want)
+            want = per_element_system(coeffs, mesh, enrichment)
+        for got, w in zip((system.sub, system.diag, system.sup, system.rhs), want):
+            assert np.array_equal(got, w)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    @pytest.mark.parametrize("n", [3, 200, 1000])
+    def test_all_distinct_lengths_take_the_distinct_length_rows(self, n, order):
+        # every length distinct: the kernel still runs on the sorted
+        # distinct lengths, and gathering its blocks to the elements gives
+        # the system and the field of the kernel run on every element
+        s = np.linspace(0.0, 1.0, n + 1)
+        s[1:-1] += np.random.default_rng(RNG_SEED + n).uniform(-0.3, 0.3, n - 1) / n
+        mesh = Mesh1D(2.0 * s**2)
+        assert np.unique(mesh.lengths).size == n
+        coeffs = TransportCoefficients(-0.2, 1.5, 3.0)
+        enrichment = polynomial_bubble(order)
+        lengths, _, index = steady._distinct_shapes(coeffs, mesh, enrichment, stacklevel=1)
+        assert index is not None and np.array_equal(lengths, np.sort(mesh.lengths))
+        assert np.array_equal(lengths[index], mesh.lengths)
+        problem = SteadyProblem(coeffs, (mesh.a, mesh.b), BoundaryCondition.dirichlet(0.0),
+                                BoundaryCondition.neumann_flux(-2.0))
+        system = assemble_steady(problem, mesh, enrichment)
+        want = per_element_system(coeffs, mesh, enrichment)
+        for got, w in zip((system.sub, system.diag, system.sup, system.rhs), want):
+            assert np.array_equal(got, w)
+        field = solve_steady(problem, mesh, enrichment)
+        nodal = solve_tridiagonal(TridiagonalSystem(*want))
+        assert np.array_equal(field.nodal_values, nodal)
+        shapes = element_shapes(coeffs, mesh, enrichment)
+        assert np.array_equal(field.bubble_coeffs, element_bubbles(shapes, nodal))
 
     @settings(max_examples=150, deadline=None)
     @given(

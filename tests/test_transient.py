@@ -984,7 +984,7 @@ class TestSolveTransient:
         state = np.sin(system.mesh.nodes[1:-1])
         out = np.empty(rows)
         for _ in range(3):
-            swept = factor_tridiagonal(l_off, l_diag, l_off, right=(r_off, r_diag, r_off))(state)
+            swept = factor_tridiagonal(l_off, l_diag, l_off)(tridiagonal_matvec(r_off, r_diag, r_off, state))
             step(state, out)
             step(state, state)
             assert np.array_equal(state, out)

@@ -4,12 +4,12 @@ inertia count of a symmetric tridiagonal.
 A one-shot solve (:func:`solve_tridiagonal`) of a diagonally dominant
 matrix is an odd-even cyclic reduction in numpy; any other matrix is
 factorised with partial pivoting and swept row by row
-(:func:`factor_tridiagonal`).  A time march solves one matrix L at every
-step with a right factor R: it factorises L once in the same way and
-applies the factors and R as block operators (:func:`_march_step`).  The count has one kernel, the count
-of a twisted factorisation at any row with its twisted pivot
-(:func:`twisted_count`), whose last-row case is the plain count
-(:func:`nonpositive_pivots`)."""
+(:func:`_factorise`).  A time march solves one matrix L at every step
+with a right factor R: it factorises L once in the same way and applies
+the factors and R as block operators (:func:`_march_step`).  The count
+has one kernel, the count of a twisted factorisation at any row with its
+twisted pivot (:func:`twisted_count`), whose last-row case is the plain
+count (:func:`nonpositive_pivots`)."""
 
 from __future__ import annotations
 
@@ -57,41 +57,9 @@ class TridiagonalSystem:
 
 def tridiagonal_matvec(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, v: np.ndarray) -> np.ndarray:
     out = diag * v
-    if diag.size > 1:
-        out[:-1] += sup * v[1:]
-        out[1:] += sub * v[:-1]
+    out[:-1] += sup * v[1:]
+    out[1:] += sub * v[:-1]
     return out
-
-
-def factor_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """LU factorisation with partial pivoting of a tridiagonal matrix L, as
-    in LAPACK ``dgttrf``: a row interchange fills one second superdiagonal
-    of U.  Returns ``solve(v)``, which gives L^-1 v by one sweep of the rows
-    as ``dgttrs`` does.  O(N) time and memory; with no interchange this is
-    the Thomas algorithm.  ``solve_tridiagonal`` calls it once, and the
-    cyclic-reduction tail sweeps its factorisation (:func:`_factorise`)
-    once; a time march, which reuses one factorisation at every step,
-    applies block operators instead (:func:`_march_step`).
-
-    A pivot of U at most ``_PIVOT_TOL`` times the largest entry of L raises
-    LinearSolveError; this pivot rule replaces the SVD condition gate of a
-    dense fallback.  ``solve`` raises it for non-finite results.  The row
-    sweep runs over Python floats and raises with no numpy warning.
-    """
-    n = len(diag)
-    sweep_rows = _factorise(sub, diag, sup)[0]
-
-    def solve(v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (n,):
-            raise ValueError(f"right-hand side has shape {v.shape}, expected ({n},)")
-        x = np.empty(n)
-        sweep_rows(v, x)
-        if not np.isfinite(x).all():
-            raise LinearSolveError("linear solve produced non-finite values")
-        return x
-
-    return solve
 
 
 def _march_step(sub, diag, sup, right) -> Callable[[np.ndarray, np.ndarray], None]:
@@ -125,9 +93,15 @@ def _march_step(sub, diag, sup, right) -> Callable[[np.ndarray, np.ndarray], Non
 
 
 def _factorise(sub, diag, sup):
-    """The factorisation of :func:`factor_tridiagonal`: its row sweep
-    ``sweep_rows(v, out)``, writing L^-1 v into out, and the factors that
-    :func:`_block_operators` takes, None if a row was interchanged."""
+    """LU factorisation with partial pivoting of the tridiagonal L =
+    (``sub``, ``diag``, ``sup``), as in LAPACK ``dgttrf``: a row
+    interchange fills one second superdiagonal of U; with none this is the
+    Thomas algorithm.  Returns the row sweep ``sweep_rows(v, out)``, which
+    writes L^-1 v into out as ``dgttrs`` does and checks neither, and the
+    factors that :func:`_block_operators` takes, None if a row was
+    interchanged.  O(N) over Python floats, with no numpy warning.  A pivot
+    of U at most ``_PIVOT_TOL`` times the largest entry of L raises
+    LinearSolveError, in place of a dense fallback's SVD condition gate."""
     n = len(diag)
     # a trailing zero on each diagonal spares the last row its special cases
     packed = np.concatenate((diag, [0.0], sub, [0.0], sup, [0.0]), dtype=float)
@@ -168,8 +142,8 @@ def _factorise(sub, diag, sup):
 def _block_operators(d, low, u1, right) -> Callable[[np.ndarray, np.ndarray], None] | None:
     """``solve(v, out)`` by blocks of ``_BLOCK`` rows, writing x into out,
     for the factors U (diagonal ``d``, superdiagonal ``u1``) and
-    multipliers ``low`` of a :func:`factor_tridiagonal` that interchanged
-    no row, and the right factor R of :func:`_march_step` (``right``, as
+    multipliers ``low`` of a :func:`_factorise` that interchanged no
+    row, and the right factor R of :func:`_march_step` (``right``, as
     (sub, diag, sup)); None if an operator overflows, so that the row sweep
     stays.
 
@@ -339,13 +313,15 @@ def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
     random meshes and boundary conditions).  Pure convection, lambda < 0
     and most systems at mesh Peclet numbers of 1 and above are not: these,
     and every system of at most ``_BLOCK`` rows, are factorised with
-    partial pivoting (:func:`factor_tridiagonal`) and swept row by row.
-    Both paths raise LinearSolveError for a pivot at most
-    ``_PIVOT_TOL`` times the largest entry of the matrix, and for a
-    non-finite result.
+    partial pivoting and swept row by row (:func:`_factorise`).  Both
+    paths raise LinearSolveError for a pivot at most ``_PIVOT_TOL`` times
+    the largest entry of the matrix, and for a non-finite result.  A
+    ``rhs`` reassigned to another shape than (N,) raises ValueError first.
     """
-    sub, diag, sup = system.sub, system.diag, system.sup
+    sub, diag, sup, rhs = system.sub, system.diag, system.sup, np.asarray(system.rhs, dtype=float)
     n = diag.size
+    if rhs.shape != (n,):
+        raise ValueError(f"right-hand side has shape {rhs.shape}, expected ({n},)")
     if n > _BLOCK:
         # |sub_{i-1}| and |sup_{i-1}| at i = 0 .. n, zero past either end
         outer = np.abs(np.concatenate(([0.0], sub, [0.0], sup, [0.0])))
@@ -355,7 +331,11 @@ def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
             by_rows, by_columns = below[:-1] + above[1:], above[:-1] + below[1:]
         if (middle >= by_rows).all() or (middle >= by_columns).all():
             return _cyclic_reduction(system, max(outer.max(), middle.max()))
-    return factor_tridiagonal(sub, diag, sup)(system.rhs)
+    x = np.empty(n)
+    _factorise(sub, diag, sup)[0](rhs, x)
+    if not np.isfinite(x).all():
+        raise LinearSolveError("linear solve produced non-finite values")
+    return x
 
 
 def _cyclic_reduction(system: TridiagonalSystem, scale: float) -> np.ndarray:
@@ -369,13 +349,13 @@ def _cyclic_reduction(system: TridiagonalSystem, scale: float) -> np.ndarray:
     are padded to q 2^L + 1 with q < ``_BLOCK``, so that every level has an
     odd number of rows, its first and last kept, and the tail left after L
     levels has at most ``_BLOCK`` rows.  The padding rows read scale x = 0;
-    there is at least one, and the last row of all is in the tail.  The
-    tail is swept straight into its rows of x by the factorisation of
-    :func:`factor_tridiagonal` (:func:`_factorise`), whose pivot test is
-    therefore on the scale of the whole matrix at least, and the levels
-    are then undone in reverse, each x_e from its two neighbours.  Every
-    divisor b_e at most ``_PIVOT_TOL`` ``scale`` raises LinearSolveError,
-    as does a non-finite result.  O(N) time and memory.
+    there is at least one, and the last row of all is in the tail.  The tail
+    is swept straight into its rows of x by the row sweep of
+    :func:`_factorise`, whose pivot test is therefore on the scale of the
+    whole matrix at least, and the levels are then undone in reverse, each
+    x_e from its two neighbours.  Every divisor b_e at most ``_PIVOT_TOL``
+    ``scale`` raises LinearSolveError, as does a non-finite result.  O(N)
+    time and memory.
     """
     n = system.size
     levels = 0

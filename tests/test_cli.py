@@ -98,8 +98,10 @@ class TestSteady:
         assert code == 1
 
     def test_invalid_bc_is_validation_error(self, capsys):
-        code, _ = run_cli(capsys, "steady", "--bc-left", "fixed=1")
-        assert code == 1
+        for bc, message in (("fixed=1", "must look like"), ("robin:1", "unknown boundary condition kind")):
+            assert main(["steady", "--bc-left", bc]) == 1
+            captured = capsys.readouterr()
+            assert message in captured.err and "Traceback" not in captured.err
 
     def test_negative_sample_count_is_a_validation_error(self, capsys):
         assert main(["steady", "--samples", "-1"]) == 1
@@ -288,6 +290,15 @@ class TestConfigAndOutput:
         code, _ = run_cli(capsys, "transient", "--sign-compat", "false", "--t-end", "0.01")
         assert code == 0
 
+    def test_sign_compat_values(self, capsys):
+        # true is the default; a word that is not a boolean is rejected
+        argv = ["transient", "--t-end", "0.01", "--format", "csv"]
+        assert run_cli(capsys, *argv, "--sign-compat", "true") == run_cli(capsys, *argv)
+        assert main([*argv, "--sign-compat", "maybe"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "expected a boolean" in captured.err and "Traceback" not in captured.err
+
     def test_initial_profile_is_fixed(self, capsys, tmp_path):
         # the initial profile is always sin x: neither a flag nor a config key sets it
         code, _ = run_cli(capsys, "transient", "--initial", "sin", "--t-end", "0.01")
@@ -322,6 +333,13 @@ class TestConfigAndOutput:
         for argv in (["--config", str(path)], flags):
             assert main(["steady", *argv]) == 1
             assert "Traceback" not in capsys.readouterr().err
+
+    def test_config_file_must_hold_an_object(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps([["elements", 4]]))
+        assert main(["steady", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert "JSON object" in captured.err and "Traceback" not in captured.err
 
     def test_missing_config_file(self, capsys):
         code, _ = run_cli(capsys, "steady", "--config", "/nonexistent/run.json")

@@ -90,6 +90,12 @@ class TestMesh1D:
         with pytest.raises(ValueError):
             Mesh1D([1.0])
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_nodes(self, bad):
+        for nodes in ([0.0, 1.0, bad], [bad, 0.0, 1.0]):
+            with pytest.raises(ValueError, match="finite"):
+                Mesh1D(nodes)
+
     def test_lengths_read_only(self):
         mesh = uniform_mesh(0.0, 1.0, 4)
         assert not mesh.lengths.flags.writeable
@@ -156,6 +162,18 @@ class TestProblems:
         with pytest.raises(ValueError):
             TransientProblem(epsilon=-1.0, domain=(0.0, math.pi), initial_profile=math.cos)
         TransientProblem(epsilon=-1.0, domain=(0.0, math.pi), initial_profile=math.sin)
+
+    @pytest.mark.parametrize("domain", [(math.pi, 0.0), (1.0, 1.0), (0.0, math.inf), (math.nan, 1.0)])
+    def test_transient_domain_must_be_a_finite_interval(self, domain):
+        with pytest.raises(ValueError, match="invalid domain"):
+            TransientProblem(epsilon=-1.0, domain=domain, initial_profile=math.sin)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_transient_coefficients_must_be_finite(self, bad):
+        for epsilon, lambda_ in ((bad, 1.0), (-1.0, bad)):
+            with pytest.raises(ValueError, match="must be finite"):
+                TransientProblem(epsilon=epsilon, domain=(0.0, math.pi), initial_profile=math.sin,
+                                 lambda_=lambda_)
 
 
 def two_element_field(bubble_value=None):

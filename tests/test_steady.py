@@ -31,7 +31,7 @@ from bubblefem import (
     uniform_mesh,
 )
 from bubblefem import linalg, steady
-from bubblefem.linalg import _BLOCK, factor_tridiagonal, tridiagonal_matvec
+from bubblefem.linalg import _BLOCK, tridiagonal_matvec
 from bubblefem.model import SolutionField
 from bubblefem.oracles import (
     element_stiffness_closed,
@@ -320,6 +320,14 @@ def identity(n):
     return np.zeros(n - 1), np.ones(n), np.zeros(n - 1)
 
 
+def row_sweep(sub, diag, sup, v):
+    """L^-1 v by the one-shot row sweep of the pivoted factorisation of L =
+    (sub, diag, sup) (``linalg._factorise``), into a new array."""
+    x = np.empty(len(diag))
+    linalg._factorise(sub, diag, sup)[0](v, x)
+    return x
+
+
 def march_solve(sub, diag, sup, right=None):
     """``v -> x`` by the step a march takes with this factorisation and the
     right factor ``right``, the identity if None (``linalg._march_step``),
@@ -340,9 +348,11 @@ def assert_row_sweep_is_kept(system, block=_BLOCK, right=None):
     that interchanged none builds them."""
     sub, diag, sup, v = system
     try:
-        swept = factor_tridiagonal(sub, diag, sup)(v if right is None else tridiagonal_matvec(*right, v))
+        swept = row_sweep(sub, diag, sup, v if right is None else tridiagonal_matvec(*right, v))
     except LinearSolveError:
-        return  # singular, or too ill-conditioned for a finite x
+        return  # singular
+    if not np.isfinite(swept).all():
+        return  # too ill-conditioned for a finite x
     with recorded_block_operators(block) as built:
         solve = march_solve(sub, diag, sup, right)
         steps = [solve(v), solve(v)]
@@ -412,7 +422,7 @@ class TestSolveTridiagonal:
         bad = rhs.copy()
         bad[data.draw(st.integers(0, len(diag) - 1))] = math.nan
         with pytest.raises(LinearSolveError):
-            factor_tridiagonal(sub, diag, sup)(bad)
+            solve_tridiagonal(TridiagonalSystem(sub, diag, sup, bad))
         assert not np.isfinite(solve(bad)).all()  # which the march raises for
         assert_row_sweep_is_kept(data.draw(pivoting_systems(st.just(size))))
 
@@ -422,7 +432,7 @@ class TestSolveTridiagonal:
         n = 2 * _BLOCK
         factors = np.zeros(n - 1), np.full(n, 2e-14), np.ones(n - 1)
         rhs = np.eye(n)[0]
-        first = factor_tridiagonal(*factors)(rhs)
+        first = row_sweep(*factors, rhs)
         assert first[0] == 5e13 and not first[1:].any()
         assert np.array_equal(march_solve(*factors)(rhs), first)
 
@@ -460,7 +470,7 @@ class TestSolveTridiagonal:
         diag = rng.choice([-1.0, 1.0], n) * (rest + rng.uniform(1.0, 2.0, n))
         condition = (rest + np.abs(diag)).max()
         rhs = rng.uniform(-1.0, 1.0, n)
-        swept = factor_tridiagonal(sub, diag, sup)(rhs)
+        swept = row_sweep(sub, diag, sup, rhs)
         with recorded_block_operators() as built:
             solve = march_solve(sub, diag, sup)
             blocked = [solve(rhs), solve(rhs)]
@@ -500,7 +510,7 @@ class TestSolveTridiagonal:
             np.linalg.norm(reference) + np.linalg.norm(rhs, 2) * np.linalg.norm(v) / np.linalg.norm(lhs, 2))
         bad = v.copy()
         bad[data.draw(st.integers(0, size - 1))] = data.draw(st.sampled_from([math.nan, math.inf]))
-        assert np.linalg.norm(factor_tridiagonal(sub, diag, sup)(tridiagonal_matvec(*right, v)) - reference) <= bound
+        assert np.linalg.norm(row_sweep(sub, diag, sup, tridiagonal_matvec(*right, v)) - reference) <= bound
         with recorded_block_operators(block) as built:
             solve = march_solve(sub, diag, sup, right)
             for _ in range(2):  # every step applies the block operators
@@ -519,7 +529,7 @@ class TestSolveTridiagonal:
         factors = np.zeros(n - 1), np.full(n, 0.5), np.zeros(n - 1)
         right = np.zeros(n - 1), np.full(n, 1e308), np.zeros(n - 1)
         v = np.full(n, 1e-300)
-        first = factor_tridiagonal(*factors)(tridiagonal_matvec(*right, v))
+        first = row_sweep(*factors, tridiagonal_matvec(*right, v))
         assert np.all(first == 1e308 * 1e-300 / 0.5)
         assert np.array_equal(march_solve(*factors, right)(v), first)
 
@@ -529,17 +539,21 @@ class TestSolveTridiagonal:
         n = _BLOCK**2
         factors = np.zeros(n - 1), np.ones(n), np.full(n - 1, 2.1)
         rhs = np.eye(n)[0]
-        assert np.array_equal(factor_tridiagonal(*factors)(rhs), rhs)
+        assert np.array_equal(row_sweep(*factors, rhs), rhs)
         assert np.array_equal(march_solve(*factors)(rhs), rhs)
 
     @pytest.mark.parametrize("n", [3, 2 * _BLOCK + 1])
     def test_right_hand_side_of_the_wrong_length(self, n):
-        solve = factor_tridiagonal(np.ones(n - 1), np.full(n, 4.0), np.ones(n - 1))
-        with pytest.raises(ValueError):
-            solve(np.ones(n + 1))
-        solve(np.ones(n))
-        with pytest.raises(ValueError):
-            solve(np.ones(n - 1))
+        # a rhs reassigned after construction, on the row sweep (n = 3) and
+        # on cyclic reduction (a dominant matrix of more than _BLOCK rows)
+        system = TridiagonalSystem(np.ones(n - 1), np.full(n, 4.0), np.ones(n - 1), np.ones(n))
+        with recorded_reductions() as reduced:
+            solve_tridiagonal(system)
+            for wrong in (n + 1, n - 1):
+                system.rhs = np.ones(wrong)
+                with pytest.raises(ValueError, match="right-hand side"):
+                    solve_tridiagonal(system)
+        assert reduced == ([n] if n > _BLOCK else [])
 
     def test_single_unknown(self):
         system = TridiagonalSystem([], [4.0], [], [2.0])
@@ -570,7 +584,7 @@ class TestSolveTridiagonal:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(LinearSolveError, match="singular"):
-                    factor_tridiagonal(*entries)
+                    linalg._factorise(*entries)
                 with pytest.raises(LinearSolveError, match="singular"):
                     linalg._march_step(*entries, identity(n))
 
@@ -596,6 +610,10 @@ class TestSolveTridiagonal:
     def test_length_validation(self):
         with pytest.raises(ValueError):
             TridiagonalSystem([1.0], [1.0, 1.0], [], [1.0, 2.0])
+
+    def test_no_unknowns(self):
+        with pytest.raises(ValueError, match="at least one unknown"):
+            TridiagonalSystem([], [], [], [])
 
 
 @contextlib.contextmanager
@@ -726,11 +744,11 @@ class TestCyclicReduction:
         )
         assume(not dominant or len(diag) <= _BLOCK)
         try:
-            want = factor_tridiagonal(sub, diag, sup)(rhs)
+            want = row_sweep(sub, diag, sup, rhs)
         except LinearSolveError:
-            want = None
+            want = None  # singular
         with recorded_reductions() as reduced:
-            if want is None:
+            if want is None or not np.isfinite(want).all():
                 with pytest.raises(LinearSolveError):
                     solve_tridiagonal(TridiagonalSystem(sub, diag, sup, rhs))
             else:
@@ -757,7 +775,7 @@ class TestCyclicReduction:
         with recorded_reductions() as reduced:
             x = solve_tridiagonal(system)
         assert reduced == []
-        assert np.array_equal(x, factor_tridiagonal(system.sub, system.diag, system.sup)(system.rhs))
+        assert np.array_equal(x, row_sweep(system.sub, system.diag, system.sup, system.rhs))
 
     def test_dominant_solve_in_linear_memory(self):
         # the steady benchmark at N = 1e5, whose dense matrix would take 80 GB;
@@ -1010,6 +1028,11 @@ class TestTensorKernel:
         rule = gauss_rule(default_quad_points(order))
         want = gauss_integrals(lengths, shapes, rule.points, rule.weights)
         self.assert_blocks_match(element_integrals(lengths, shapes), want, 1e-14)
+
+    def test_default_quad_points_stop_at_order_nine(self):
+        assert default_quad_points(9) == 10
+        with pytest.raises(ValueError, match="exceeds exact-quadrature reach"):
+            default_quad_points(10)
 
     @pytest.mark.parametrize("order", [10, 11])
     def test_beyond_gauss_oracle_reach(self, order):

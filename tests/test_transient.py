@@ -25,7 +25,6 @@ from bubblefem import (
 )
 from bubblefem import linalg, transient
 from bubblefem.linalg import (
-    factor_tridiagonal,
     nonpositive_pivots,
     tridiagonal_matvec,
     twisted_count,
@@ -854,6 +853,9 @@ class TestSolveTransient:
         for x in (math.nan, math.inf, -math.inf, -0.01, math.pi + 0.01):
             with pytest.raises(ValueError):
                 trajectory.value(x, 0.1)
+        for t in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="time must be finite"):
+                trajectory.value(1.0, t)
 
     def test_keeps_a_read_only_copy_of_the_states(self):
         system = assemble_transient(
@@ -885,6 +887,24 @@ class TestSolveTransient:
         for times in ([0.0, bad, 0.2], [bad, 0.1, 0.2], [0.0, 0.1, bad]):
             with pytest.raises(ValueError):
                 Trajectory(np.array(times), states, system)
+
+    def test_rejects_states_that_are_not_one_row_per_time(self):
+        system = assemble_transient(
+            transient_benchmark_problem(), uniform_mesh(0.0, math.pi, 4), LINEAR
+        )
+        row = [0.5, 1.0, 0.5]
+        for times, states in (([0.0, 0.1], [row]), ([0.0], [row, row]), ([0.0], row)):
+            with pytest.raises(ValueError, match="one interior vector per stored time"):
+                Trajectory(np.array(times), np.array(states), system)
+
+    @pytest.mark.parametrize("times", [[0.0, 0.0, 0.2], [0.1, 0.0, 0.2], [0.0, 0.2, 0.1]])
+    def test_rejects_times_that_do_not_increase(self, times):
+        system = assemble_transient(
+            transient_benchmark_problem(), uniform_mesh(0.0, math.pi, 4), LINEAR
+        )
+        states = np.array([[0.5, 1.0, 0.5], [0.4, 0.8, 0.4], [0.3, 0.6, 0.3]])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Trajectory(np.array(times), states, system)
 
     @pytest.mark.parametrize("width", [2, 4])
     def test_rejects_states_of_the_wrong_width(self, width):
@@ -982,9 +1002,10 @@ class TestSolveTransient:
         (l_diag, l_off), (r_diag, r_off) = step_matrix(system, 0.01), step_matrix(system, -0.01)
         step = linalg._march_step(l_off, l_diag, l_off, (r_off, r_diag, r_off))
         state = np.sin(system.mesh.nodes[1:-1])
-        out = np.empty(rows)
+        out, swept = np.empty(rows), np.empty(rows)
+        sweep_rows = linalg._factorise(l_off, l_diag, l_off)[0]
         for _ in range(3):
-            swept = factor_tridiagonal(l_off, l_diag, l_off)(tridiagonal_matvec(r_off, r_diag, r_off, state))
+            sweep_rows(tridiagonal_matvec(r_off, r_diag, r_off, state), swept)
             step(state, out)
             step(state, state)
             assert np.array_equal(state, out)
@@ -1168,6 +1189,12 @@ class TestSemiAnalytic:
         for t in (0.0, 0.3, 1.0, 5.0):
             assert solution(0.0, t) == 0.0
             assert solution(math.pi, t) == 0.0
+
+    def test_negative_time_is_rejected(self):
+        solution = semi_analytic_two_element(transient_benchmark_problem(), LINEAR)
+        assert solution(math.pi / 2, -0.0) == solution(math.pi / 2, 0.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            solution(math.pi / 2, -1e-3)
 
     def test_trapezoidal_march_approaches_semi_analytic(self):
         problem = transient_benchmark_problem()

@@ -296,12 +296,11 @@ def _cmd_transient(args) -> int:
     rate = args.epsilon - args.lambda_
     xs = np.linspace(args.a, args.b, args.x_samples + 1)
     rows = []
-    for t in trajectory.times:
-        field = trajectory.field_at(float(t))
-        for x in xs:
-            num = field.value(float(x))
-            ref = math.sin(float(x)) * math.exp(rate * float(t))
-            rows.append([float(t), float(x), num, ref, abs(num - ref)])
+    for t in trajectory.times.tolist():
+        for x in xs.tolist():
+            num = trajectory.value(x, t)
+            ref = math.sin(x) * math.exp(rate * t)
+            rows.append([t, x, num, ref, abs(num - ref)])
     _emit(["t", "x", "u_numeric", "u_exact", "abs_error"], rows, args, "transient")
     return 0
 

@@ -27,9 +27,14 @@ _BLOCK = 32  # rows per block of a march's block operators (_march_step)
 _TINY = sys.float_info.min
 
 
-@dataclass
+@dataclass(frozen=True)
 class TridiagonalSystem:
-    """Tridiagonal matrix (sub/diag/super) together with a right-hand side."""
+    """Tridiagonal matrix (sub/diag/super) together with a right-hand side,
+    of shapes (N - 1,), (N,), (N - 1,) and (N,) with N >= 1, each cast to a
+    float array once and checked at construction.  The fields cannot be
+    reassigned, so no solve checks them again; ``dataclasses.replace``
+    builds a new system and checks it.  The arrays are kept without a copy
+    and stay writable: a solve reads the entries they hold at that time."""
 
     sub: np.ndarray
     diag: np.ndarray
@@ -37,17 +42,16 @@ class TridiagonalSystem:
     rhs: np.ndarray
 
     def __post_init__(self):
-        self.sub = np.asarray(self.sub, dtype=float)
-        self.diag = np.asarray(self.diag, dtype=float)
-        self.sup = np.asarray(self.sup, dtype=float)
-        self.rhs = np.asarray(self.rhs, dtype=float)
+        for name in ("sub", "diag", "sup", "rhs"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         n = self.diag.size
         if n < 1:
             raise ValueError("system must have at least one unknown")
-        if self.rhs.size != n or self.sub.size != max(n - 1, 0) or self.sup.size != max(n - 1, 0):
+        shapes = self.sub.shape, self.diag.shape, self.sup.shape, self.rhs.shape
+        if shapes != ((n - 1,), (n,), (n - 1,), (n,)):
             raise ValueError(
-                f"inconsistent lengths: diag={n}, sub={self.sub.size}, "
-                f"sup={self.sup.size}, rhs={self.rhs.size}"
+                f"inconsistent shapes: sub={shapes[0]}, diag={shapes[1]}, "
+                f"sup={shapes[2]}, rhs={shapes[3]}"
             )
 
     @property
@@ -315,13 +319,10 @@ def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
     and every system of at most ``_BLOCK`` rows, are factorised with
     partial pivoting and swept row by row (:func:`_factorise`).  Both
     paths raise LinearSolveError for a pivot at most ``_PIVOT_TOL`` times
-    the largest entry of the matrix, and for a non-finite result.  A
-    ``rhs`` reassigned to another shape than (N,) raises ValueError first.
+    the largest entry of the matrix, and for a non-finite result.
     """
-    sub, diag, sup, rhs = system.sub, system.diag, system.sup, np.asarray(system.rhs, dtype=float)
+    sub, diag, sup = system.sub, system.diag, system.sup
     n = diag.size
-    if rhs.shape != (n,):
-        raise ValueError(f"right-hand side has shape {rhs.shape}, expected ({n},)")
     if n > _BLOCK:
         # |sub_{i-1}| and |sup_{i-1}| at i = 0 .. n, zero past either end
         outer = np.abs(np.concatenate(([0.0], sub, [0.0], sup, [0.0])))
@@ -332,7 +333,7 @@ def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
         if (middle >= by_rows).all() or (middle >= by_columns).all():
             return _cyclic_reduction(system, max(outer.max(), middle.max()))
     x = np.empty(n)
-    _factorise(sub, diag, sup)[0](rhs, x)
+    _factorise(sub, diag, sup)[0](system.rhs, x)
     if not np.isfinite(x).all():
         raise LinearSolveError("linear solve produced non-finite values")
     return x

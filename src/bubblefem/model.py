@@ -130,8 +130,9 @@ class Mesh1D:
 
     @cached_property
     def _node_list(self) -> list[float]:
-        """The nodes as Python floats, for scalar lookups; built on first use,
-        and never stale, since the nodes are read-only."""
+        """The nodes as Python floats, for scalar lookups; built on first use.
+        The nodes array is read-only, so no in-place write makes this stale,
+        but a ``nodes`` reassigned after that use is not seen here."""
         return self.nodes.tolist()
 
     def element_index(self, x: float) -> int:
@@ -226,7 +227,10 @@ class SolutionField:
     them; the coefficients of x^k (l - x) in x are d_{j,k} / l^(k+1).  The
     bubble factor s (1 - s) is kept in product form so it vanishes exactly
     at both element endpoints.  The field holds read-only copies of the
-    nodal values and amplitudes, so it cannot change after construction.
+    nodal values and amplitudes, so no in-place write changes it.  Its
+    attributes are plain ones, and one reassigned after a :meth:`value`
+    call is not seen by later calls of :meth:`value`, which keep the rows
+    they built first, while :meth:`eval_on_element` reads the new one.
     """
 
     def __init__(

@@ -14,18 +14,8 @@ system by trapezoidal steps, at most ``_MAX_STEPS`` of them and at most
 ``_MAX_STORED`` stored values, with its step matrix factorised once per
 march together with the right-hand matrix Mg - dt/2 A, so that a step is
 one call on the state that writes the next state into its stored row.
-When the factorisation interchanged no row, its block operators are
-built before the first step, and every step applies them with no Python
-loop over rows or blocks: a thin product per block of rows reads the
-state's window for the block's interface data, one interface operator
-gives every block's two carries, and one product per block of its window
-and carries writes its rows of the next state
-(:func:`~bubblefem.linalg._march_step`).  No well-posed step
-matrix (epsilon <= 0, dt lambda > -2) interchanged a row in a sweep over
-uniform, graded and jittered meshes and enrichment orders 1-9.  Rows were
-interchanged for a backward heat equation (epsilon > 0) and for
-dt lambda <= -2, where the step's amplification of the growing mode is
-negative; such a march sweeps the rows on every step.
+How a step applies the factorisation, by block operators or by a row
+sweep, is set out in :func:`~bubblefem.linalg._march_step`.
 :func:`slowest_decay_rate` finds the slowest rate by a safeguarded regula
 falsi on the twisted pivot of A - omega Mg at the peak of a tent over the
 domain, with every iterate checked by a Sturm count.  The two-element
@@ -75,7 +65,7 @@ _MAX_STEPS = 10**9  # steps per march: over five hours at 20 us a step
 _MAX_STORED = 10**9  # stored values per march, levels x interior rows: about 8 GB
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransientSystem:
     """The two interior-node matrices of Mg a' + A a = 0, each symmetric
     tridiagonal as its diagonal and off-diagonal: the mass Mg and the
@@ -353,15 +343,11 @@ class Trajectory:
             k -= 1
         return k
 
-    def _state_at(self, t: float) -> np.ndarray:
-        """Interior state at the stored time nearest to t (:meth:`_level`),
-        the row :meth:`field_at` reconstructs."""
-        return self.states[self._level(t)]
-
     def field_at(self, t: float) -> SolutionField:
-        """Solution field at the stored time nearest to t (any finite t)."""
+        """Solution field at the stored time nearest to t, for any finite t
+        (:meth:`_level`)."""
         s = self.system
-        nodal = np.concatenate(([0.0], self._state_at(t), [0.0]))
+        nodal = np.concatenate(([0.0], self.states[self._level(t)], [0.0]))
         bubbles = element_bubbles(s.shapes, nodal)
         return SolutionField(s.mesh, nodal, s.enrichment, bubbles)
 
@@ -510,6 +496,4 @@ def semi_analytic_two_element(
             raise ValueError(f"time must be nonnegative, got {t}")
         return amplitude * math.exp(-omega * t) * mode.value(x)
 
-    evaluate.decay_rate = omega
-    evaluate.amplitude = amplitude
     return evaluate

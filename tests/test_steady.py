@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -544,16 +545,24 @@ class TestSolveTridiagonal:
 
     @pytest.mark.parametrize("n", [3, 2 * _BLOCK + 1])
     def test_right_hand_side_of_the_wrong_length(self, n):
-        # a rhs reassigned after construction, on the row sweep (n = 3) and
-        # on cyclic reduction (a dominant matrix of more than _BLOCK rows)
-        system = TridiagonalSystem(np.ones(n - 1), np.full(n, 4.0), np.ones(n - 1), np.ones(n))
+        # no field can be reassigned after the construction checks, and a
+        # replaced one is checked again; on the row sweep (n = 3) and on
+        # cyclic reduction (a dominant matrix of more than _BLOCK rows).  At
+        # n = 3 the reassigned sub [1, 1, 5] is one that a mutable system
+        # solved to [0.25, 0.309, 0.513], with no error
+        system = TridiagonalSystem(np.ones(n - 1), np.full(n, 4.0), np.ones(n - 1), np.arange(1.0, n + 1))
+        dense = np.diag(system.diag) + np.diag(system.sub, -1) + np.diag(system.sup, 1)
         with recorded_reductions() as reduced:
-            solve_tridiagonal(system)
-            for wrong in (n + 1, n - 1):
-                system.rhs = np.ones(wrong)
-                with pytest.raises(ValueError, match="right-hand side"):
-                    solve_tridiagonal(system)
-        assert reduced == ([n] if n > _BLOCK else [])
+            x = solve_tridiagonal(system)
+            for name, wrong in (("sub", np.append(np.ones(n - 1), 5.0)), ("diag", np.full(n + 1, 4.0)),
+                                ("sup", np.ones(n)), ("rhs", np.ones(n + 1)), ("rhs", np.ones(n - 1))):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(system, name, wrong)
+            with pytest.raises(ValueError, match="inconsistent shapes"):
+                dataclasses.replace(system, rhs=np.ones(n + 1))
+            assert np.array_equal(solve_tridiagonal(system), x)
+        assert reduced == ([n, n] if n > _BLOCK else [])
+        assert np.allclose(x, np.linalg.solve(dense, system.rhs), rtol=1e-14, atol=0.0)
 
     def test_single_unknown(self):
         system = TridiagonalSystem([], [4.0], [], [2.0])
@@ -614,6 +623,32 @@ class TestSolveTridiagonal:
     def test_no_unknowns(self):
         with pytest.raises(ValueError, match="at least one unknown"):
             TridiagonalSystem([], [], [], [])
+
+    @pytest.mark.parametrize("n", [3, 40])
+    def test_fields_of_another_shape_raise_at_construction(self, n):
+        # a (1, N) diag and an (N, 1) rhs have the right sizes, not shapes
+        sub, diag, sup, rhs = np.ones(n - 1), np.full(n, 4.0), np.ones(n - 1), np.ones(n)
+        TridiagonalSystem(sub, diag, sup, rhs)
+        with pytest.raises(ValueError, match="inconsistent shapes"):
+            TridiagonalSystem(sub, diag.reshape(1, n), sup, rhs)
+        with pytest.raises(ValueError, match="inconsistent shapes"):
+            TridiagonalSystem(sub, diag, sup, rhs.reshape(n, 1))
+
+    @pytest.mark.parametrize("n", [3, 2 * _BLOCK + 1])
+    def test_arrays_edited_in_place_are_solved(self, n):
+        # float arrays are kept uncopied and writable: a system solves the
+        # entries it holds, bit for bit as a system built from them
+        arrays = np.ones(n - 1), np.full(n, 4.0), np.ones(n - 1), np.arange(1.0, n + 1)
+        system = TridiagonalSystem(*arrays)
+        assert all(kept is given for kept, given in zip((system.sub, system.diag, system.sup, system.rhs), arrays))
+        before = solve_tridiagonal(system)
+        system.sub[-1], system.diag[0], system.sup[0], system.rhs[1] = 1.5, 5.0, 0.5, -1.0
+        with recorded_reductions() as reduced:
+            after = solve_tridiagonal(system)
+            fresh = solve_tridiagonal(TridiagonalSystem(*(a.copy() for a in arrays)))
+        assert reduced == ([n, n] if n > _BLOCK else [])
+        assert not np.array_equal(after, before)
+        assert after.view(np.int64).tolist() == fresh.view(np.int64).tolist()
 
 
 @contextlib.contextmanager

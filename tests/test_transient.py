@@ -1,7 +1,7 @@
 import math
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -212,6 +212,17 @@ class TestElementMatrices:
 
 
 class TestAssembleTransient:
+    def test_fields_cannot_be_reassigned_and_replace_builds_a_new_system(self):
+        system = assemble_transient(transient_benchmark_problem(), uniform_mesh(0.0, math.pi, 4),
+                                    QUADRATIC_BUBBLE, sign_compat=True)
+        for name in ("mass_diag", "op_off", "mesh", "shapes"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(system, name, getattr(system, name))
+        doubled = replace(system, op_diag=2.0 * system.op_diag)
+        assert np.array_equal(doubled.op_diag, 2.0 * system.op_diag)
+        assert doubled.mass_off is system.mass_off and doubled.mesh is system.mesh
+        assert slowest_decay_rate(doubled) != slowest_decay_rate(system)
+
     def test_two_linear_elements_reduce_to_scalar(self):
         system = assemble_transient(transient_benchmark_problem(), two_element_mesh(), LINEAR)
         assert system.size == 1

@@ -296,6 +296,8 @@ class Trajectory:
     ``times`` and ``states``, one interior vector per time, may be arrays or
     lists; both are kept as read-only copies.  :func:`solve_transient`
     hands over its own arrays, which are kept read-only without a copy.
+    ``times``, ``states`` and ``system`` cannot be reassigned, so the lists
+    built from them for :meth:`value` and :meth:`field_at` stay theirs.
     """
 
     def __init__(self, times, states, system: TransientSystem):
@@ -309,7 +311,7 @@ class Trajectory:
         return trajectory
 
     def _keep(self, times: np.ndarray, states: np.ndarray, system: TransientSystem) -> None:
-        self.times, self.states = times, states
+        self._times, self._states = times, states
         times.setflags(write=False)
         states.setflags(write=False)
         if states.ndim != 2 or states.shape[0] != times.size:
@@ -320,8 +322,20 @@ class Trajectory:
             raise ValueError("stored times must be strictly increasing")
         if states.shape[1] != system.size:
             raise ValueError(f"state width {states.shape[1]} does not match system {system.size}")
-        self.system = system
+        self._system = system
         self._time_list = times.tolist()
+
+    @property
+    def times(self) -> np.ndarray:
+        return self._times
+
+    @property
+    def states(self) -> np.ndarray:
+        return self._states
+
+    @property
+    def system(self) -> TransientSystem:
+        return self._system
 
     def _level(self, t: float) -> int:
         """Index of the stored time nearest to t, for any finite t, also one
@@ -368,10 +382,11 @@ class Trajectory:
         beyond reading the element's two nodal values from the stored
         states; the amplitudes p0 u0 + p1 u1
         (:func:`~bubblefem.steady.element_bubbles`) are formed in Python
-        floats from the element's row of shapes."""
+        floats from the element's row of shapes.  This is the one scalar
+        caller of :func:`~bubblefem.model.element_values`' list branch."""
         k = self._level(t)
-        j, local, l = self.system.mesh._locate(float(x))
-        states = self.states
+        j, local, l = self._system.mesh._locate(float(x))
+        states = self._states
         u0 = states.item(k, j - 1) if j > 0 else 0.0
         u1 = states.item(k, j) if j < states.shape[1] else 0.0
         bubbles = [p0 * u0 + p1 * u1 for p0, p1 in self._shape_rows[j]]

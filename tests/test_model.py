@@ -102,6 +102,16 @@ class TestMesh1D:
         with pytest.raises(ValueError):
             mesh.lengths[0] = 1.0
 
+    def test_nodes_and_lengths_cannot_be_reassigned(self):
+        # the scalar lookups read a node list built once from ``nodes``
+        mesh = uniform_mesh(0.0, 1.0, 4)
+        assert mesh.element_index(0.3) == 1
+        for name in ("nodes", "lengths"):
+            with pytest.raises(AttributeError):
+                setattr(mesh, name, np.array([0.0, 2.0, 4.0, 6.0, 8.0]))
+        assert mesh.element_index(0.3) == 1 and (mesh.a, mesh.b) == (0.0, 1.0)
+        assert np.array_equal(mesh.lengths, np.full(4, 0.25))
+
     def test_nonuniform_lengths(self):
         mesh = Mesh1D([0.0, 0.1, 0.5, 2.0])
         assert mesh.lengths == pytest.approx([0.1, 0.4, 1.5])
@@ -230,19 +240,28 @@ class TestEvalField:
         order=st.integers(1, 6),
         start=st.floats(-3.0, 1.0),
         lengths=st.lists(st.floats(1e-3, 1.5), min_size=1, max_size=25),
+        grading=st.floats(-6.0, 2.8),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_scalar_value_is_the_element_kernel(self, order, start, lengths, seed):
-        # byte for byte, for a Python float, an np.float64 and an int
-        mesh = Mesh1D(start + np.cumsum([0.0] + lengths))
+    def test_scalar_value_is_the_element_kernel(self, order, start, lengths, grading, seed):
+        # byte for byte, for a Python float, an np.float64 and an int; each
+        # length is scaled by 10^(grading u), u uniform in [0, 1], so that a
+        # mesh mixes lengths from 1e-9 to 1e3
         rng = np.random.default_rng(seed)
+        scaled = np.array(lengths) * 10.0 ** (grading * rng.uniform(size=len(lengths)))
+        mesh = Mesh1D(start + np.cumsum(np.concatenate(([0.0], scaled))))
         n = mesh.n_elements
         nodal = rng.normal(size=n + 1) * 10.0 ** rng.uniform(-3, 3, size=n + 1)
         field = SolutionField(
             mesh, nodal, EnrichmentKind(order), rng.normal(size=(n, order - 1)) * 100.0
         )
-        xs = np.concatenate((rng.uniform(mesh.a, mesh.b, 30), mesh.nodes, [mesh.b])).tolist()
-        ints = list(range(math.ceil(mesh.a), math.floor(mesh.b) + 1))
+        inner = mesh.nodes[1:-1]
+        xs = np.concatenate((
+            rng.uniform(mesh.a, mesh.b, 30), mesh.nodes, [mesh.b],
+            np.nextafter(inner, -math.inf), np.nextafter(inner, math.inf),
+        )).tolist()
+        ints = range(math.ceil(mesh.a), math.floor(mesh.b) + 1)
+        ints = list(ints[:: max(1, len(ints) // 40)])
         for x in xs + ints:
             j = mesh.element_index(x)
             expected = field.eval_on_element(j, x - mesh.nodes[j]).tobytes()
@@ -266,6 +285,23 @@ class TestEvalField:
             assert not field.bubble_coeffs.flags.writeable
             with pytest.raises(ValueError):
                 field.nodal_values[0] = 1.0
+
+    def test_attributes_cannot_be_reassigned(self):
+        # the scalar value reads lists built once from these attributes
+        mesh = uniform_mesh(0.0, 1.0, 4)
+        field = SolutionField(mesh, 4 * mesh.nodes, QUADRATIC_BUBBLE, np.full((4, 1), 0.5))
+        before = field.value(0.3)
+        replacements = {
+            "mesh": uniform_mesh(0.0, 2.0, 4),
+            "nodal_values": np.zeros(5),
+            "enrichment": EnrichmentKind(3),
+            "bubble_coeffs": np.zeros((4, 1)),
+        }
+        for name, new in replacements.items():
+            with pytest.raises(AttributeError):
+                setattr(field, name, new)
+        assert field.value(0.3) == before
+        assert np.float64(before).tobytes() == field.eval_on_element(1, 0.3 - 0.25).tobytes()
 
     @pytest.mark.parametrize("order", [1, 2, 3, 5])
     def test_index_array_matches_single_element_calls(self, order):

@@ -887,6 +887,28 @@ class TestSolveTransient:
         assert np.array_equal(copied.states, marched.states)
         assert not copied.states.flags.writeable
 
+    def test_times_states_and_system_cannot_be_reassigned(self):
+        # value and field_at read levels from a list built once from times
+        system = assemble_transient(
+            transient_benchmark_problem(), uniform_mesh(0.0, math.pi, 4), LINEAR
+        )
+        states = np.outer([1.0, 0.9, 0.8, 0.7], [0.5, 1.0, 0.5])
+        trajectory = Trajectory(np.array([0.0, 0.1, 0.2, 0.3]), states, system)
+        before = trajectory.value(1.0, 0.35)
+        other = assemble_transient(
+            transient_benchmark_problem(), uniform_mesh(0.0, math.pi, 4), QUADRATIC_BUBBLE
+        )
+        replacements = {
+            "times": np.array([0.3, 0.4, 0.5, 0.6]),
+            "states": np.zeros((4, 3)),
+            "system": other,
+        }
+        for name, new in replacements.items():
+            with pytest.raises(AttributeError):
+                setattr(trajectory, name, new)
+        assert trajectory.value(1.0, 0.35) == before
+        assert np.array_equal(trajectory.field_at(0.35).nodal_values[1:-1], states[3])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_times(self, bad):
         # a NaN time compares false both ways, so it would pass an ordering

@@ -160,9 +160,9 @@ class Mesh1D:
         One bisection on the nodes as Python floats, with no numpy call.  Its
         upper bound leaves b out of the search, so b falls in the last
         element; x outside [a, b] or NaN raises ValueError.
-        :meth:`Trajectory.value <bubblefem.transient.Trajectory.value>` locates
-        through here; :meth:`SolutionField.value` runs the same bisection and
-        subtractions in its own frame."""
+        :meth:`SolutionField.value` and
+        :meth:`Trajectory.value <bubblefem.transient.Trajectory.value>` run
+        the same bisection and subtractions in their own frame."""
         nodes = self._node_list
         if not nodes[0] <= x <= nodes[-1]:
             raise ValueError(f"x={x} outside domain [{self.a}, {self.b}]")
@@ -294,9 +294,9 @@ class SolutionField:
         ``j`` is one element index, and ``local`` then holds points of that
         element in any shape; or ``j`` is a 1-D index array, and row i of
         ``local`` (a scalar or a 1-D row) lies on element ``j[i]``.  The
-        result has the shape of ``local``.  ``benchmarks.error_report`` and
-        ``Trajectory.value`` evaluate through :func:`element_values` too, and
-        :meth:`value` runs its float operations inline.
+        result has the shape of ``local``, evaluated by
+        :func:`element_values`, whose float operations :meth:`value` runs
+        inline.
         """
         local = np.asarray(local, dtype=float)
         j = np.asarray(j)
@@ -359,31 +359,26 @@ def _element_rows(per_element: np.ndarray) -> list[list]:
 
 
 def element_values(
-    l: np.ndarray | float,
-    u0: np.ndarray | float,
-    u1: np.ndarray | float,
-    coeffs: np.ndarray | list,
-    t: np.ndarray | float,
-) -> np.ndarray | float:
+    l: np.ndarray,
+    u0: np.ndarray,
+    u1: np.ndarray,
+    coeffs: np.ndarray,
+    t: np.ndarray,
+) -> np.ndarray:
     """The one evaluation kernel: u0 (1 - s) + u1 s + s (1 - s) p(s) with
     s = t / l at local coordinates ``t``, and p(s) = d_1 + d_2 s + ... the
     polynomial of the unit-element amplitudes ``coeffs``, by Horner's rule.
     ``l``, ``u0`` and ``u1`` broadcast against ``t``, as ``coeffs`` without
     its last axis does, so one call serves a single element or all of them.
-    Python floats for ``l``, ``u0``, ``u1`` and ``t`` with a list of floats
-    for ``coeffs`` (taken as it is) evaluate one point in floats, with no
-    numpy call and no Python-level call, bit for bit as an array
-    call would: the same operations in the same order, none fused.
-    :meth:`Trajectory.value <bubblefem.transient.Trajectory.value>` is the
-    one scalar caller of that list branch; :meth:`SolutionField.value` runs
-    the same operations inline, in its own frame."""
+    :meth:`SolutionField.value` and
+    :meth:`Trajectory.value <bubblefem.transient.Trajectory.value>` run the
+    same float operations in the same order inline, none fused, for one
+    point in Python floats."""
     s = t / l
     out = u0 * (1.0 - s) + u1 * s
-    if not isinstance(coeffs, list):
-        coeffs = [coeffs[..., k, None] for k in range(coeffs.shape[-1])]
-    if coeffs:
+    if coeffs.shape[-1]:
         poly = 0.0
-        for d in reversed(coeffs):
-            poly = poly * s + d
+        for k in reversed(range(coeffs.shape[-1])):
+            poly = poly * s + coeffs[..., k, None]
         out = out + s * (1.0 - s) * poly
     return out

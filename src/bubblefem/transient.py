@@ -17,10 +17,10 @@ one call on the state that writes the next state into its stored row.
 How a step applies the factorisation, by block operators or by a row
 sweep, is set out in :func:`~bubblefem.linalg._march_step`.
 :func:`slowest_decay_rate` finds the slowest rate by a safeguarded regula
-falsi on the twisted pivot of A - omega Mg at the peak of a tent over the
-domain, with every iterate checked by a Sturm count.  The two-element
-benchmark case is also solved in closed form through its single decaying
-mode.
+falsi on the twisted pivot of A - omega Mg at the peak of a sine arch over
+the domain, from the arch's Rayleigh quotient, with every iterate checked
+by a Sturm count.  The two-element benchmark case is also solved in
+closed form through its single decaying mode.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .model import (
     TransientProblem,
     TransportCoefficients,
     _element_rows,
-    element_values,
     uniform_mesh,
 )
 from .steady import (
@@ -148,32 +147,39 @@ def slowest_decay_rate(system: TransientSystem) -> float:
     """Decay exponent of the slowest mode: smallest omega with
     A v = omega Mg v, so solutions behave like exp(-omega t).
 
-    Mg is SPD, so the non-positive pivots of A - s Mg count the rates <= s
-    (Sylvester's law of inertia).  A bracket [lo, hi] with no rate at or
-    below lo and one at or below hi starts from the Rayleigh quotient of
-    the tent min(x - a, b - x) over the interior nodes of the system's
-    mesh, and shrinks until it is 1e-10 relative wide (or adjacent
-    floats); its upper end is returned.  A rate at or below 0 needs a step
-    down from min(0, bound); it is bracketed to 1e-10 of the first step, so
-    a zero rate (du/dt = 0) ends at exactly 0.  No rate at or below the
-    quotient, which bounds the slowest rate from above, means that the two
-    agree to rounding: the quotient is returned.  More than one means
-    either rates well below it, or several rates equal to it to rounding,
-    as for pure reaction (epsilon = 0, A = lambda Mg).  One plain count at
-    the quotient less 1e-10 of it then tells them apart: if it finds no
-    rate, the quotient is returned, after three passes where bisecting
-    took 37; otherwise that point is the new upper end.  A mesh without one
-    interior node per row raises ValueError.
+    Mg must be positive definite: a mass that is strictly diagonally
+    dominant with a positive diagonal is (Gershgorin), a test of the stored
+    entries that needs no pass over the rows; any other is checked by its
+    plain Sturm count.  Then the non-positive pivots of A - s Mg count the
+    rates <= s (Sylvester's law of inertia).  A bracket [lo, hi] with no
+    rate at or below lo and one at or below hi starts from the Rayleigh
+    quotient of the arch sin(pi (x - a) / (b - a)) over the interior nodes
+    of the system's mesh, and shrinks until it is 1e-10 relative wide (or
+    adjacent floats); its upper end is returned.  The quotient bounds the
+    slowest rate from above.  One rate at or below it makes it hi, and a
+    step down from min(0, hi) finds lo: a rate at or below 0 is bracketed
+    to 1e-10 of the first step, so a zero rate (du/dt = 0) ends at exactly
+    0.  No rate at or below it means that the two agree to rounding, as on
+    uniform meshes, where the arch is the exact discrete slowest mode: the
+    quotient is lo, and steps up from it of a quarter of the tolerance,
+    doubling, find hi.  More than one means either rates well below it, or
+    several rates equal to it to rounding, as for pure reaction
+    (epsilon = 0, A = lambda Mg).  One plain count at the quotient less
+    1e-10 of it then tells them apart: if it finds a rate, that point is
+    the new hi; if not, a plain count at the quotient confirms it as hi and
+    it is returned, after three passes where bisecting took 37, or finds
+    no rate there either, and it is lo.  A mesh without one interior node
+    per row raises ValueError.
 
     Each iterate is one twisted pass at a row r
     (:func:`~bubblefem.linalg.twisted_count`): with the count it gives
     gamma_r(s) = 1 / [(A - s Mg)^-1]_rr, which falls through 0 at the
     slowest rate and has no pole below the next one.  r is the row where
-    the tent peaks: for epsilon <= 0 the slowest mode is close to the arch
-    sin(pi (x - a) / (b - a)) on any mesh, so it is largest there.  The
-    first pass, at the quotient, is taken at r; unless it counts exactly
-    one rate, the rest of the search counts at the last row, the plain
-    count, from that pass's gamma_r on.  While hi lies on that branch (a count of 1 and
+    the arch peaks: for epsilon <= 0 the slowest mode is close to the arch
+    on any mesh, so it is largest there.  The first pass, at the quotient,
+    is taken at r; if it counts more than one rate, the rest of the search
+    counts at the last row, the plain count, from that pass's gamma_r on.
+    While hi lies on that branch (a count of 1 and
     gamma_r(hi) <= 0), the iterate is the regula falsi point of gamma_r,
     kept half a tolerance from either end; an end kept twice in a row has
     its gamma scaled down by the Anderson-Bjorck rule
@@ -193,23 +199,29 @@ def slowest_decay_rate(system: TransientSystem) -> float:
     at N = 1e5 the rows disagree by about the 1e-10 tolerance.  The plain
     count of the last row
     (:func:`~bubblefem.linalg.nonpositive_pivots`) therefore confirms both
-    ends of the bracket found at r; where it does not, the bracket widens
-    and the same loop narrows it again on that count.  On the benchmark's
-    N = 1e3 systems, uniform or graded, the call makes 11 passes over the
-    rows, against 36 for bisection alone.
+    ends of a bracket found at r; where it does not, the bracket widens by
+    a quarter of its width, doubling, and the same loop narrows it again
+    on that count.  On the benchmark's N = 1e3 systems, linear and
+    quadratic sign-compat, uniform or graded, the call makes 4-5 passes
+    over the rows, against 36 for bisection alone; the same systems make
+    5-9 at N = 1e4 and 6-10 at N = 1e5, and a jittered N = 1e5 mesh 12.
     """
     x = system.mesh.nodes[1:-1]
     if x.size != system.size:
         raise ValueError(f"mesh has {x.size} interior nodes for a system of {system.size} rows")
     m_diag, m_off = system.mass_diag, system.mass_off
-    if nonpositive_pivots(m_diag, m_off):
+    # strict diagonal dominance with a positive diagonal proves Mg positive
+    # definite (Gershgorin); rounding is monotone, so the float test is
+    # exact for the stored entries, and NaN fails it
+    reach = np.abs(np.concatenate(([0.0], m_off, [0.0])))
+    if not (m_diag > reach[:-1] + reach[1:]).all() and nonpositive_pivots(m_diag, m_off):
         raise AssemblyError("mass matrix is not positive definite")
     a_diag, a_off = system.op_diag, system.op_off
     last = system.size - 1
 
-    # the tent vanishes at both Dirichlet ends, like the slowest mode
-    v = np.minimum(x - system.mesh.a, system.mesh.b - x)
-    row = int(np.argmax(v))  # the twist row r; the last row after a first count other than 1
+    # the arch the slowest mode stays close to for epsilon <= 0
+    v = np.sin((x - system.mesh.a) * (math.pi / (system.mesh.b - system.mesh.a)))
+    row = int(np.argmax(v))  # the twist row r; the last row after a first count above 1
 
     # A - omega Mg of both diagonals in one subtraction per pass
     a_both, m_both = np.concatenate((a_diag, a_off)), np.concatenate((m_diag, m_off))
@@ -224,27 +236,40 @@ def slowest_decay_rate(system: TransientSystem) -> float:
     if not math.isfinite(hi):
         raise LinearSolveError("decay rate bound is not finite")
     count_hi, gamma_hi = shifted(hi)
-    if not count_hi:
-        return hi
-    if count_hi != 1:
+    if count_hi > 1:
         row = last
-    if count_hi > 1 and hi:
-        # several rates at or below the quotient, an upper bound of the
-        # slowest: they may all equal it to rounding, as for A = lambda Mg
-        below = hi - _EIG_TOL * abs(hi)
-        count_hi, gamma_hi = shifted(below)
-        if not count_hi:
-            return hi
-        hi = below
-    lo, step, floor = min(0.0, hi), abs(hi) or 1.0, 0.0
-    count, gamma = (count_hi, gamma_hi) if lo == hi else shifted(lo)
-    while count:
-        floor = floor or step
-        lo, step = lo - step, 2.0 * step
-        if not math.isfinite(lo):
-            raise LinearSolveError("decay rate bound is not finite")
-        count, gamma = shifted(lo)
-    gamma_lo = gamma
+        if hi:
+            # several rates at or below the quotient, an upper bound of the
+            # slowest: they may all equal it to rounding, as for A = lambda Mg
+            below = hi - _EIG_TOL * abs(hi)
+            count, gamma = shifted(below)
+            if count:
+                hi, count_hi, gamma_hi = below, count, gamma
+            else:
+                count_hi, gamma_hi = shifted(hi)
+                if count_hi:
+                    return hi
+    floor = 0.0
+    if not count_hi:
+        # the quotient is the rate to rounding: it is the lower end, and an
+        # upper end is a short step up
+        step = 0.25 * _EIG_TOL * (abs(hi) or 1.0)
+        while not count_hi:
+            lo, gamma_lo = hi, gamma_hi
+            hi, step = hi + step, 2.0 * step
+            if not math.isfinite(hi):
+                raise LinearSolveError("decay rate bound is not finite")
+            count_hi, gamma_hi = shifted(hi)
+    else:
+        lo, step = min(0.0, hi), abs(hi) or 1.0
+        count, gamma = (count_hi, gamma_hi) if lo == hi else shifted(lo)
+        while count:
+            floor = floor or step
+            lo, step = lo - step, 2.0 * step
+            if not math.isfinite(lo):
+                raise LinearSolveError("decay rate bound is not finite")
+            count, gamma = shifted(lo)
+        gamma_lo = gamma
     while True:
         lagging = 16.0 * (hi - lo)  # bisection's width, four halvings behind
         kept = 0  # 1 after hi moved, -1 after lo moved
@@ -273,7 +298,8 @@ def slowest_decay_rate(system: TransientSystem) -> float:
         if row == last:
             return hi
         # confirm both ends by the plain count, widening where it disagrees
-        row, step = last, hi - lo
+        # by a quarter of the bracket width, doubling
+        row, step = last, 0.25 * (hi - lo)
         while not (count_hi := shifted(hi)[0]):
             lo, hi, step = hi, hi + step, 2.0 * step
         while shifted(lo)[0]:
@@ -366,31 +392,46 @@ class Trajectory:
         return SolutionField(s.mesh, nodal, s.enrichment, bubbles)
 
     @cached_property
-    def _shape_rows(self) -> list[list]:
-        """The element shapes as one Python list per element
-        (:func:`~bubblefem.model._element_rows`), built on the first call of
-        :meth:`value`."""
-        return _element_rows(self.system.shapes)
+    def _lists(self) -> tuple[list[float], int, list[list[list[float]]]]:
+        """What :meth:`value` reads, built on its first call: the mesh's
+        nodes as a Python list with the index of its last node, and the
+        element shapes as one list of (p0, p1) pairs per element
+        (:func:`~bubblefem.model._element_rows`), highest power first, the
+        order in which Horner's rule takes them."""
+        mesh = self._system.mesh
+        return mesh._node_list, mesh.n_elements, _element_rows(self._system.shapes[:, ::-1])
 
     def value(self, x: float, t: float) -> float:
         """``field_at(t).value(x)`` bit for bit, from the element holding x
         only: the stored time nearest to t, for any finite t.
 
-        One level lookup (:meth:`_level`), one locate
-        (:meth:`~bubblefem.model.Mesh1D._locate`) and one
-        :func:`~bubblefem.model.element_values` call, with no numpy call
-        beyond reading the element's two nodal values from the stored
-        states; the amplitudes p0 u0 + p1 u1
-        (:func:`~bubblefem.steady.element_bubbles`) are formed in Python
-        floats from the element's row of shapes.  This is the one scalar
-        caller of :func:`~bubblefem.model.element_values`' list branch."""
+        One level lookup (:meth:`_level`), then all in this one frame, with
+        no numpy call beyond reading the element's two nodal values from
+        the stored states: the bisection of
+        :meth:`SolutionField.value <bubblefem.model.SolutionField.value>`,
+        and Horner's rule on the element's row of shapes, each amplitude
+        p0 u0 + p1 u1 (:func:`~bubblefem.steady.element_bubbles`) formed as
+        the rule takes it, the float operations of
+        :func:`~bubblefem.model.element_values` in the same order."""
         k = self._level(t)
-        j, local, l = self._system.mesh._locate(float(x))
+        x = float(x)
+        nodes, last, rows = self._lists
+        if not nodes[0] <= x <= nodes[last]:
+            raise ValueError(f"x={x} outside domain [{nodes[0]}, {nodes[last]}]")
+        j = bisect.bisect_right(nodes, x, 0, last) - 1
+        left = nodes[j]
+        s = (x - left) / (nodes[j + 1] - left)
         states = self._states
         u0 = states.item(k, j - 1) if j > 0 else 0.0
-        u1 = states.item(k, j) if j < states.shape[1] else 0.0
-        bubbles = [p0 * u0 + p1 * u1 for p0, p1 in self._shape_rows[j]]
-        return element_values(l, u0, u1, bubbles, local)
+        u1 = states.item(k, j) if j < last - 1 else 0.0
+        out = u0 * (1.0 - s) + u1 * s
+        row = rows[j]
+        if row:
+            poly = 0.0
+            for p0, p1 in row:
+                poly = poly * s + (p0 * u0 + p1 * u1)
+            out = out + s * (1.0 - s) * poly
+        return out
 
 
 def solve_transient(

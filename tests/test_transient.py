@@ -399,46 +399,73 @@ class TestDecayRates:
                     assert abs(slowest_decay_rate(system) - want) <= 1e-10 * abs(want)
 
     def test_slow_mode_vanishing_at_the_twist_row(self, monkeypatch):
-        # rates close to 1, 2, 2.5 with modes close to e_2, e_1, e_0: the tent
-        # over the uniform interior nodes, proportional to [1, 2, 1], has
-        # quotient 23/12, with one rate below it, and peaks at row 1, where
-        # the slowest mode is about 1e-6.  gamma_1 then has its pole within
-        # 1e-12 of the slowest rate, so hi is never on its branch and every
-        # step is a midpoint.
+        # rates close to 1, 2, 2.5 with modes close to e_2, e_1, e_0: the arch
+        # over the uniform interior nodes, [1, sqrt 2, 1] / sqrt 2, has
+        # quotient 15/8 + 1.4e-6, with one rate below it, and peaks at row 1,
+        # where the slowest mode is about 1e-6.  gamma_1 then has its pole
+        # within 1e-12 of the slowest rate, so hi is never on its branch and
+        # every step is a midpoint.
         system = unit_mass_system([2.5, 2.0, 1.0], [1e-6, 1e-6])
         mode = np.linalg.eigh(np.diag(system.op_diag) + np.diag(system.op_off, 1)
                               + np.diag(system.op_off, -1))[1][:, 0]
         assert abs(mode[1]) < 1e-5
         x = system.mesh.nodes[1:-1]
-        assert np.argmax(np.minimum(x - system.mesh.a, system.mesh.b - x)) == 1
-        assert twisted_count(system.op_diag - 23.0 / 12.0, system.op_off, 1)[0] == 1
+        assert np.argmax(np.sin(x - system.mesh.a)) == 1
+        assert twisted_count(system.op_diag - 15.0 / 8.0, system.op_off, 1)[0] == 1
         passes = count_passes(monkeypatch)
         omega = slowest_decay_rate(system)
         want = dense_slowest_rate(system)
         assert abs(omega - want) <= 1e-10 * abs(want)
         assert rates_at_or_below(system, omega * (1.0 - 1e-10)) == 0
         assert rates_at_or_below(system, omega) == 1
-        # a plain Sturm bisection makes 37 passes: the mass check, two counts
-        # for the lower end and 34 halvings of [0, 23/12]; the count at the
-        # quotient adds one, and the plain count's confirmation of both ends
-        # two
+        # a plain Sturm bisection makes 37 passes: the mass check, the count
+        # at 0 for the lower end and 35 halvings of [0, 15/8].  Here the
+        # identity mass needs no count; the count at the quotient adds one,
+        # and the plain count's confirmation of both ends two
         assert sum(passes) <= 42
 
+    @pytest.mark.parametrize("enrichment", [LINEAR, QUADRATIC_BUBBLE], ids=["linear", "quadratic"])
     @pytest.mark.parametrize("graded", [False, True])
-    def test_benchmark_system_pass_count(self, monkeypatch, graded):
-        # N = 1e3 quadratic sign-compat, the system of the benchmark's march,
-        # where a plain Sturm bisection makes 36 passes over the rows, on the
-        # uniform mesh and on nodes pi s^3 crowded at x = 0
+    def test_benchmark_system_pass_count(self, monkeypatch, graded, enrichment):
+        # N = 1e3 sign-compat, the systems of the benchmark's march, where a
+        # plain Sturm bisection makes 36 passes over the rows, on the uniform
+        # mesh and on nodes pi s^3 crowded at x = 0; 4-5 passes were measured
         s = np.linspace(0.0, 1.0, 1001)
         mesh = Mesh1D(math.pi * s**3) if graded else uniform_mesh(0.0, math.pi, 1000)
         system = assemble_transient(
-            transient_benchmark_problem(), mesh, QUADRATIC_BUBBLE, sign_compat=True
+            transient_benchmark_problem(), mesh, enrichment, sign_compat=True
         )
         passes = count_passes(monkeypatch)
         omega = slowest_decay_rate(system)
-        assert sum(passes) <= 12
+        assert sum(passes) <= 5
         assert rates_at_or_below(system, omega * (1.0 - 1e-10)) == 0
         assert rates_at_or_below(system, omega) >= 1
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_rate_is_the_upper_end_of_a_plain_count_bracket(self, order):
+        # uniform meshes, where the arch is the exact discrete slowest mode,
+        # so its quotient is the rate to rounding and often counts no rate:
+        # that quotient is the lower end of the bracket, not the rate
+        systems = [
+            assemble_transient(
+                TransientProblem(epsilon=epsilon, domain=(0.0, math.pi),
+                                 initial_profile=math.sin, lambda_=lambda_),
+                uniform_mesh(0.0, math.pi, n), EnrichmentKind(order), sign_compat,
+            )
+            for epsilon in (-1.0, -0.1, -10.0)
+            for lambda_ in (0.0, 1.0, 10.0, -0.5)
+            for n in (2, 3)
+            for sign_compat in (False, True)
+        ]
+        if order == 1:
+            systems += [
+                assemble_transient(transient_benchmark_problem(), uniform_mesh(0.0, math.pi, n))
+                for n in (64, 1000, 10000)
+            ]
+        for system in systems:
+            omega = slowest_decay_rate(system)
+            assert rates_at_or_below(system, omega) >= 1
+            assert rates_at_or_below(system, omega - 1e-10 * abs(omega)) == 0
 
     @pytest.mark.parametrize("n", [2, 4, 1000])
     def test_null_operator_rate_is_zero(self, n):
@@ -466,7 +493,7 @@ class TestDecayRates:
         assert omega == pytest.approx(lambda_, rel=1e-10)
         assert rates_at_or_below(system, omega * (1.0 - 1e-10)) == 0
 
-    def test_null_operator_rate_in_four_passes(self, monkeypatch):
+    def test_null_operator_rate_in_three_passes(self, monkeypatch):
         # A = 0: gamma = 0 at the quotient 0 makes the next iterate half a
         # tolerance below it, which closes the bracket [-1, 0] at once
         problem = TransientProblem(
@@ -475,8 +502,30 @@ class TestDecayRates:
         system = assemble_transient(problem, uniform_mesh(0.0, math.pi, 1000), QUADRATIC_BUBBLE)
         passes = count_passes(monkeypatch)
         assert slowest_decay_rate(system) == 0.0
-        # the mass check, the counts at 0 and at -1, and one at -5e-11
-        assert sum(passes) == 4
+        # the mass is diagonally dominant and needs no count; the counts at
+        # 0 and at -1, and one at -5e-11
+        assert sum(passes) == 3
+
+    def test_mass_that_is_not_diagonally_dominant_is_counted(self, monkeypatch):
+        # positive definite (eigenvalues 1 and 1 -+ 0.6 sqrt 2) but not
+        # dominant in its middle row: the plain count proves it, and the
+        # rate is the dense one
+        system = replace(
+            unit_mass_system([3.0, 2.0, 3.0], [-1.0, -1.0]),
+            mass_off=np.array([0.6, 0.6]),
+        )
+        counted = []
+
+        def counting(diag, off):
+            counted.append((diag, off))
+            return nonpositive_pivots(diag, off)
+
+        monkeypatch.setattr(transient, "nonpositive_pivots", counting)
+        omega = slowest_decay_rate(system)
+        diag, off = counted[0]
+        assert np.array_equal(diag, system.mass_diag) and np.array_equal(off, system.mass_off)
+        want = dense_slowest_rate(system)
+        assert abs(omega - want) <= 1e-10 * abs(want)
 
     def test_growing_mode_against_dense_eigensolver(self):
         # lambda = -10: the slowest mode grows, omega_1 close to -9

@@ -4,15 +4,17 @@ inertia count of a symmetric tridiagonal.
 A one-shot solve (:func:`solve_tridiagonal`) of a diagonally dominant
 matrix is an odd-even cyclic reduction in numpy; any other matrix is
 factorised with partial pivoting and swept row by row
-(:func:`_factorise`).  A time march solves one matrix L at every step
-with a right factor R: it factorises L once in the same way and applies
-the factors and R as block operators (:func:`_march_step`).  The count
+(:func:`_factorise`).  A time march solves one symmetric matrix L at
+every step with a right factor R: it factorises L once without pivoting,
+a pass that is also its test of positive definiteness, and applies the
+factors and R as block operators (:func:`_march_step`).  The count
 has one kernel, the count of a twisted factorisation at any row with its
 twisted pivot (:func:`twisted_count`), whose last-row case is the plain
 count (:func:`nonpositive_pivots`)."""
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -66,34 +68,53 @@ def tridiagonal_matvec(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, v: np
     return out
 
 
-def _march_step(sub, diag, sup, right) -> Callable[[np.ndarray, np.ndarray], None]:
+def _march_step(diag, off, right) -> Callable[[np.ndarray, np.ndarray], None]:
     """``step(v, out)``, writing L^-1 R v into ``out`` (which may be v), for
-    a march that reuses one factorisation of L = (``sub``, ``diag``,
-    ``sup``) at every step with the tridiagonal right factor R = ``right``,
-    given as (sub, diag, sup).  If no row was interchanged, the factors and
-    R become block operators on blocks of ``_BLOCK`` rows before the first
-    step (:func:`_block_operators`), which every step applies instead of a
-    loop over the rows.  They take O(N ``_BLOCK``) memory and about four
-    row sweeps to build (0.85-1.45 ms at N = 1e3, a row sweep 0.25-0.41 ms,
-    on a loaded 2-core AMD EPYC), so a one-shot solve never builds them.
-    ``_BLOCK`` is fixed and small: the products' cost per row grows with
-    it, and an operator over a block of U is only as accurate as the block
-    is short.  A factorisation that interchanged a row, or whose operators
-    overflow, forms R v by one explicit product and sweeps the rows at
-    every step.  Of the trapezoidal step matrices Mg + dt/2 A of
-    :mod:`~bubblefem.transient`, only those of a backward heat equation
-    (epsilon > 0) or with dt lambda <= -2 were seen to interchange rows;
-    each of their steps is a row sweep, about 18 times a block step at
-    N = 1e3 (0.25-0.41 ms against 14-21 us).
+    a march that reuses one factorisation of the symmetric tridiagonal L =
+    (``diag``, ``off``) at every step with the tridiagonal right factor R =
+    ``right``, given as (sub, diag, sup).
 
-    ``step`` checks neither v's shape nor the result; the march does.  A
-    block step fed an inf meets inf - inf in its products, and numpy warns
-    "invalid value encountered in matmul": an ``np.errstate`` to hide that
-    would cost about 0.6 us a step.
+    One pass without pivoting, low_i = off_i / d_i and d_{i+1} -= low_i
+    off_i (the float operations of :func:`_factorise` without interchanges),
+    is both L's LDL^T and its inertia test: L is positive definite exactly
+    when every pivot is positive (Sylvester), and this elimination is then
+    backward stable (Higham, *Accuracy and Stability*, ch. 9).  A pivot that
+    is not positive raises LinearSolveError with the count of L's
+    eigenvalues <= 0 (:func:`nonpositive_pivots`), for Mg + dt/2 A the modes
+    with dt omega <= -2; a positive one at most ``_PIVOT_TOL`` times the
+    largest entry, or an entry that is not finite, raises it as singular.
+
+    The factors and R become block operators on blocks of ``_BLOCK`` rows
+    before the first step (:func:`_block_operators`; non-finite ones raise),
+    in O(N ``_BLOCK``) memory and about four row sweeps' time.  ``_BLOCK``
+    is small: the cost per row grows with it, and a block operator of U is
+    only as accurate as the block is short, which leans on |low_i| <= 1.
+    Positive definiteness does not ensure that: over 3000 random marches
+    (orders 1-3, N = 2-300, uniform and random meshes) 11 of 2364 positive
+    definite step matrices had a |low_i| of 1.01-1.68, and every block step,
+    theirs included, stayed within 0.07 u cond(L) of a dense solve.
+    ``step`` checks neither v's shape nor the result, and its products may
+    warn where they overflow; the march checks each state, under one
+    ``np.errstate``.
     """
-    sweep_rows, factors = _factorise(sub, diag, sup)
-    return ((factors and _block_operators(*factors, right))
-            or (lambda v, out: sweep_rows(tridiagonal_matvec(*right, v), out)))
+    n = len(diag)
+    packed = np.concatenate((diag, off), dtype=float)
+    # a trailing zero on each diagonal spares the last row its special case
+    d, e, low = packed[:n].tolist() + [0.0], packed[n:].tolist() + [0.0], [0.0] * n
+    # the largest |entry| is max(max, -min), NaN if any entry is
+    limit = _PIVOT_TOL * float(max(packed.max(), -packed.min()))
+    for i in range(n):
+        if not d[i] > limit:
+            if d[i] <= 0.0 and math.isfinite(limit):
+                raise LinearSolveError("step matrix is not positive definite; modes with dt omega <= -2: "
+                                       f"{nonpositive_pivots(diag, off)}")
+            raise LinearSolveError("tridiagonal system is singular or near-singular")
+        low[i] = e[i] / d[i]
+        d[i + 1] -= low[i] * e[i]
+    step = _block_operators(d[:n], low, e, right)
+    if step is None:
+        raise LinearSolveError("march step operators are not finite")
+    return step
 
 
 def _factorise(sub, diag, sup):
@@ -101,11 +122,10 @@ def _factorise(sub, diag, sup):
     (``sub``, ``diag``, ``sup``), as in LAPACK ``dgttrf``: a row
     interchange fills one second superdiagonal of U; with none this is the
     Thomas algorithm.  Returns the row sweep ``sweep_rows(v, out)``, which
-    writes L^-1 v into out as ``dgttrs`` does and checks neither, and the
-    factors that :func:`_block_operators` takes, None if a row was
-    interchanged.  O(N) over Python floats, with no numpy warning.  A pivot
-    of U at most ``_PIVOT_TOL`` times the largest entry of L raises
-    LinearSolveError, in place of a dense fallback's SVD condition gate."""
+    writes L^-1 v into out as ``dgttrs`` does and checks neither.  O(N) over
+    Python floats, with no numpy warning.  A pivot of U at most
+    ``_PIVOT_TOL`` times the largest entry of L raises LinearSolveError, in
+    place of a dense fallback's SVD condition gate."""
     n = len(diag)
     # a trailing zero on each diagonal spares the last row its special cases
     packed = np.concatenate((diag, [0.0], sub, [0.0], sup, [0.0]), dtype=float)
@@ -140,19 +160,18 @@ def _factorise(sub, diag, sup):
             b[i] = (b[i] - u1[i] * b[i + 1] - u2[i] * b[i + 2]) / d[i]
         out[:] = b[:n]
 
-    return sweep_rows, None if any(swap) else (d[:n], low[:n], u1[:n])
+    return sweep_rows
 
 
 def _block_operators(d, low, u1, right) -> Callable[[np.ndarray, np.ndarray], None] | None:
     """``solve(v, out)`` by blocks of ``_BLOCK`` rows, writing x into out,
-    for the factors U (diagonal ``d``, superdiagonal ``u1``) and
-    multipliers ``low`` of a :func:`_factorise` that interchanged no
-    row, and the right factor R of :func:`_march_step` (``right``, as
-    (sub, diag, sup)); None if an operator overflows, so that the row sweep
-    stays.
+    for the pivots ``d``, multipliers ``low`` and superdiagonal ``u1`` of an
+    elimination without interchanges (:func:`_march_step`) and the right
+    factor R (``right``, as (sub, diag, sup)); None if an operator is not
+    finite.
 
-    Forward sweep over r = R v: y_0 = r_0 and y_{i+1} = r_{i+1} - l_i y_i,
-    with |l_i| <= 1 as no row was interchanged; backward sweep:
+    Forward sweep over r = R v: y_0 = r_0 and y_{i+1} = r_{i+1} - l_i y_i;
+    backward sweep:
     x_i = (y_i - u_i x_{i+1}) / d_i.  Block k's r_{kB+1..kB+B} are R's
     rows times its window v_{kB..kB+B+1} of B + 2 entries, and block 0's
     y_0 = r_0 = R_00 v_0 + R_01 v_1 lies in its window too.  So each y and
@@ -333,7 +352,7 @@ def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
         if (middle >= by_rows).all() or (middle >= by_columns).all():
             return _cyclic_reduction(system, max(outer.max(), middle.max()))
     x = np.empty(n)
-    _factorise(sub, diag, sup)[0](system.rhs, x)
+    _factorise(sub, diag, sup)(system.rhs, x)
     if not np.isfinite(x).all():
         raise LinearSolveError("linear solve produced non-finite values")
     return x
@@ -390,7 +409,7 @@ def _cyclic_reduction(system: TridiagonalSystem, scale: float) -> np.ndarray:
         if not np.abs(rows[3, :-1].reshape(-1, 1 << levels)[:, 1:]).min() > _PIVOT_TOL * scale:
             raise LinearSolveError("tridiagonal system is singular or near-singular")
         x = np.empty(total)
-        _factorise(level[0, 1:], level[3], level[1, :-1])[0](level[2], x[::1 << levels])
+        _factorise(level[0, 1:], level[3], level[1, :-1])(level[2], x[::1 << levels])
         for k in range(levels - 1, -1, -1):
             ratio, known = quotients[k], x[::2 << k]
             x[1 << k::2 << k] = ratio[2] - ratio[0] * known[:-1] - ratio[1] * known[1:]

@@ -14,8 +14,8 @@ system by trapezoidal steps, at most ``_MAX_STEPS`` of them and at most
 ``_MAX_STORED`` stored values, with its step matrix factorised once per
 march together with the right-hand matrix Mg - dt/2 A, so that a step is
 one call on the state that writes the next state into its stored row.
-How a step applies the factorisation, by block operators or by a row
-sweep, is set out in :func:`~bubblefem.linalg._march_step`.
+A step matrix that is not positive definite, which the march could not
+follow, raises before the first step (:func:`~bubblefem.linalg._march_step`).
 :func:`slowest_decay_rate` finds the slowest rate by a safeguarded regula
 falsi on the twisted pivot of A - omega Mg at the peak of a sine arch over
 the domain, from the arch's Rayleigh quotient, with every iterate checked
@@ -447,28 +447,29 @@ def solve_transient(
     interpolation of the initial profile:
     (Mg + dt/2 A) a_{k+1} = (Mg - dt/2 A) a_k, with Mg + dt/2 A factorised
     once and Mg - dt/2 A as its right factor, so that each step is
-    a_{k+1} = step(a_k) (:func:`~bubblefem.linalg._march_step`).
-    Second order, and the energy a^T Mg a never grows when A is positive
-    semidefinite.  A non-finite initial state raises LinearSolveError
-    before the first step, and a state that turns non-finite at the step
-    that makes it.  Each state is checked by the sum of its squares, one
-    call (``np.vdot``, which does not warn where it overflows), and entry
-    by entry only where that sum is not finite, as it is for finite
-    entries above about 1e154.
+    a_{k+1} = step(a_k) (:func:`~bubblefem.linalg._march_step`), by block
+    operators built before the first step (at N = 1e3 the build takes
+    1.00-1.02 ms and a step 14-21 us, its check included, on a loaded
+    2-core AMD EPYC).  Second order, and the energy a^T Mg a never grows
+    when A is positive semidefinite.  Each step is written straight into
+    its row of one (levels, rows) array, or into one spare row when it is
+    not stored, and the trajectory keeps that array without a copy.
 
-    The block operators of a factorisation that interchanged no row are
-    built before the first step, so no step sweeps the rows (at N = 1e3
-    the build takes 0.85-1.45 ms and a step 14-21 us, its check included,
-    on a loaded 2-core AMD EPYC).  Each step is written straight into its
-    row of one (levels, rows) array, or into one spare row when it is not
-    stored, and the trajectory keeps that array without a copy.
+    The step matrix is congruent to I + dt/2 Mg^-1/2 A Mg^-1/2, so it is
+    positive definite exactly when no rate has dt omega <= -2 (Sylvester),
+    the modes whose factor (1 - dt omega/2) / (1 + dt omega/2) is at most
+    -1 or undefined.  A march with any raises LinearSolveError before its
+    first step, naming their count and dt (8 for the CLI's ``transient
+    --lambda=-300 --dt 0.01 --t-end 0.05 --elements 64``).  With epsilon <=
+    0, Mg a Gram matrix and -epsilon Kg positive semidefinite, every dt
+    lambda > -2 is accepted; so is a backward heat equation (epsilon > 0)
+    at a dt small enough to leave no such mode.
 
-    A march with epsilon > 0 (a backward heat equation) or dt lambda <= -2
-    (the step then multiplies the growing mode by a negative factor) cannot
-    follow the solution, and nothing flags it: it runs to the end and
-    returns its states.  With epsilon = -1, lambda = -300, dt = 0.01 and 64
-    linear elements on [0, pi], the state at t = 0.05 and x = 2.356 is -6981
-    where the exact value is 2.2e6.
+    A non-finite initial state raises LinearSolveError before the first
+    step, and a state that turns non-finite at the step that makes it, with
+    no numpy warning.  Each state is checked by the sum of its squares
+    (``np.vdot``, which does not warn where it overflows), and entry by
+    entry only where that sum is not finite, as for entries above 1e154.
 
     The march takes ceil(t_end / dt) whole steps, so the last stored time
     can pass ``t_end``: ``dt=0.1, t_end=0.25`` ends at 0.30000000000000004.
@@ -504,25 +505,28 @@ def solve_transient(
     if not np.isfinite(state).all():
         raise LinearSolveError("initial state is not finite")
     half = 0.5 * dt
-    lhs_off = system.mass_off + half * system.op_off
     rhs_off = system.mass_off - half * system.op_off
-    step = _march_step(
-        lhs_off, system.mass_diag + half * system.op_diag, lhs_off,
-        (rhs_off, system.mass_diag - half * system.op_diag, rhs_off),
-    )
+    try:
+        step = _march_step(
+            system.mass_diag + half * system.op_diag, system.mass_off + half * system.op_off,
+            (rhs_off, system.mass_diag - half * system.op_diag, rhs_off),
+        )
+    except LinearSolveError as exc:
+        raise LinearSolveError(f"{exc} (dt = {dt!r})") from None
     # each step is written into its stored row, or else into one spare row
     spare = np.empty(rows) if store_stride > 1 else None
     level = 1
-    for k in range(1, n_steps + 1):
-        if k % store_stride == 0 or k == n_steps:
-            out = states[level]
-            level += 1
-        else:
-            out = spare
-        step(state, out)
-        if not math.isfinite(np.vdot(out, out)) and not np.isfinite(out).all():
-            raise LinearSolveError("linear solve produced non-finite values")
-        state = out
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            if k % store_stride == 0 or k == n_steps:
+                out = states[level]
+                level += 1
+            else:
+                out = spare
+            step(state, out)
+            if not math.isfinite(np.vdot(out, out)) and not np.isfinite(out).all():
+                raise LinearSolveError("linear solve produced non-finite values")
+            state = out
     times = np.append(np.arange(0, n_steps, store_stride), n_steps) * dt
     return Trajectory._of_march(times, states, system)
 

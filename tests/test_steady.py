@@ -287,33 +287,16 @@ def dominant_systems(draw, sizes=st.integers(2, 12)):
     return sub, np.sign(excess) * rest + excess, sup, np.array(rhs)
 
 
-def interchanges(sub, diag, sup):
-    """Whether elimination with partial pivoting interchanges a row: the
-    first interchange is at the first row whose subdiagonal exceeds the
-    pivot that elimination without interchanges leaves there."""
-    pivot = float(diag[0])
-    for i in range(len(sub)):
-        if abs(sub[i]) > abs(pivot):
-            return True
-        pivot = float(diag[i + 1]) - float(sub[i]) / pivot * float(sup[i])
-    return False
-
-
-@contextlib.contextmanager
-def recorded_block_operators(block=_BLOCK):
-    """Blocks of ``block`` rows, and a list that gets the block operators
-    each march step builds before it is first applied, or None where one
-    overflows (``linalg._march_step``)."""
-    built = []
-
-    def recording(*args, _build=linalg._block_operators):
-        built.append(_build(*args))
-        return built[-1]
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(linalg, "_BLOCK", block)
-        patch.setattr(linalg, "_block_operators", recording)
-        yield built
+@st.composite
+def definite_systems(draw, sizes=st.integers(2, 12)):
+    """Symmetric tridiagonals (diag, off) whose positive diagonal exceeds
+    the rest of its row by at least 1e-3: positive definite (Gershgorin),
+    with a vector v."""
+    n = draw(sizes)
+    off = np.array(draw(st.lists(magnitudes(0.1, 10.0), min_size=n - 1, max_size=n - 1)))
+    excess = np.array(draw(st.lists(st.floats(1e-3, 10.0), min_size=n, max_size=n)))
+    v = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    return np.abs(np.append(off, 0.0)) + np.abs(np.append(0.0, off)) + excess, off, np.array(v)
 
 
 def identity(n):
@@ -325,43 +308,61 @@ def row_sweep(sub, diag, sup, v):
     """L^-1 v by the one-shot row sweep of the pivoted factorisation of L =
     (sub, diag, sup) (``linalg._factorise``), into a new array."""
     x = np.empty(len(diag))
-    linalg._factorise(sub, diag, sup)[0](v, x)
+    linalg._factorise(sub, diag, sup)(v, x)
     return x
 
 
-def march_solve(sub, diag, sup, right=None):
-    """``v -> x`` by the step a march takes with this factorisation and the
-    right factor ``right``, the identity if None (``linalg._march_step``),
-    into a new array each call."""
-    step = linalg._march_step(sub, diag, sup, identity(len(diag)) if right is None else right)
+def unpivoted_factors(sub, diag, sup):
+    """Pivots d, multipliers low and superdiagonal of L = (sub, diag, sup)
+    by elimination without interchanges, with the float operations of
+    ``linalg._march_step``: low_i = sub_i / d_i, d_{i+1} = diag_{i+1} -
+    low_i sup_i."""
+    d, low = [float(diag[0])], []
+    for a, b, c in zip(np.asarray(sub, dtype=float).tolist(), diag[1:], sup):
+        low.append(a / d[-1])
+        d.append(float(b) - low[-1] * float(c))
+    return d, low, list(sup)
 
+
+def solver(apply, n):
+    """``v -> x`` by ``apply(v, out)``, into a new array each call."""
     def solve(v):
-        x = np.empty(len(diag))
-        step(np.asarray(v, dtype=float), x)
+        x = np.empty(n)
+        apply(np.asarray(v, dtype=float), x)
         return x
 
     return solve
 
 
-def assert_row_sweep_is_kept(system, block=_BLOCK, right=None):
-    """A factorisation that interchanged a row builds no block operators,
-    so every step of a march is its one-shot row sweep bit for bit; one
-    that interchanged none builds them."""
-    sub, diag, sup, v = system
-    try:
-        swept = row_sweep(sub, diag, sup, v if right is None else tridiagonal_matvec(*right, v))
-    except LinearSolveError:
-        return  # singular
-    if not np.isfinite(swept).all():
-        return  # too ill-conditioned for a finite x
-    with recorded_block_operators(block) as built:
-        solve = march_solve(sub, diag, sup, right)
-        steps = [solve(v), solve(v)]
-    if interchanges(sub, diag, sup):
-        assert built == []
-        assert all(np.array_equal(x, swept) for x in steps)
-    else:
-        assert len(built) == 1
+def block_solve(sub, diag, sup, right=None, block=_BLOCK):
+    """``v -> x`` by the block operators on blocks of ``block`` rows of the
+    unpivoted factors of L = (sub, diag, sup) and the right factor
+    ``right``, the identity if None (``linalg._block_operators``); None if
+    an operator is not finite."""
+    n = len(diag)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_BLOCK", block)
+        apply = linalg._block_operators(*unpivoted_factors(sub, diag, sup),
+                                        identity(n) if right is None else right)
+    return apply and solver(apply, n)
+
+
+def march_solve(diag, off, right=None, block=_BLOCK):
+    """``v -> x`` by the step a march takes for the symmetric L = (diag,
+    off) and the right factor ``right``, the identity if None
+    (``linalg._march_step``), on blocks of ``block`` rows."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_BLOCK", block)
+        apply = linalg._march_step(diag, off, identity(len(diag)) if right is None else right)
+    return solver(apply, len(diag))
+
+
+def assert_march_is_the_block_solve(system, block=_BLOCK, right=None):
+    """A march's step on a positive definite L is the block solve of its
+    unpivoted factors, bit for bit."""
+    diag, off, v = system
+    want = block_solve(off, diag, off, right, block)(v)
+    assert np.array_equal(march_solve(diag, off, right, block)(v), want)
 
 
 class TestSolveTridiagonal:
@@ -413,10 +414,8 @@ class TestSolveTridiagonal:
         sub, diag, sup, rhs = data.draw(dominant_systems(st.just(size)))
         dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
         condition = np.linalg.cond(dense)
-        with recorded_block_operators() as built:
-            solve = march_solve(sub, diag, sup)
-            x = solve(rhs)  # the block operators, built before the first step
-        assert len(built) == 1 and built[0] is not None
+        solve = block_solve(sub, diag, sup)  # the block operators, built before the first step
+        x = solve(rhs)
         reference = np.linalg.solve(dense, rhs)
         error = np.linalg.norm(x - reference)
         assert error <= 1e-15 * len(diag) * condition * np.linalg.norm(reference)
@@ -425,17 +424,17 @@ class TestSolveTridiagonal:
         with pytest.raises(LinearSolveError):
             solve_tridiagonal(TridiagonalSystem(sub, diag, sup, bad))
         assert not np.isfinite(solve(bad)).all()  # which the march raises for
-        assert_row_sweep_is_kept(data.draw(pivoting_systems(st.just(size))))
+        assert_march_is_the_block_solve(data.draw(definite_systems(st.just(size))))
 
     def test_reused_factorisation_where_a_block_inverse_overflows(self):
         # pivots of 2e-14 under unit superdiagonals: the inverse of a block
-        # of U overflows, while x = U^-1 e_0 is finite and stays so
+        # of U overflows, while x = U^-1 e_0 is finite; the operators are
+        # refused
         n = 2 * _BLOCK
         factors = np.zeros(n - 1), np.full(n, 2e-14), np.ones(n - 1)
-        rhs = np.eye(n)[0]
-        first = row_sweep(*factors, rhs)
+        first = row_sweep(*factors, np.eye(n)[0])
         assert first[0] == 5e13 and not first[1:].any()
-        assert np.array_equal(march_solve(*factors)(rhs), first)
+        assert block_solve(*factors) is None
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(block=st.sampled_from([2, 3, 4]), data=st.data())
@@ -450,15 +449,13 @@ class TestSolveTridiagonal:
         condition = np.linalg.cond(dense)
         bad = rhs.copy()
         bad[data.draw(st.integers(0, n - 1))] = math.nan
-        with recorded_block_operators(block) as built:
-            solve = march_solve(sub, diag, sup)
-            x = solve(rhs)
-            assert not np.isfinite(solve(bad)).all()
-        assert len(built) == 1 and built[0] is not None
+        solve = block_solve(sub, diag, sup, block=block)
+        x = solve(rhs)
+        assert not np.isfinite(solve(bad)).all()
         reference = np.linalg.solve(dense, rhs)
         error = np.linalg.norm(x - reference)
         assert error <= 1e-15 * n * condition * np.linalg.norm(reference)
-        assert_row_sweep_is_kept(data.draw(pivoting_systems(st.just(n))), block)
+        assert_march_is_the_block_solve(data.draw(definite_systems(st.just(n))), block)
 
     @pytest.mark.parametrize("n", [_BLOCK**2, _BLOCK**2 + 1, 3 * _BLOCK**2 + 7])
     def test_reused_factorisation_of_several_groups_matches_the_row_sweep(self, n):
@@ -472,21 +469,16 @@ class TestSolveTridiagonal:
         condition = (rest + np.abs(diag)).max()
         rhs = rng.uniform(-1.0, 1.0, n)
         swept = row_sweep(sub, diag, sup, rhs)
-        with recorded_block_operators() as built:
-            solve = march_solve(sub, diag, sup)
-            blocked = [solve(rhs), solve(rhs)]
-        assert len(built) == 1 and built[0] is not None
+        solve = block_solve(sub, diag, sup)
+        blocked = [solve(rhs), solve(rhs)]
         # both solves are within 1e-15 n cond ||x|| of the exact one
         bound = 2e-15 * n * condition * np.abs(swept).max()
         for x in blocked:
             assert np.abs(x - swept).max() <= bound
-        # the same magnitudes, each row's diagonal exceeding the rest of its
-        # row instead: subdiagonals larger than the pivots above them make
-        # elimination interchange rows, and the row sweep stays
-        row_rest = np.abs(np.append(0.0, sub)) + np.abs(np.append(sup, 0.0))
-        row_diag = rng.choice([-1.0, 1.0], n) * (row_rest + rng.uniform(1.0, 2.0, n))
-        assert interchanges(sub, row_diag, sup)
-        assert_row_sweep_is_kept((sub, row_diag, sup, rhs))
+        # a symmetric L with the subdiagonal's magnitudes and a positive
+        # diagonal: the march's step is the block solve
+        diag = np.abs(np.append(sub, 0.0)) + np.abs(np.append(0.0, sub)) + rng.uniform(1.0, 2.0, n)
+        assert_march_is_the_block_solve((diag, sub, rhs))
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(block=st.sampled_from([2, 3, 4]), data=st.data())
@@ -512,27 +504,29 @@ class TestSolveTridiagonal:
         bad = v.copy()
         bad[data.draw(st.integers(0, size - 1))] = data.draw(st.sampled_from([math.nan, math.inf]))
         assert np.linalg.norm(row_sweep(sub, diag, sup, tridiagonal_matvec(*right, v)) - reference) <= bound
-        with recorded_block_operators(block) as built:
-            solve = march_solve(sub, diag, sup, right)
-            for _ in range(2):  # every step applies the block operators
-                assert np.linalg.norm(solve(v) - reference) <= bound
-            # inf - inf in the products is NaN, which numpy reports
-            with np.errstate(invalid="ignore"):
-                assert not np.isfinite(solve(bad)).all()
-        assert len(built) == 1 and built[0] is not None
-        assert_row_sweep_is_kept(data.draw(pivoting_systems(st.just(size))), block, right)
+        solve = block_solve(sub, diag, sup, right, block)
+        for _ in range(2):  # every step applies the block operators
+            assert np.linalg.norm(solve(v) - reference) <= bound
+        # inf - inf in the products is NaN, which numpy reports
+        with np.errstate(invalid="ignore"):
+            assert not np.isfinite(solve(bad)).all()
+        assert_march_is_the_block_solve(data.draw(definite_systems(st.just(size))), block, right)
 
     def test_reused_factorisation_where_the_fused_right_factor_overflows(self):
         # pivots of 0.5 under a right factor of 1e308: each block's x over
         # its window, (block inverse) R_k, overflows, while L^-1 R v is 2e8
-        # for v = 1e-300
+        # for v = 1e-300; the positive definite L = I / 2 is refused, with
+        # no warning
         n = 2 * _BLOCK
-        factors = np.zeros(n - 1), np.full(n, 0.5), np.zeros(n - 1)
+        diag, off = np.full(n, 0.5), np.zeros(n - 1)
         right = np.zeros(n - 1), np.full(n, 1e308), np.zeros(n - 1)
         v = np.full(n, 1e-300)
-        first = row_sweep(*factors, tridiagonal_matvec(*right, v))
-        assert np.all(first == 1e308 * 1e-300 / 0.5)
-        assert np.array_equal(march_solve(*factors, right)(v), first)
+        assert np.all(row_sweep(off, diag, off, tridiagonal_matvec(*right, v)) == 1e308 * 1e-300 / 0.5)
+        assert block_solve(off, diag, off, right) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LinearSolveError, match="not finite"):
+                linalg._march_step(diag, off, right)
 
     def test_reused_factorisation_where_an_interface_operator_overflows(self):
         # superdiagonals of 2.1 over unit pivots: a block's inverse stays
@@ -541,7 +535,7 @@ class TestSolveTridiagonal:
         factors = np.zeros(n - 1), np.ones(n), np.full(n - 1, 2.1)
         rhs = np.eye(n)[0]
         assert np.array_equal(row_sweep(*factors, rhs), rhs)
-        assert np.array_equal(march_solve(*factors)(rhs), rhs)
+        assert block_solve(*factors) is None
 
     @pytest.mark.parametrize("n", [3, 2 * _BLOCK + 1])
     def test_right_hand_side_of_the_wrong_length(self, n):
@@ -595,7 +589,27 @@ class TestSolveTridiagonal:
                 with pytest.raises(LinearSolveError, match="singular"):
                     linalg._factorise(*entries)
                 with pytest.raises(LinearSolveError, match="singular"):
-                    linalg._march_step(*entries, identity(n))
+                    linalg._march_step(entries[1], entries[0 if which == 0 else 2], identity(n))
+
+    @pytest.mark.parametrize("diag, off", [
+        ([-1.0], []), ([2.0, 2.0, 2.0, 2.0], [3.0, 3.0, 3.0]), ([0.0, 0.0, 0.0], [0.0, 0.0]),
+        ([4.0, 1.0, -4.0, 1.0, 4.0], [1.0, 1.0, 1.0, 1.0]),
+    ])
+    def test_march_refuses_a_step_matrix_that_is_not_positive_definite(self, diag, off):
+        # the first pivot that is not positive raises, and the message
+        # counts every eigenvalue <= 0 of the whole matrix
+        diag, off = np.array(diag), np.array(off)
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        count = int(np.count_nonzero(np.linalg.eigvalsh(dense) <= 0.0))
+        assert count >= 1
+        with pytest.raises(LinearSolveError, match=rf"not positive definite; .*<= -2.*: {count}$"):
+            linalg._march_step(diag, off, identity(diag.size))
+
+    def test_march_refuses_a_positive_pivot_under_the_pivot_tolerance(self):
+        # pivots 1, 1e-15 and 1 of a positive definite L: singular to the
+        # pivot test, as in a one-shot solve
+        with pytest.raises(LinearSolveError, match="singular"):
+            linalg._march_step(np.array([1.0, 1e-15, 1.0]), np.zeros(2), identity(3))
 
     def test_pure_convection_is_solved_in_linear_memory(self):
         # the interior diagonal vanishes, so elimination must interchange

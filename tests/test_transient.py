@@ -5,7 +5,7 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bubblefem import (
     AssemblyError,
@@ -138,24 +138,6 @@ def recorded_block_operators(monkeypatch):
 
     monkeypatch.setattr(linalg, "_block_operators", recording)
     return built
-
-
-def recorded_row_sweeps(monkeypatch):
-    """A list that gets one entry for each row sweep of every factorisation
-    made from now on."""
-    swept = []
-
-    def factorise(*args, _factorise=linalg._factorise):
-        sweep_rows, factors = _factorise(*args)
-
-        def counting(v, out):
-            swept.append(1)
-            sweep_rows(v, out)
-
-        return counting, factors
-
-    monkeypatch.setattr(linalg, "_factorise", factorise)
-    return swept
 
 
 def kernel_entries(epsilon, l, c):
@@ -840,7 +822,7 @@ class TestSolveTransient:
         system = assemble_transient(problem, mesh, LINEAR)
         lhs_diag, lhs_off = step_matrix(system, 0.01)
         rhs_diag, rhs_off = step_matrix(system, -0.01)
-        step = linalg._march_step(lhs_off, lhs_diag, lhs_off, (rhs_off, rhs_diag, rhs_off))
+        step = linalg._march_step(lhs_diag, lhs_off, (rhs_off, rhs_diag, rhs_off))
         state = np.sin(mesh.nodes[1:-1])
         step(state, state)
         state[n // 3 - 1] = bad
@@ -1020,10 +1002,10 @@ class TestSolveTransient:
         assert distance <= 2 * row_sweep_distance
 
     # (epsilon, dt lambda, elements, dt, mesh, order, sign_compat, blocks):
-    # well-posed step matrices Mg + dt/2 A interchange no row, so the
-    # march builds block operators before its first step and sweeps no
-    # row; a backward heat equation (epsilon > 0) and dt lambda <= -2
-    # interchange rows and sweep them on every step
+    # well-posed step matrices Mg + dt/2 A are positive definite, so the
+    # march builds block operators before its first step; with dt lambda
+    # <= -2, and here for a backward heat equation (epsilon > 0), some
+    # modes have dt omega <= -2, and the march raises before its first step
     @pytest.mark.parametrize("epsilon, dt_lambda, n, dt, graded, order, compat, blocks", [
         # the benchmark march: N = 1e3, dt = 1e-3, linear and quadratic sign-compat
         (-1.0, 1e-3, 1000, 1e-3, False, 1, False, True),
@@ -1034,7 +1016,7 @@ class TestSolveTransient:
         *((-1.0, -3.0, 100, 0.01, False, order, False, False) for order in (1, 2, 3)),
         *((0.5, 0.01, 100, 0.01, False, order, False, False) for order in (1, 2, 3)),
     ])
-    def test_block_operators_only_for_marches_without_interchanges(
+    def test_block_operators_only_for_positive_definite_step_matrices(
         self, monkeypatch, epsilon, dt_lambda, n, dt, graded, order, compat, blocks
     ):
         problem = TransientProblem(epsilon=epsilon, domain=(0.0, math.pi), initial_profile=math.sin,
@@ -1042,37 +1024,98 @@ class TestSolveTransient:
         s = np.linspace(0.0, 1.0, n + 1)
         mesh = Mesh1D(math.pi * s**3) if graded else uniform_mesh(0.0, math.pi, n)
         built = recorded_block_operators(monkeypatch)
-        swept = recorded_row_sweeps(monkeypatch)
         steps = 10
+        if not blocks:
+            refusal = rf"dt omega <= -2.*: [1-9]\d* \(dt = {re.escape(repr(dt))}\)$"
+            with pytest.raises(LinearSolveError, match=refusal):
+                solve_transient(problem, mesh, EnrichmentKind(order), dt=dt, t_end=steps * dt,
+                                sign_compat=compat)
+            assert built == []
+            return
         trajectory = solve_transient(problem, mesh, EnrichmentKind(order), dt=dt, t_end=steps * dt,
                                      sign_compat=compat)
-        if blocks:
-            assert len(built) == 1 and built[0] is not None
-            assert swept == []
-        else:
-            assert built == []
-            assert len(swept) == steps
+        assert len(built) == 1 and built[0] is not None
         # each step against one dense np.linalg.solve from the march's own
-        # previous state, within 1e-13 relative to it; these cases read at
-        # most 2.3e-14 (dt lambda = -3, linear).  A dense march is no
-        # reference where rows interchange: it amplifies its own rounding
-        # by the growing modes, and after 10 steps it stood 0.5-1.9
-        # (epsilon = 0.5) and 7e-4-0.4 (dt lambda = -3) from the row sweep,
-        # relative to the state
+        # previous state, within 1e-13 relative to it
         lhs, rhs = (full_matrix(*step_matrix(trajectory.system, h)) for h in (dt, -dt))
         for before, state in zip(trajectory.states, trajectory.states[1:]):
             exact = np.linalg.solve(lhs, rhs @ before)
             assert np.linalg.norm(state - exact) <= 1e-13 * np.linalg.norm(exact)
 
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(epsilon=st.floats(-10.0, 0.0), dt_lambda=st.floats(-2.0 + 1e-9, 10.0), dt=st.floats(1e-4, 1.0),
+           n=st.integers(2, 60), order=st.integers(1, 9), compat=st.booleans(),
+           mesh_kind=st.sampled_from(["uniform", "graded", "jittered"]), seed=st.integers(0, 2**32 - 1))
+    def test_well_posed_marches_are_never_refused(
+        self, epsilon, dt_lambda, dt, n, order, compat, mesh_kind, seed
+    ):
+        # L = (1 + dt lambda / 2) Mg + dt/2 Kg, with the mass Mg a Gram
+        # matrix and Kg = -epsilon int w' w' positive semidefinite for
+        # epsilon <= 0: L is positive definite for every dt lambda > -2, so
+        # the march builds its block operators and raises nothing.  dt
+        # lambda stays 1e-9 above -2, where rounding (1e-16 relative to Mg)
+        # cannot turn 1 + dt lambda / 2 non-positive
+        rng = np.random.default_rng(seed)
+        if mesh_kind == "uniform":
+            mesh = uniform_mesh(0.0, math.pi, n)
+        elif mesh_kind == "graded":
+            mesh = Mesh1D(math.pi * np.linspace(0.0, 1.0, n + 1) ** rng.uniform(1.0, 3.0))
+        else:
+            mesh = jittered_mesh(n, rng)
+        problem = TransientProblem(epsilon=epsilon, domain=(0.0, math.pi), initial_profile=math.sin,
+                                   lambda_=dt_lambda / dt)
+        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "bubble coefficients degenerate")
+            built = recorded_block_operators(patch)
+            trajectory = solve_transient(problem, mesh, EnrichmentKind(order), dt=dt, t_end=2 * dt,
+                                         sign_compat=compat and order == 2)
+        assert len(built) == 1 and built[0] is not None
+        assert trajectory.states.shape == (3, n - 1)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(epsilon=st.floats(-5.0, 5.0), lambda_=st.floats(-100.0, 100.0),
+           dt=st.floats(1e-3, 0.5) | st.floats(-0.5, -1e-3), n=st.integers(2, 40), order=st.integers(1, 3),
+           graded=st.booleans())
+    def test_refused_count_is_the_sylvester_count(self, epsilon, lambda_, dt, n, order, graded):
+        # the count a refused march names is that of the rates omega with
+        # dt omega <= -2, from a dense Cholesky reduction and eigvalsh; a
+        # negative dt is the right factor Mg - |dt|/2 A, which the march
+        # does not take, so its step matrix goes to _march_step itself.
+        # Draws where some dt omega lies within 1e-8 (2 + max |dt omega|) of
+        # -2 are skipped: rounding of the step matrix can move it across
+        s = np.linspace(0.0, 1.0, n + 1)
+        mesh = Mesh1D(math.pi * s**2) if graded else uniform_mesh(0.0, math.pi, n)
+        problem = TransientProblem(epsilon=epsilon, domain=(0.0, math.pi), initial_profile=math.sin,
+                                   lambda_=lambda_)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "bubble coefficients degenerate")
+            system = assemble_transient(problem, mesh, EnrichmentKind(order), sign_compat=order == 2)
+        lower = np.linalg.cholesky(full_matrix(system.mass_diag, system.mass_off))
+        inv = np.linalg.inv(lower)
+        scaled = dt * np.linalg.eigvalsh(inv @ full_matrix(system.op_diag, system.op_off) @ inv.T)
+        assume(np.abs(scaled + 2.0).min() > 1e-8 * (2.0 + np.abs(scaled).max()))
+        count = int(np.count_nonzero(scaled <= -2.0))
+        (l_diag, l_off), (r_diag, r_off) = step_matrix(system, dt), step_matrix(system, -dt)
+        if not count:
+            linalg._march_step(l_diag, l_off, (r_off, r_diag, r_off))
+        elif dt < 0.0:
+            with pytest.raises(LinearSolveError, match=rf"not positive definite; .*: {count}$"):
+                linalg._march_step(l_diag, l_off, (r_off, r_diag, r_off))
+        else:
+            refusal = rf"dt omega <= -2.*: {count} \(dt = {re.escape(repr(dt))}\)$"
+            with pytest.raises(LinearSolveError, match=refusal):
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "bubble coefficients degenerate")
+                    solve_transient(problem, mesh, EnrichmentKind(order), dt=dt, t_end=dt,
+                                    sign_compat=order == 2)
+
     @pytest.mark.parametrize("rows", [33, 1025, 2100])  # two blocks, two groups, three groups
-    def test_march_builds_before_its_first_step_and_sweeps_no_row(self, monkeypatch, rows):
+    def test_march_builds_its_operators_before_its_first_step(self, monkeypatch, rows):
         built = recorded_block_operators(monkeypatch)
-        swept = recorded_row_sweeps(monkeypatch)
         trajectory = solve_transient(transient_benchmark_problem(), uniform_mesh(0.0, math.pi, rows + 1),
                                      QUADRATIC_BUBBLE, dt=0.01, t_end=0.1, sign_compat=True)
         assert trajectory.states.shape == (11, rows)
         assert len(built) == 1 and built[0] is not None
-        assert swept == []
 
     @pytest.mark.parametrize("rows", [1, 31, 33, 1025, 2100])  # one block, then one to three groups
     def test_march_step_writes_in_place_bit_for_bit(self, rows):
@@ -1082,10 +1125,10 @@ class TestSolveTransient:
         system = assemble_transient(transient_benchmark_problem(), uniform_mesh(0.0, math.pi, rows + 1),
                                     QUADRATIC_BUBBLE, sign_compat=True)
         (l_diag, l_off), (r_diag, r_off) = step_matrix(system, 0.01), step_matrix(system, -0.01)
-        step = linalg._march_step(l_off, l_diag, l_off, (r_off, r_diag, r_off))
+        step = linalg._march_step(l_diag, l_off, (r_off, r_diag, r_off))
         state = np.sin(system.mesh.nodes[1:-1])
         out, swept = np.empty(rows), np.empty(rows)
-        sweep_rows = linalg._factorise(l_off, l_diag, l_off)[0]
+        sweep_rows = linalg._factorise(l_off, l_diag, l_off)
         for _ in range(3):
             sweep_rows(tridiagonal_matvec(r_off, r_diag, r_off, state), swept)
             step(state, out)
@@ -1098,13 +1141,13 @@ class TestSolveTransient:
            seed=st.integers(0, 2**32 - 1))
     def test_march_with_a_random_right_factor_matches_dense_solves(self, size, seed):
         # Mg and A such that dt = 2 makes the step matrix L = Mg + A a random
-        # symmetric tridiagonal whose diagonal exceeds the rest of its row by
-        # 1 to 2 (so no interchange, and ||L^-1||_inf <= 1) and its right
-        # factor R = Mg - A a random symmetric tridiagonal
+        # symmetric tridiagonal whose positive diagonal exceeds the rest of
+        # its row by 1 to 2 (so L is positive definite, and ||L^-1||_inf <=
+        # 1) and its right factor R = Mg - A a random symmetric tridiagonal
         rng = np.random.default_rng(seed)
         off = rng.uniform(-1.0, 1.0, size - 1)
         rest = np.abs(np.append(off, 0.0)) + np.abs(np.append(0.0, off))
-        l_diag = rng.choice([-1.0, 1.0], size) * (rest + rng.uniform(1.0, 2.0, size))
+        l_diag = rest + rng.uniform(1.0, 2.0, size)
         r_diag, r_off = rng.uniform(-2.0, 2.0, size), rng.uniform(-2.0, 2.0, size - 1)
         mesh = uniform_mesh(0.0, math.pi, size + 1)
         system = TransientSystem(
@@ -1117,10 +1160,8 @@ class TestSolveTransient:
                                    initial_profile=lambda x: float(np.interp(x, mesh.nodes, nodal)))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(transient, "_assemble_transient", lambda *args: system)
-            swept = recorded_row_sweeps(patch)
             every, strided = [solve_transient(problem, mesh, LINEAR, dt=2.0, t_end=14.0, store_stride=stride)
                               for stride in (1, 3)]
-        assert swept == []
         assert np.array_equal(every.states[0], nodal[1:-1])
         # every third step stored, and the last: the same states bit for bit
         assert np.array_equal(strided.states, every.states[[0, 3, 6, 7]])
@@ -1214,12 +1255,13 @@ class TestSineModeMarch:
 
 class TestMarchScaling:
     # (n, order, dt lambda): one block, several blocks and several groups
-    # of blocks, and the row sweep of a step matrix that interchanges rows
+    # of blocks, and a march whose slowest modes grow by a factor of about
+    # 39 a step
     @pytest.mark.parametrize("n, order, dt_lambda", [
         *((n, order, 0.01) for n in (8, 1000, 2100) for order in (1, 2)),
-        (1000, 1, -3.0), (1000, 2, -3.0),
+        (1000, 1, -1.9), (1000, 2, -1.9),
     ])
-    def test_power_of_two_profile_scales_every_state_exactly(self, monkeypatch, n, order, dt_lambda):
+    def test_power_of_two_profile_scales_every_state_exactly(self, n, order, dt_lambda):
         # 2^600 sin x: every product scales exactly, so every state is 2^600
         # times that of sin x bit for bit; the states' squares overflow, which
         # the march's finiteness check must take for finite, with no warning
@@ -1227,7 +1269,6 @@ class TestMarchScaling:
         problem = TransientProblem(epsilon=-1.0, domain=(0.0, math.pi), initial_profile=math.sin,
                                    lambda_=dt_lambda / 0.01)
         mesh, enrichment = uniform_mesh(0.0, math.pi, n), EnrichmentKind(order)
-        swept = recorded_row_sweeps(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             plain, scaled = (
@@ -1237,18 +1278,21 @@ class TestMarchScaling:
             )
         assert np.abs(scaled.states).max() > 2.0**512  # past the square root of the largest float
         assert np.array_equal(scaled.states, scale * plain.states)
-        assert len(swept) == (20 if dt_lambda == -3.0 else 0)
 
     def test_overflowing_march_raises_without_a_warning(self):
-        # dt lambda = -3 amplifies the growing modes at every step: the
-        # states pass 1e154, where their squares overflow, and then the
-        # largest float, which raises at the step that makes it
-        problem = TransientProblem(epsilon=-1.0, domain=(0.0, math.pi), initial_profile=math.sin,
-                                   lambda_=-300.0)
+        # dt lambda = -1.5, a positive definite step matrix: the slowest
+        # mode grows by about 6.8 a step from 1e200 sin x, and its states
+        # pass 1e154, where their squares overflow; 129 steps stay finite
+        # and the 130th passes the largest float, which raises at that step
+        problem = TransientProblem(epsilon=-1.0, domain=(0.0, math.pi),
+                                   initial_profile=lambda x: 1e200 * math.sin(x), lambda_=-150.0)
+        mesh = uniform_mesh(0.0, math.pi, 64)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            trajectory = solve_transient(problem, mesh, LINEAR, dt=0.01, t_end=129 * 0.01)
+            assert trajectory.states.shape[0] == 130 and np.abs(trajectory.states[-1]).max() > 1e307
             with pytest.raises(LinearSolveError, match="non-finite"):
-                solve_transient(problem, uniform_mesh(0.0, math.pi, 64), LINEAR, dt=0.01, t_end=2.0)
+                solve_transient(problem, mesh, LINEAR, dt=0.01, t_end=130 * 0.01)
 
 
 class TestSemiAnalytic:

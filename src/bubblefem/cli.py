@@ -13,7 +13,8 @@ parsed again, so file values pass the same type and choice checks as flags,
 ``null`` leaves an option at its default and explicit flags override the file.
 ``transient`` fills ``u_exact`` on every run: its initial profile is ``sin x``
 and the domain ends are zeros of it, so ``sin x exp((epsilon - lambda) t)`` is
-exact.  Exit codes: 0 success, 1 invalid input, 2 numerical failure,
+exact, and where it is past the largest float ``u_exact`` and ``abs_error``
+are left empty.  Exit codes: 0 success, 1 invalid input, 2 numerical failure,
 3 acceptance-test failure.
 """
 
@@ -278,6 +279,19 @@ def _cmd_steady(args) -> int:
     return 0
 
 
+def _sine_decay(x: float, exponent: float) -> float | None:
+    """sin x exp(``exponent``): that product where exp does not overflow,
+    else +-exp(log |sin x| + ``exponent``), None past the largest float."""
+    sine = math.sin(x)
+    try:
+        return sine * math.exp(exponent)
+    except OverflowError:
+        try:
+            return math.copysign(math.exp(math.log(abs(sine)) + exponent), sine) if sine else 0.0
+        except OverflowError:
+            return None
+
+
 def _cmd_transient(args) -> int:
     problem = TransientProblem(
         epsilon=args.epsilon, domain=(args.a, args.b),
@@ -299,8 +313,8 @@ def _cmd_transient(args) -> int:
     for t in trajectory.times.tolist():
         for x in xs.tolist():
             num = trajectory.value(x, t)
-            ref = math.sin(x) * math.exp(rate * t)
-            rows.append([t, x, num, ref, abs(num - ref)])
+            ref = _sine_decay(x, rate * t)
+            rows.append([t, x, num, ref, None if ref is None else abs(num - ref)])
     _emit(["t", "x", "u_numeric", "u_exact", "abs_error"], rows, args, "transient")
     return 0
 

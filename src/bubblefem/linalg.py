@@ -3,14 +3,14 @@ inertia count of a symmetric tridiagonal.
 
 A one-shot solve (:func:`solve_tridiagonal`) of a diagonally dominant
 matrix is an odd-even cyclic reduction in numpy; any other matrix is
-factorised with partial pivoting and swept row by row
-(:func:`_factorise`).  A time march solves one symmetric matrix L at
-every step with a right factor R: it factorises L once without pivoting,
-a pass that is also its test of positive definiteness, and applies the
-factors and R as block operators (:func:`_march_step`).  The count
-has one kernel, the count of a twisted factorisation at any row with its
-twisted pivot (:func:`twisted_count`), whose last-row case is the plain
-count (:func:`nonpositive_pivots`)."""
+eliminated with partial pivoting in one pass over the rows that carries
+the right-hand side, then back-substituted (:func:`_row_sweep`).  A time
+march solves one symmetric matrix L at every step with a right factor R:
+it factorises L once without pivoting, a pass that is also its test of
+positive definiteness, and applies the factors and R as block operators
+(:func:`_march_step`).  The count has one kernel, the count of a twisted
+factorisation at any row with its twisted pivot (:func:`twisted_count`),
+whose last-row case is the plain count (:func:`nonpositive_pivots`)."""
 
 from __future__ import annotations
 
@@ -75,13 +75,15 @@ def _march_step(diag, off, right) -> Callable[[np.ndarray, np.ndarray], None]:
     ``right``, given as (sub, diag, sup).
 
     One pass without pivoting, low_i = off_i / d_i and d_{i+1} -= low_i
-    off_i (the float operations of :func:`_factorise` without interchanges),
+    off_i (the float operations of :func:`_row_sweep` without interchanges),
     is both L's LDL^T and its inertia test: L is positive definite exactly
     when every pivot is positive (Sylvester), and this elimination is then
-    backward stable (Higham, *Accuracy and Stability*, ch. 9).  A pivot that
-    is not positive raises LinearSolveError with the count of L's
-    eigenvalues <= 0 (:func:`nonpositive_pivots`), for Mg + dt/2 A the modes
-    with dt omega <= -2; a positive one at most ``_PIVOT_TOL`` times the
+    backward stable (Higham, *Accuracy and Stability*, ch. 9).  A pivot d_i
+    that is not positive raises LinearSolveError with the count of L's
+    eigenvalues <= 0, for Mg + dt/2 A the modes with dt omega <= -2: by
+    Haynsworth, that of the trailing matrix whose first diagonal entry is
+    d_i itself (:func:`nonpositive_pivots`), so at least 1 also where d_i
+    is 0 to rounding.  A positive pivot at most ``_PIVOT_TOL`` times the
     largest entry, or an entry that is not finite, raises it as singular.
 
     The factors and R become block operators on blocks of ``_BLOCK`` rows
@@ -106,8 +108,9 @@ def _march_step(diag, off, right) -> Callable[[np.ndarray, np.ndarray], None]:
     for i in range(n):
         if not d[i] > limit:
             if d[i] <= 0.0 and math.isfinite(limit):
+                trailing = np.concatenate(([d[i]], packed[i + 1:n]))
                 raise LinearSolveError("step matrix is not positive definite; modes with dt omega <= -2: "
-                                       f"{nonpositive_pivots(diag, off)}")
+                                       f"{nonpositive_pivots(trailing, packed[n + i:])}")
             raise LinearSolveError("tridiagonal system is singular or near-singular")
         low[i] = e[i] / d[i]
         d[i + 1] -= low[i] * e[i]
@@ -117,50 +120,44 @@ def _march_step(diag, off, right) -> Callable[[np.ndarray, np.ndarray], None]:
     return step
 
 
-def _factorise(sub, diag, sup):
-    """LU factorisation with partial pivoting of the tridiagonal L =
-    (``sub``, ``diag``, ``sup``), as in LAPACK ``dgttrf``: a row
-    interchange fills one second superdiagonal of U; with none this is the
-    Thomas algorithm.  Returns the row sweep ``sweep_rows(v, out)``, which
-    writes L^-1 v into out as ``dgttrs`` does and checks neither.  O(N) over
-    Python floats, with no numpy warning.  A pivot of U at most
+def _row_sweep(sub, diag, sup, rhs, out) -> None:
+    """Write the x of L x = ``rhs`` into ``out``, for the tridiagonal L =
+    (``sub``, ``diag``, ``sup``), as LAPACK ``dgtsv`` does: elimination with
+    partial pivoting applies each row operation to the right-hand side too,
+    a row interchange fills one second superdiagonal of U (with none this
+    is the Thomas algorithm), and back-substitution writes x, unchecked.
+    O(N) over Python floats, with no numpy warning.  A pivot of U at most
     ``_PIVOT_TOL`` times the largest entry of L raises LinearSolveError, in
     place of a dense fallback's SVD condition gate."""
     n = len(diag)
-    # a trailing zero on each diagonal spares the last row its special cases
-    packed = np.concatenate((diag, [0.0], sub, [0.0], sup, [0.0]), dtype=float)
+    # trailing zeros on u1 and b spare the back-substitution its special cases
+    packed = np.concatenate((diag, sub, sup, [0.0]), dtype=float)
     values = packed.tolist()
-    d, low, u1 = values[:n + 1], values[n + 1:2 * n + 1], values[2 * n + 1:]
+    d, low, u1 = values[:n], values[n:2 * n - 1], values[2 * n - 1:]
     u2 = [0.0] * n  # the second superdiagonal, filled by interchanges
-    swap = [False] * n
+    b = rhs.tolist() + [0.0, 0.0]
     # the whole matrix sets the scale: a row cancelled to round-off is not
     # regular; the largest |entry| is max(max, -min), NaN if any entry is
     limit = _PIVOT_TOL * float(max(packed.max(), -packed.min()))
-    for i in range(n):
-        if abs(low[i]) > abs(d[i]):
-            swap[i] = True
+    for i in range(n - 1):
+        swap = abs(low[i]) > abs(d[i])
+        if swap:  # rows i and i + 1 trade their entries in columns i, i + 1, i + 2 and b
             d[i], low[i] = low[i], d[i]
             u1[i], d[i + 1] = d[i + 1], u1[i]
             u2[i], u1[i + 1] = u1[i + 1], 0.0
+            b[i], b[i + 1] = b[i + 1], b[i]
         if not abs(d[i]) > limit:
             raise LinearSolveError("tridiagonal system is singular or near-singular")
-        low[i] /= d[i]
-        d[i + 1] -= low[i] * u1[i]
-        if swap[i]:
-            u1[i + 1] -= low[i] * u2[i]
-
-    def sweep_rows(v: np.ndarray, out: np.ndarray) -> None:
-        b = v.tolist() + [0.0, 0.0]
-        for i in range(n - 1):
-            if swap[i]:
-                b[i], b[i + 1] = b[i + 1], b[i] - low[i] * b[i + 1]
-            else:
-                b[i + 1] -= low[i] * b[i]
-        for i in range(n - 1, -1, -1):
-            b[i] = (b[i] - u1[i] * b[i + 1] - u2[i] * b[i + 2]) / d[i]
-        out[:] = b[:n]
-
-    return sweep_rows
+        m = low[i] / d[i]
+        d[i + 1] -= m * u1[i]
+        if swap:
+            u1[i + 1] -= m * u2[i]
+        b[i + 1] -= m * b[i]
+    if not abs(d[-1]) > limit:
+        raise LinearSolveError("tridiagonal system is singular or near-singular")
+    for i in range(n - 1, -1, -1):
+        b[i] = (b[i] - u1[i] * b[i + 1] - u2[i] * b[i + 2]) / d[i]
+    out[:] = b[:n]
 
 
 def _block_operators(d, low, u1, right) -> Callable[[np.ndarray, np.ndarray], None] | None:
@@ -335,8 +332,8 @@ def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
     kappa h / (2 |epsilon|) below 1 in some 2200 random draws (orders 1-6,
     random meshes and boundary conditions).  Pure convection, lambda < 0
     and most systems at mesh Peclet numbers of 1 and above are not: these,
-    and every system of at most ``_BLOCK`` rows, are factorised with
-    partial pivoting and swept row by row (:func:`_factorise`).  Both
+    and every system of at most ``_BLOCK`` rows, are eliminated with
+    partial pivoting and back-substituted (:func:`_row_sweep`).  Both
     paths raise LinearSolveError for a pivot at most ``_PIVOT_TOL`` times
     the largest entry of the matrix, and for a non-finite result.
     """
@@ -352,7 +349,7 @@ def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
         if (middle >= by_rows).all() or (middle >= by_columns).all():
             return _cyclic_reduction(system, max(outer.max(), middle.max()))
     x = np.empty(n)
-    _factorise(sub, diag, sup)(system.rhs, x)
+    _row_sweep(sub, diag, sup, system.rhs, x)
     if not np.isfinite(x).all():
         raise LinearSolveError("linear solve produced non-finite values")
     return x
@@ -370,12 +367,11 @@ def _cyclic_reduction(system: TridiagonalSystem, scale: float) -> np.ndarray:
     odd number of rows, its first and last kept, and the tail left after L
     levels has at most ``_BLOCK`` rows.  The padding rows read scale x = 0;
     there is at least one, and the last row of all is in the tail.  The tail
-    is swept straight into its rows of x by the row sweep of
-    :func:`_factorise`, whose pivot test is therefore on the scale of the
-    whole matrix at least, and the levels are then undone in reverse, each
-    x_e from its two neighbours.  Every divisor b_e at most ``_PIVOT_TOL``
-    ``scale`` raises LinearSolveError, as does a non-finite result.  O(N)
-    time and memory.
+    is solved straight into its rows of x by :func:`_row_sweep`, whose
+    pivot test is therefore on the scale of the whole matrix at least, and
+    the levels are then undone in reverse, each x_e from its two
+    neighbours.  Every divisor b_e at most ``_PIVOT_TOL`` ``scale`` raises
+    LinearSolveError, as does a non-finite result.  O(N) time and memory.
     """
     n = system.size
     levels = 0
@@ -409,7 +405,7 @@ def _cyclic_reduction(system: TridiagonalSystem, scale: float) -> np.ndarray:
         if not np.abs(rows[3, :-1].reshape(-1, 1 << levels)[:, 1:]).min() > _PIVOT_TOL * scale:
             raise LinearSolveError("tridiagonal system is singular or near-singular")
         x = np.empty(total)
-        _factorise(level[0, 1:], level[3], level[1, :-1])(level[2], x[::1 << levels])
+        _row_sweep(level[0, 1:], level[3], level[1, :-1], level[2], x[::1 << levels])
         for k in range(levels - 1, -1, -1):
             ratio, known = quotients[k], x[::2 << k]
             x[1 << k::2 << k] = ratio[2] - ratio[0] * known[:-1] - ratio[1] * known[1:]

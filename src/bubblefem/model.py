@@ -147,28 +147,17 @@ class Mesh1D:
     def element_index(self, x: float) -> int:
         """Index of the element containing x: right-open, so a node starts the
         element to its right, except b, which belongs to the last element.
-        x outside [a, b] or NaN raises ValueError.  The index
-        :meth:`_locate` finds, and the one :meth:`SolutionField.value` finds
-        by the same bisection."""
-        return self._locate(x)[0]
-
-    def _locate(self, x: float) -> tuple[int, float, float]:
-        """The element index of x (see :meth:`element_index`) with the local
-        coordinate x - x_j and the length of that element, in Python floats;
-        the length is x_{j+1} - x_j, the subtraction ``lengths`` holds.
+        x outside [a, b] or NaN raises ValueError.
 
         One bisection on the nodes as Python floats, with no numpy call.  Its
         upper bound leaves b out of the search, so b falls in the last
-        element; x outside [a, b] or NaN raises ValueError.
-        :meth:`SolutionField.value` and
+        element.  :meth:`SolutionField.value` and
         :meth:`Trajectory.value <bubblefem.transient.Trajectory.value>` run
-        the same bisection and subtractions in their own frame."""
+        the same bisection in their own frame."""
         nodes = self._node_list
         if not nodes[0] <= x <= nodes[-1]:
             raise ValueError(f"x={x} outside domain [{self.a}, {self.b}]")
-        j = bisect_right(nodes, x, 0, len(nodes) - 1) - 1
-        left = nodes[j]
-        return j, x - left, nodes[j + 1] - left
+        return bisect_right(nodes, x, 0, len(nodes) - 1) - 1
 
     def __repr__(self):
         return f"Mesh1D({self.n_elements} elements on [{self.a}, {self.b}])"
@@ -322,8 +311,8 @@ class SolutionField:
         NaN or infinite raises ValueError.
 
         All in this one frame, on Python floats and lists, with no numpy
-        call: the bisection of :meth:`Mesh1D._locate`, then s = t / l and
-        Horner's rule on the element's row of amplitudes as
+        call: the bisection of :meth:`Mesh1D.element_index`, then s = t / l
+        and Horner's rule on the element's row of amplitudes as
         :func:`element_values` runs them, the same float operations in the
         same order, so the value is the one :meth:`eval_on_element` gives at
         x - x_j.  It is the stored nodal value exactly at nodes: the

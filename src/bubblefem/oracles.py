@@ -125,13 +125,13 @@ def cubic_closed_forms(
     """
     _check_length(l)
     eps, kap, lam = coeffs.epsilon, coeffs.kappa, coeffs.lambda_
-    den_terms = (
+    den_terms = _closed_form_terms(lambda: (
         l**8 * lam**4,
         52 * l**6 * lam**2 * (kap**2 - 2 * lam * eps),
         l**4 * (4320 * lam**2 * eps**2 - 1680 * lam * kap**2 * eps + 420 * kap**4),
         l**2 * eps**2 * (5040 * kap**2 - 60480 * lam * eps),
         302400 * eps**4,
-    )
+    ), "cubic enrichment")
     den = sum(den_terms)
     _check_denominator(den, den_terms, "cubic enrichment")
     c_num = (

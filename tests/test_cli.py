@@ -49,6 +49,14 @@ class TestCoeff:
         assert code == 0
         assert "deviates" in out
 
+    @pytest.mark.parametrize("order", ["2", "3"])
+    def test_overflowing_closed_form_is_a_numerical_failure(self, capsys, order):
+        # l^5 of the quadratic and l^8 of the cubic denominator overflow
+        assert main(["coeff", "--order", order, "--length", "1e100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical failure: coefficient overflow" in captured.err
+
     def test_quartic_order_runs(self, capsys):
         code, out = run_cli(capsys, "coeff", "--order", "4")
         assert code == 0
@@ -198,6 +206,29 @@ class TestTransient:
         assert len(probe) == 1
         assert float(probe[0][2]) == pytest.approx(0.125, abs=1e-3)
 
+    def test_exact_column_past_the_float_range(self, capsys):
+        # (epsilon - lambda) t = 99 * 7.17 = 709.83 passes log(max float), so
+        # exp(rate t) overflows at the last stored time, while the exact value
+        # is finite wherever |sin x| < 0.95; at x = pi/2 it is not, and its
+        # u_exact and abs_error are left empty.  Earlier rows keep the product
+        code, out = run_cli(capsys, "transient", "--lambda=-100", "--t-end", "7.17", "--dt", "1e-3",
+                            "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        last = [r for r in rows if r[0] == "7.1699999999999999"]
+        assert len(rows) == 73 * 9 and len(last) == 9
+        for r in rows[:-9]:
+            t, x = float(r[0]), float(r[1])
+            assert r[3] == f"{math.sin(x) * math.exp(99.0 * t):.17g}"
+        for r in last:
+            x, num = float(r[1]), float(r[2])
+            want = math.sin(x) * math.exp(99.0 * 7.17 - 1.0) * math.e
+            if math.isinf(want):
+                assert r[3:] == ["", ""]
+            else:
+                assert float(r[3]) == pytest.approx(want, rel=1e-13)
+                assert float(r[4]) == abs(num - float(r[3]))
+        assert [r[3] == "" for r in last] == [False] * 4 + [True] + [False] * 4
 
     @pytest.mark.parametrize("argv, bound", [
         # measured 1.5e-5 and 2.9e-4; sin x exp((epsilon - lambda) t) is exact on both

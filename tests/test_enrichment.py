@@ -537,6 +537,14 @@ class TestCubicCoefficients:
         assert abs(closed[0] - sol.coeffs[0]) / abs(sol.coeffs[0]) > 1e-8
         assert abs(closed[1] - sol.coeffs[1]) / abs(sol.coeffs[1]) > 1e-8
 
+    @pytest.mark.parametrize("l, coeffs", [
+        (1e100, TransportCoefficients(-1.0, 0.0, 1.0)),  # l^8 overflows
+        (1.0, TransportCoefficients(-1e100, 0.0, 1.0)),  # eps^4 overflows
+    ])
+    def test_overflowing_closed_form_is_degenerate(self, l, coeffs):
+        with pytest.raises(DegenerateOperatorError, match="overflow in cubic"):
+            cubic_closed_forms(coeffs, l, 0.0, 1.0)
+
 
 class TestBubble2D:
     def test_reference_value(self):

@@ -136,15 +136,10 @@ class TestMesh1D:
         for x in points + nodes.tolist() + [a, b, float(np.nextafter(b, a))]:
             expected = min(int(np.searchsorted(nodes, x, "right")) - 1, mesh.n_elements - 1)
             assert mesh.element_index(x) == expected
-            j, local, length = mesh._locate(x)
-            assert j == expected
-            assert np.float64(local).tobytes() == np.float64(x - nodes[j]).tobytes()
-            assert np.float64(length).tobytes() == mesh.lengths[j].tobytes()
         below, above = float(np.nextafter(a, -math.inf)), float(np.nextafter(b, math.inf))
         for outside in (math.nan, math.inf, -math.inf, below, above):
-            for locate in (mesh.element_index, mesh._locate):
-                with pytest.raises(ValueError, match="outside domain"):
-                    locate(outside)
+            with pytest.raises(ValueError, match="outside domain"):
+                mesh.element_index(outside)
 
 
 class TestProblems:

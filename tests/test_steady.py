@@ -305,10 +305,10 @@ def identity(n):
 
 
 def row_sweep(sub, diag, sup, v):
-    """L^-1 v by the one-shot row sweep of the pivoted factorisation of L =
-    (sub, diag, sup) (``linalg._factorise``), into a new array."""
+    """L^-1 v by the one-shot pivoted row sweep of L = (sub, diag, sup)
+    (``linalg._row_sweep``), into a new array."""
     x = np.empty(len(diag))
-    linalg._factorise(sub, diag, sup)(v, x)
+    linalg._row_sweep(sub, diag, sup, v, x)
     return x
 
 
@@ -410,7 +410,7 @@ class TestSolveTridiagonal:
         | st.integers(2, 4 * _BLOCK + 3),
         data=st.data(),
     )
-    def test_reused_factorisation_matches_dense_solve(self, size, data):
+    def test_block_operators_match_dense_solve(self, size, data):
         sub, diag, sup, rhs = data.draw(dominant_systems(st.just(size)))
         dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
         condition = np.linalg.cond(dense)
@@ -426,7 +426,7 @@ class TestSolveTridiagonal:
         assert not np.isfinite(solve(bad)).all()  # which the march raises for
         assert_march_is_the_block_solve(data.draw(definite_systems(st.just(size))))
 
-    def test_reused_factorisation_where_a_block_inverse_overflows(self):
+    def test_block_operators_where_a_block_inverse_overflows(self):
         # pivots of 2e-14 under unit superdiagonals: the inverse of a block
         # of U overflows, while x = U^-1 e_0 is finite; the operators are
         # refused
@@ -438,7 +438,7 @@ class TestSolveTridiagonal:
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(block=st.sampled_from([2, 3, 4]), data=st.data())
-    def test_reused_factorisation_over_several_groups_of_blocks(self, block, data):
+    def test_block_operators_over_several_groups_of_blocks(self, block, data):
         # with blocks of `block` rows a group of blocks spans block^2 rows:
         # one, two and three or more groups, with a partial last group
         rows = block * block
@@ -458,7 +458,7 @@ class TestSolveTridiagonal:
         assert_march_is_the_block_solve(data.draw(definite_systems(st.just(n))), block)
 
     @pytest.mark.parametrize("n", [_BLOCK**2, _BLOCK**2 + 1, 3 * _BLOCK**2 + 7])
-    def test_reused_factorisation_of_several_groups_matches_the_row_sweep(self, n):
+    def test_block_operators_of_several_groups_match_the_row_sweep(self, n):
         # each column's diagonal exceeds the rest of the column by at least
         # 1, so ||A^-1||_1 <= 1 (Varah, on the transpose), cond_1(A) <=
         # ||A||_1, and elimination interchanges no row
@@ -482,7 +482,7 @@ class TestSolveTridiagonal:
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(block=st.sampled_from([2, 3, 4]), data=st.data())
-    def test_reused_factorisation_with_a_right_factor_matches_dense_solve(self, block, data):
+    def test_block_operators_with_a_right_factor_match_dense_solve(self, block, data):
         # one row, a partial block, one whole block, two blocks, one whole
         # group, two groups and a partial fourth group of blocks
         size = data.draw(st.sampled_from([1, block - 1, block, block + 1, block**2, block**2 + 1,
@@ -512,7 +512,7 @@ class TestSolveTridiagonal:
             assert not np.isfinite(solve(bad)).all()
         assert_march_is_the_block_solve(data.draw(definite_systems(st.just(size))), block, right)
 
-    def test_reused_factorisation_where_the_fused_right_factor_overflows(self):
+    def test_block_operators_where_the_fused_right_factor_overflows(self):
         # pivots of 0.5 under a right factor of 1e308: each block's x over
         # its window, (block inverse) R_k, overflows, while L^-1 R v is 2e8
         # for v = 1e-300; the positive definite L = I / 2 is refused, with
@@ -528,7 +528,7 @@ class TestSolveTridiagonal:
             with pytest.raises(LinearSolveError, match="not finite"):
                 linalg._march_step(diag, off, right)
 
-    def test_reused_factorisation_where_an_interface_operator_overflows(self):
+    def test_block_operators_where_an_interface_operator_overflows(self):
         # superdiagonals of 2.1 over unit pivots: a block's inverse stays
         # finite (2.1^31), the response across a group of blocks does not
         n = _BLOCK**2
@@ -587,7 +587,7 @@ class TestSolveTridiagonal:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(LinearSolveError, match="singular"):
-                    linalg._factorise(*entries)
+                    row_sweep(*entries, np.ones(n))
                 with pytest.raises(LinearSolveError, match="singular"):
                     linalg._march_step(entries[1], entries[0 if which == 0 else 2], identity(n))
 

@@ -1109,6 +1109,19 @@ class TestSolveTransient:
                     solve_transient(problem, mesh, EnrichmentKind(order), dt=dt, t_end=dt,
                                     sign_compat=order == 2)
 
+    def test_refused_count_at_a_pivot_that_is_zero_to_rounding(self):
+        # one rate has dt omega = -2 to rounding: the march's third pivot is
+        # -2.8e-17, while a count of the whole step matrix, which rounds
+        # that pivot as diag - off^2 / p, reads 0.  The count starts at the
+        # refused pivot, so it names at least the mode that was refused
+        problem = TransientProblem(epsilon=-0.6988835313183955, domain=(0.0, math.pi),
+                                   initial_profile=math.sin, lambda_=-6.784430390267803)
+        dt = 0.33063674032404705
+        system = assemble_transient(problem, uniform_mesh(0.0, math.pi, 4), LINEAR)
+        assert nonpositive_pivots(*step_matrix(system, dt)) == 0
+        with pytest.raises(LinearSolveError, match=rf"<= -2: 1 \(dt = {re.escape(repr(dt))}\)$"):
+            solve_transient(problem, uniform_mesh(0.0, math.pi, 4), LINEAR, dt=dt, t_end=dt)
+
     @pytest.mark.parametrize("rows", [33, 1025, 2100])  # two blocks, two groups, three groups
     def test_march_builds_its_operators_before_its_first_step(self, monkeypatch, rows):
         built = recorded_block_operators(monkeypatch)
@@ -1128,9 +1141,8 @@ class TestSolveTransient:
         step = linalg._march_step(l_diag, l_off, (r_off, r_diag, r_off))
         state = np.sin(system.mesh.nodes[1:-1])
         out, swept = np.empty(rows), np.empty(rows)
-        sweep_rows = linalg._factorise(l_off, l_diag, l_off)
         for _ in range(3):
-            sweep_rows(tridiagonal_matvec(r_off, r_diag, r_off, state), swept)
+            linalg._row_sweep(l_off, l_diag, l_off, tridiagonal_matvec(r_off, r_diag, r_off, state), swept)
             step(state, out)
             step(state, state)
             assert np.array_equal(state, out)
